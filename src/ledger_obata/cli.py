@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 input error, 2 verification disagreement.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -18,6 +19,7 @@ import numpy as np
 
 from .classify import (
     GoVerdict,
+    NatRedResult,
     classify_go,
     classify_natred,
     go_family,
@@ -112,8 +114,12 @@ def _warn_cap(args, m: int) -> None:
         )
 
 
-def _classified(args, metric: MetricT) -> dict:
-    """Shared classification report with oracle fallback on indeterminate."""
+def _classified(args, metric: MetricT) -> tuple[dict, NatRedResult, GoVerdict]:
+    """Shared classification report with oracle fallback on indeterminate.
+
+    Returns the report, the naturally-reductive result and the final
+    geodesic-orbit verdict.
+    """
     nr = classify_natred(T_to_form(metric), args.tol)
     go = classify_go(metric, args.tol, args.cluster_tol)
     report = {
@@ -143,26 +149,19 @@ def _classified(args, metric: MetricT) -> dict:
         report["agreement"] = bool(
             nr.is_naturally_reductive == (final is GoVerdict.YES)
         )
-    report["_natred_result"] = nr
-    report["_go_final"] = final
-    return report
+    return report, nr, final
 
 
 def cmd_classify(args) -> int:
     metric, _ = _load_metric(args)
-    report = _classified(args, metric)
-    report.pop("_natred_result")
-    report.pop("_go_final")
+    report, _, _ = _classified(args, metric)
     _emit(args, report)
     return 0
 
 
 def cmd_decompose(args) -> int:
     metric, _ = _load_metric(args)
-    _warn_cap(args, metric.m)
-    report = decompose_report(
-        metric, tol=args.tol, tol_split=args.split_tol, max_m=args.max_m
-    )
+    report = decompose_report(metric, tol=args.tol, tol_split=args.split_tol)
     _emit(args, report)
     return 0
 
@@ -170,9 +169,7 @@ def cmd_decompose(args) -> int:
 def cmd_verify(args) -> int:
     metric, raw = _load_metric(args)
     backend = default_backend()
-    report = _classified(args, metric)
-    nr = report.pop("_natred_result")
-    final = report.pop("_go_final")
+    report, nr, final = _classified(args, metric)
 
     word, oracle_report = assess_geodesic_orbit(
         metric, backend, samples=args.samples, seed=args.seed, jobs=args.jobs
@@ -314,7 +311,7 @@ def build_parser() -> _Parser:
         p.add_argument("--samples", type=int, default=200)
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--max-m", dest="max_m", type=int, default=8)
+        p.add_argument("--max-m", dest="max_m", type=int, default=8, help="enumeration cap (trees)")
         p.add_argument(
             "--centralizers",
             action="store_true",
@@ -333,9 +330,14 @@ def _validate(args) -> None:
         raise InputError("--jobs must be at least 1")
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    """The argparse tree, built on first use and reused by every ``main`` call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _validate(args)
         return args.func(args)

@@ -32,10 +32,23 @@ def _check_square_symmetric(a: np.ndarray, label: str) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidMetricError(f"{label} must be a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidMetricError(f"{label} has non-finite entries")
     scale = max(float(np.max(np.abs(a))), 1.0)
-    if np.max(np.abs(a - a.T)) > SYM_RTOL * scale:
-        raise InvalidMetricError(f"{label} must be symmetric")
-    return (a + a.T) / 2
+    with np.errstate(over="ignore"):
+        if np.max(np.abs(a - a.T)) > SYM_RTOL * scale:
+            raise InvalidMetricError(f"{label} must be symmetric")
+        sym = (a + a.T) / 2
+    if not np.all(np.isfinite(sym)):
+        raise InvalidMetricError(f"{label} entries overflow double precision")
+    return sym
+
+
+def _eigvalsh(a: np.ndarray, label: str) -> np.ndarray:
+    try:
+        return np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise InvalidMetricError(f"{label} has no computable spectrum: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -48,7 +61,7 @@ class MetricForm:
         a = _check_square_symmetric(self.a, "form matrix")
         if a.shape[0] < 1:
             raise InvalidMetricError("form matrix must be at least 1x1")
-        eigs = np.linalg.eigvalsh(a)
+        eigs = _eigvalsh(a, "form matrix")
         if eigs[0] <= 1e-12 * max(float(eigs[-1]), 1.0):
             raise InvalidMetricError("form matrix must be positive definite")
         a = a.copy()
@@ -74,7 +87,7 @@ class MetricT:
         scale = max(float(np.max(np.abs(t))), 1e-300)
         if np.max(np.abs(t @ np.ones(m))) > 1e-8 * scale * np.sqrt(m):
             raise InvalidMetricError("coefficient matrix must annihilate the all-ones vector")
-        eigs = np.linalg.eigvalsh(t)
+        eigs = _eigvalsh(t, "coefficient matrix")
         if np.sum(np.abs(eigs) <= 1e-10 * scale) != 1:
             raise InvalidMetricError("coefficient matrix must have one-dimensional kernel")
         if eigs[0] < -1e-10 * scale or eigs[1] <= 1e-10 * scale:
@@ -101,10 +114,13 @@ def form_to_T(form: MetricForm) -> MetricT:
     m1 = a.shape[0]
     t = np.zeros((m1 + 1, m1 + 1))
     t[:m1, :m1] = a
-    row = -a.sum(axis=1)
-    t[:m1, m1] = row
-    t[m1, :m1] = row
-    t[m1, m1] = a.sum()
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = -a.sum(axis=1)
+        t[:m1, m1] = row
+        t[m1, :m1] = row
+        t[m1, m1] = a.sum()
+    if not np.all(np.isfinite(t)):
+        raise InvalidMetricError("form matrix entries overflow its coefficient matrix")
     return MetricT(t)
 
 

@@ -3,23 +3,24 @@
 A metric splits along an admissible partition pair when every nonzero
 off-diagonal coupling joins two copies lying in a common part of one of the
 two partitions.  Each factor metric is the compression of the coupling
-matrix onto part-indicator columns.  Recursive splitting yields the
-irreducible factors; the connected isometry group of the product is the
-power F^k with k the sum of the factor orders, equivalently m + s - 1 for
-s irreducible factors.
+matrix onto part-indicator columns.  A metric splits exactly when its
+coupling graph has a cut vertex, and recursive splitting at cut vertices
+yields the irreducible factors; the connected isometry group of the
+product is the power F^k with k the sum of the factor orders, equivalently
+m + s - 1 for s irreducible factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .classify import NatRedResult, classify_natred, natred_report
 from .liealg import StructureConstants, default_backend
 from .metrics import EigenData, MetricT, T_to_form, eigendecompose
-from .trees import MAX_M_DEFAULT, Partition, PartitionPair, enumerate_partition_pairs
+from .trees import Partition, PartitionPair
 
 SPLIT_RTOL = 1e-9
 
@@ -67,6 +68,11 @@ def factor_metric(metric: MetricT, partition: Partition) -> MetricT:
     return MetricT(x.T @ metric.matrix @ x)
 
 
+def _coupling_floor(t: np.ndarray, tol_split: float) -> float:
+    """Couplings at or below this magnitude count as absent."""
+    return tol_split * float(np.max(np.abs(t)))
+
+
 def _summand(t: np.ndarray, ids: np.ndarray, small: float) -> np.ndarray:
     m = t.shape[0]
     out = np.zeros_like(t)
@@ -90,7 +96,7 @@ def check_split(
     """
     t = metric.matrix
     m = metric.m
-    small = tol_split * float(np.max(np.abs(t)))
+    small = _coupling_floor(t, tol_split)
     ids1 = _part_ids(pair.first, m)
     ids2 = _part_ids(pair.second, m)
     for i in range(m):
@@ -148,67 +154,123 @@ class Decomposition:
         return all(r.is_naturally_reductive for r in self.factor_classifications(tol))
 
 
-def decompose(
-    metric: MetricT,
-    tol_split: float = SPLIT_RTOL,
-    max_m: int = MAX_M_DEFAULT,
-    pair_order: Callable[[list[PartitionPair]], list[PartitionPair]] | None = None,
-) -> Decomposition:
+def _coupling_graph(metric: MetricT, tol_split: float) -> list[list[int]]:
+    """Neighbour lists of the copies, joined where ``check_split`` sees a coupling."""
+    t = metric.matrix
+    adjacent = np.abs(t) > _coupling_floor(t, tol_split)
+    np.fill_diagonal(adjacent, False)
+    return [np.flatnonzero(row).tolist() for row in adjacent]
+
+
+def _cut(neighbours: list[list[int]]) -> tuple[int, list[int]] | None:
+    """A copy c and a component C of G - c that leaves G - c - C nonempty.
+
+    Iterative Hopcroft-Tarjan depth-first search from copy 0: a child v of
+    u with low[v] >= disc[u] roots a component of G - u, and the first one
+    found is a leaf block of G less its cut vertex.  If copy 0 is isolated
+    in a disconnected G, the search finds no such child, and copy 0 is
+    split off at the first copy outside it.  None means G - c is connected
+    for every c.
+    """
+    m = len(neighbours)
+    disc = [-1] * m
+    low = [0] * m
+    size = [1] * m
+    parent = [-1] * m
+    order = [0]
+    disc[0] = 0
+    stack = [(0, iter(neighbours[0]))]
+    while stack:
+        u, rest = stack[-1]
+        for v in rest:
+            if disc[v] < 0:
+                disc[v] = low[v] = len(order)
+                parent[v] = u
+                order.append(v)
+                stack.append((v, iter(neighbours[v])))
+                break
+            low[u] = min(low[u], disc[v])
+        else:
+            stack.pop()
+            p = parent[u]
+            if p < 0:
+                continue
+            low[p] = min(low[p], low[u])
+            size[p] += size[u]
+            if low[u] >= disc[p] and size[u] + 1 < m:
+                return p, order[disc[u] : disc[u] + size[u]]
+    if len(order) + 1 < m:
+        return min(set(range(m)) - set(order)), order
+    return None
+
+
+def _cut_pair(c: int, component: list[int], m: int) -> PartitionPair:
+    """The double-star pair that cuts G at copy c (0-based) around ``component``.
+
+    ``first`` keeps the copies of the component apart and merges c with
+    the rest; ``second`` merges c with the component and keeps the rest
+    apart.
+    """
+    inside = set(component)
+    rest = [x for x in range(m) if x != c and x not in inside]
+
+    def canon(parts: list[list[int]]) -> Partition:
+        return tuple(sorted(tuple(sorted(x + 1 for x in part)) for part in parts))
+
+    return PartitionPair(
+        canon([[x] for x in component] + [[c, *rest]]),
+        canon([[c, *component]] + [[x] for x in rest]),
+    )
+
+
+def decompose(metric: MetricT, tol_split: float = SPLIT_RTOL) -> Decomposition:
     """Recursively split into irreducible factors.
 
-    Pairs are tried in canonical enumeration order; ``pair_order`` reorders
-    the candidate list (the factor multiset does not depend on the order,
-    which the tests exercise by reversing it).
+    ``check_split`` accepts a pair exactly when the coupling graph G fits
+    in the line graph of the pair's tree, and a line graph is a block graph
+    whose blocks are the tree's stars.  So a metric splits exactly when G
+    has a cut vertex, and the irreducible factors are the compressions
+    onto the blocks of G.  Each level recomputes G at its own threshold,
+    cuts off one leaf block with ``_cut_pair`` and certifies the pair with
+    ``check_split``; the first factor of a split is that block.  Factors
+    and records come in depth-first order, first factor before second.
     """
     factors: list[MetricT] = []
     records: list[SplitRecord] = []
 
-    def recurse(current: MetricT, path: str) -> None:
-        m = current.m
-        if m >= 3:
-            pairs = enumerate_partition_pairs(m, max_m=max_m)
-            if pair_order is not None:
-                pairs = pair_order(list(pairs))
-            for pair in pairs:
-                outcome = check_split(current, pair, tol_split)
-                if outcome.ok:
-                    records.append(SplitRecord(path, m, pair))
-                    recurse(outcome.first, path + ".1")
-                    recurse(outcome.second, path + ".2")
-                    return
-        factors.append(current)
-
-    recurse(metric, "root")
+    pending = [(metric, "root")]
+    while pending:
+        current, path = pending.pop()
+        cut = _cut(_coupling_graph(current, tol_split))
+        if cut is None:
+            factors.append(current)
+            continue
+        pair = _cut_pair(*cut, current.m)
+        outcome = check_split(current, pair, tol_split)
+        if not outcome.ok:
+            raise RuntimeError(
+                f"internal error: cut-vertex pair {pair} blocked at {outcome.violation}"
+            )
+        records.append(SplitRecord(path, current.m, pair))
+        pending.append((outcome.second, path + ".2"))
+        pending.append((outcome.first, path + ".1"))
     return Decomposition(tuple(factors), tuple(records))
 
 
-def is_reducible(
-    metric: MetricT, tol_split: float = SPLIT_RTOL, max_m: int = MAX_M_DEFAULT
-) -> bool:
-    m = metric.m
-    if m < 3:
-        return False
-    return any(
-        check_split(metric, pair, tol_split).ok
-        for pair in enumerate_partition_pairs(m, max_m=max_m)
-    )
+def is_reducible(metric: MetricT, tol_split: float = SPLIT_RTOL) -> bool:
+    return decompose(metric, tol_split).is_reducible
 
 
-def isometry_group_exponent(
-    metric: MetricT, tol_split: float = SPLIT_RTOL, max_m: int = MAX_M_DEFAULT
-) -> int:
+def isometry_group_exponent(metric: MetricT, tol_split: float = SPLIT_RTOL) -> int:
     """Exponent k with connected isometry group F^k; m <= k <= 2(m-1)."""
-    return decompose(metric, tol_split, max_m).isometry_group_exponent
+    return decompose(metric, tol_split).isometry_group_exponent
 
 
 def go_manifold(
-    metric: MetricT,
-    tol: float = 1e-8,
-    tol_split: float = SPLIT_RTOL,
-    max_m: int = MAX_M_DEFAULT,
+    metric: MetricT, tol: float = 1e-8, tol_split: float = SPLIT_RTOL
 ) -> bool:
     """True when every irreducible factor is naturally reductive."""
-    return decompose(metric, tol_split, max_m).is_go_manifold(tol)
+    return decompose(metric, tol_split).is_go_manifold(tol)
 
 
 # -- connection operators and invariance of a splitting ----------------------
@@ -291,13 +353,10 @@ def invariance_residual(
 
 
 def decompose_report(
-    metric: MetricT,
-    tol: float = 1e-8,
-    tol_split: float = SPLIT_RTOL,
-    max_m: int = MAX_M_DEFAULT,
+    metric: MetricT, tol: float = 1e-8, tol_split: float = SPLIT_RTOL
 ) -> dict:
     """JSON-ready summary of the decomposition and the group it certifies."""
-    decomp = decompose(metric, tol_split, max_m)
+    decomp = decompose(metric, tol_split)
     factors = [
         {"m": factor.m, "T": factor.matrix, "natred": natred_report(result)}
         for factor, result in zip(decomp.factors, decomp.factor_classifications(tol))

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line driven in process."""
 
 import json
+import warnings
 from importlib.metadata import EntryPoint, PackageNotFoundError, distribution
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from ledger_obata import cli
 from ledger_obata.classify import GoResult, GoVerdict, go_family
 from ledger_obata.metrics import eigendecompose, standard_metric
 from ledger_obata.serialize import metric_to_dict, read_metric, write_metric
+from ledger_obata.trees import PartitionPair
 
 from conftest import SEVEN_SPLIT_PAIR, laplacian_metric
 
@@ -70,6 +72,82 @@ def test_decompose_star_metric(tmp_path, capsys):
     assert report["isometry_group_k"] == 6
     assert report["go_manifold"] is True
     assert len(report["splits"]) == 2
+
+
+def test_decompose_m12_has_no_cap_and_no_warning(tmp_path, capsys):
+    # blocks: the cycle 1..8 with a chord, the triangle 8-9-10, edges 10-11, 11-12
+    cycle = [(i, i % 8 + 1, 1.0 + 0.1 * i) for i in range(1, 9)] + [(2, 6, 0.4)]
+    tail = [(8, 9, 0.9), (9, 10, 1.1), (8, 10, 0.6), (10, 11, 1.3), (11, 12, 0.8)]
+    path = tmp_path / "m12.json"
+    for edges, sizes in ((cycle + tail, [2, 2, 3, 8]), (cycle + tail + [(1, 12, 0.5)], [12])):
+        write_metric(laplacian_metric(12, edges), str(path))
+        code = cli.main(["decompose", "--input", str(path), "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert sorted(report["factor_sizes"]) == sizes
+        assert report["isometry_group_k"] == 12 + len(sizes) - 1
+        assert len(report["splits"]) == len(sizes) - 1
+        for split in report["splits"]:
+            pair = PartitionPair(
+                tuple(map(tuple, split["first"])), tuple(map(tuple, split["second"]))
+            )
+            pair.validate()
+            assert pair.m == split["m"]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        '{"m": 3, "repr": "form", "a": [[1e308, 1e307], [1e307, 1e308]]}',
+        '{"m": 3, "repr": "form", "a": [[Infinity, 0.0], [0.0, 1.0]]}',
+        '{"m": 3, "repr": "form", "a": [[NaN, 0.0], [0.0, 1.0]]}',
+    ],
+    ids=["overflow", "infinity", "nan"],
+)
+@pytest.mark.parametrize("command", ["classify", "decompose", "verify"])
+def test_non_finite_and_overflowing_input_is_a_typed_error(tmp_path, capsys, payload, command):
+    path = tmp_path / "extreme.json"
+    path.write_text(payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning is not a typed error
+        code = cli.main([command, "--input", str(path), "--samples", "5"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    assert err.startswith("error: form matrix ")
+    assert "positive definite" not in err
+
+
+def test_consecutive_calls_share_no_flags(tmp_path, capsys, monkeypatch):
+    seen = []
+    validate = cli._validate
+
+    def recording(args):
+        seen.append(args)
+        validate(args)
+
+    monkeypatch.setattr(cli, "_validate", recording)
+    path = tmp_path / "standard4.json"
+    write_metric(standard_metric(4), str(path))
+    code = cli.main(
+        ["decompose", "--input", str(path), "--tol", "1e-5", "--format", "json"]
+    )
+    assert code == 0
+    json.loads(capsys.readouterr().out)
+    code = cli.main(["trees", "--m", "3"])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("m = 3: 3 admissible partition pairs")
+    first, second = seen
+    assert (first.command, first.tol, first.format, first.input) == (
+        "decompose", 1e-5, "json", str(path)
+    )
+    assert (second.command, second.tol, second.format, second.input) == (
+        "trees", 1e-8, "text", None
+    )
+    assert second.func is cli.cmd_trees
+    assert cli._parser() is cli._parser()
 
 
 def test_generate_then_classify_round_trip(tmp_path, capsys):

@@ -141,6 +141,36 @@ def test_metric_form_validation_rejections():
         MetricForm(np.array([[1.0, 0.2], [0.0, 1.0]]))
 
 
+def test_non_finite_and_overflowing_entries_are_rejected_before_eigvalsh(monkeypatch):
+    def no_spectrum(a):
+        raise AssertionError("eigvalsh reached with a non-finite matrix")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_spectrum)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidMetricError, match="non-finite"):
+            MetricForm(np.array([[bad, 0.0], [0.0, 1.0]]))
+        with pytest.raises(InvalidMetricError, match="non-finite"):
+            MetricT(np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, bad]]))
+    with pytest.raises(InvalidMetricError, match="overflow"):
+        MetricForm(np.array([[1e308, 1e307], [1e307, 1e308]]))
+
+
+def test_form_whose_coefficient_matrix_overflows_is_rejected():
+    with pytest.raises(InvalidMetricError, match="overflow"):
+        form_to_T(MetricForm(np.array([[1e308, 5e307], [5e307, 1e308]]) / 1.2))
+
+
+def test_linalg_failure_is_a_typed_error(monkeypatch):
+    def failing(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    with pytest.raises(InvalidMetricError, match="did not converge"):
+        MetricForm(np.eye(2))
+    with pytest.raises(InvalidMetricError, match="did not converge"):
+        standard_metric(3)
+
+
 def test_serialize_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(8)
     for i in range(10):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from ledger_obata.classify import go_family
-from ledger_obata.metrics import MetricT, standard_metric, form_to_T
+from ledger_obata.classify import classify_natred, go_family
+from ledger_obata.errors import InvalidMetricError
+from ledger_obata.metrics import MetricT, T_to_form, standard_metric, form_to_T
 from ledger_obata.reduce import (
     Decomposition,
     check_split,
@@ -20,6 +21,7 @@ from ledger_obata.reduce import (
 )
 from ledger_obata.serialize import dumps_numeric
 from ledger_obata.liealg import so3
+from ledger_obata.trees import enumerate_partition_pairs
 
 from conftest import (
     DOUBLE_STAR_PAIR,
@@ -77,19 +79,184 @@ def test_decompose_worked_seven_example():
     assert decomp.isometry_group_exponent == 7 + len(decomp.factors) - 1
 
 
-def test_decompose_is_order_independent():
+def _scan_factors(metric, reverse=False, tol_split=1e-9):
+    """The pair scan that ``decompose`` replaced: try every admissible pair
+    in canonical (or reversed) order and split at the first that passes."""
+    factors = []
+
+    def recurse(current):
+        if current.m >= 3:
+            pairs = enumerate_partition_pairs(current.m)
+            for pair in pairs[::-1] if reverse else pairs:
+                outcome = check_split(current, pair, tol_split)
+                if outcome.ok:
+                    recurse(outcome.first)
+                    recurse(outcome.second)
+                    return
+        factors.append(current)
+
+    recurse(metric)
+    return factors
+
+
+def _spectra(factors):
+    # the smallest eigenvalue is the kernel's zero; sort on the others
+    return sorted((f.m, tuple(np.linalg.eigvalsh(f.matrix)[1:])) for f in factors)
+
+
+def _assert_same_factors(factors, expected, rtol=1e-9):
+    assert sorted(f.m for f in factors) == sorted(f.m for f in expected)
+    for (m1, s1), (m2, s2) in zip(_spectra(factors), _spectra(expected)):
+        assert m1 == m2
+        scale = max(1.0, float(np.max(np.abs(s2))))
+        assert np.max(np.abs(np.array(s1) - np.array(s2))) <= rtol * scale
+
+
+def _random_sparse_metric(rng, m):
+    """Weighted graph Laplacian on a random connected support; some
+    couplings are positive (negative weights) while T stays a metric."""
+    while True:
+        edges = {(i, int(rng.integers(0, i))) for i in range(1, m)}
+        for i in range(m):
+            for j in range(i):
+                if rng.uniform() < 0.3:
+                    edges.add((i, j))
+        t = np.zeros((m, m))
+        for i, j in edges:
+            w = rng.uniform(0.5, 2.0) if rng.uniform() < 0.8 else -rng.uniform(0.05, 0.3)
+            t[i, j] = t[j, i] = -w
+        np.fill_diagonal(t, -t.sum(axis=1))
+        try:
+            return MetricT(t)
+        except InvalidMetricError:
+            continue
+
+
+def block_tree_metric(rng, sizes):
+    """Product metric whose coupling graph is a tree of dense blocks.
+
+    Each block is a random dense metric on its copies and hangs off one
+    copy of an earlier block; the copies are then relabelled at random.
+    Returns the metric and the blocks' own coefficient matrices, which are
+    exactly the irreducible factors.
+    """
+    m = 1 + sum(s - 1 for s in sizes)
+    t = np.zeros((m, m))
+    blocks = []
+    used = 1
+    for size in sizes:
+        members = [int(rng.integers(0, used))] + list(range(used, used + size - 1))
+        used += size - 1
+        block = form_to_T(random_pd_form(rng, size, floor=0.5)).matrix
+        t[np.ix_(members, members)] += block
+        blocks.append(MetricT(block))
+    perm = rng.permutation(m)
+    return MetricT(t[np.ix_(perm, perm)]), blocks
+
+
+def _relabelled(metric, rng):
+    perm = rng.permutation(metric.m)
+    return MetricT(metric.matrix[np.ix_(perm, perm)])
+
+
+def _submetrics(metric, decomp):
+    """Replay the split records: the submetric each record splits, by path."""
+    at = {"root": metric}
+    for rec in decomp.records:
+        current = at[rec.path]
+        assert current.m == rec.m
+        outcome = check_split(current, rec.pair)
+        assert outcome.ok, (rec.path, rec.pair, outcome.violation)
+        at[rec.path + ".1"] = outcome.first
+        at[rec.path + ".2"] = outcome.second
+    return at
+
+
+def test_decompose_matches_pair_scan():
     rng = np.random.default_rng(61)
-    for metric in (
+    cases = [
         worked_seven_metric(tuple(rng.uniform(0.5, 2.0, 6)), tuple(rng.uniform(0.5, 2.0, 2))),
         laplacian_metric(4, [(1, 4, 2.0), (2, 4, 1.0), (3, 4, 0.5)]),
         double_star_product(dense_nonreductive_metric(rng, 5).matrix),
-    ):
-        forward = decompose(metric)
-        backward = decompose(metric, pair_order=lambda pairs: pairs[::-1])
-        assert sorted(forward.factor_sizes) == sorted(backward.factor_sizes)
-        assert (
-            forward.isometry_group_exponent == backward.isometry_group_exponent
+    ]
+    for m in (3, 4, 5, 6, 7):
+        for _ in range(8 if m < 7 else 3):
+            cases.append(_random_sparse_metric(rng, m))
+    cases.append(block_tree_metric(rng, [3, 2, 3])[0])
+    cases.append(block_tree_metric(rng, [2, 2, 3, 3])[0])
+    variants = []
+    for metric in cases:
+        variants.append(metric)
+        if metric.m < 7:
+            variants.append(_relabelled(metric, rng))
+            variants.append(MetricT(metric.matrix * float(rng.choice([1e-3, 7.5, 1e4]))))
+    reducible_seen = set()
+    for metric in variants:
+        decomp = decompose(metric)
+        forward = _scan_factors(metric)
+        backward = _scan_factors(metric, reverse=True)
+        _assert_same_factors(decomp.factors, forward)
+        _assert_same_factors(decomp.factors, backward)
+        k = sum(f.m for f in forward)
+        assert decomp.isometry_group_exponent == k == metric.m + len(forward) - 1
+        assert decomp.is_reducible == (len(forward) > 1) == is_reducible(metric)
+        assert decomp.is_go_manifold() == all(
+            classify_natred(T_to_form(f)).is_naturally_reductive for f in forward
         )
+        for rec in decomp.records:
+            rec.pair.validate()
+        _submetrics(metric, decomp)
+        reducible_seen.add(decomp.is_reducible)
+    assert reducible_seen == {True, False}
+
+
+def test_decompose_matches_pair_scan_on_disconnected_coupling_graphs():
+    # couplings of 1e-5 fall below a split tolerance of 1e-3, so the
+    # coupling graph falls apart while T is still a metric.  Which factor
+    # absorbs a dropped coupling depends on the split taken, in the scan
+    # as well, so spectra agree to the size of the dropped couplings.
+    weak = 1e-5
+    triangles = [(1, 2, 1.0), (1, 3, 1.5), (2, 3, 0.8), (4, 5, 1.2), (4, 6, 0.9), (5, 6, 1.1)]
+    cases = [
+        laplacian_metric(6, triangles + [(3, 4, weak)]),
+        laplacian_metric(6, triangles + [(1, 4, weak), (2, 6, weak)]),
+        # copy 1 is isolated in the coupling graph
+        laplacian_metric(5, [(1, 2, weak), (2, 3, 1.0), (3, 4, 0.7), (2, 4, 1.3), (4, 5, 0.6)]),
+        laplacian_metric(4, [(1, 2, weak), (2, 3, weak), (3, 4, 1.0)]),
+    ]
+    for metric in cases:
+        decomp = decompose(metric, tol_split=1e-3)
+        for reverse in (False, True):
+            expected = _scan_factors(metric, reverse, tol_split=1e-3)
+            _assert_same_factors(decomp.factors, expected, rtol=10 * weak)
+        assert decomp.is_reducible
+        for rec in decomp.records:
+            rec.pair.validate()
+
+
+def test_decompose_block_tree_product_at_m40():
+    rng = np.random.default_rng(40)
+    sizes = [2, 5, 3, 2, 4, 2, 6, 3, 2, 3, 5, 2, 4, 2, 3, 4, 3, 2]
+    metric, blocks = block_tree_metric(rng, sizes)
+    assert metric.m == 40
+    decomp = decompose(metric)
+    assert sorted(decomp.factor_sizes) == sorted(sizes)
+    _assert_same_factors(decomp.factors, blocks)
+    assert decomp.isometry_group_exponent == 40 + len(sizes) - 1
+    assert len(decomp.records) == len(sizes) - 1
+    _submetrics(metric, decomp)
+    for rec in decomp.records:
+        m1, m2 = rec.pair.factor_sizes
+        assert m1 + m2 == rec.m + 1 and min(m1, m2) >= 2
+
+
+def test_decompose_dense_m30_is_irreducible():
+    metric = dense_nonreductive_metric(np.random.default_rng(30), 30)
+    decomp = decompose(metric)
+    assert decomp.factor_sizes == (30,)
+    assert decomp.records == ()
+    assert not is_reducible(metric)
+    assert isometry_group_exponent(metric) == 30
 
 
 def test_diagonal_metric_splits_into_edges():
