@@ -1,13 +1,23 @@
 """Naturally reductive and geodesic-orbit classification.
 
-A metric is naturally reductive exactly when its form matches one of three
-shapes: a diagonal product metric on the standard complement (``diagonal``),
-a product metric carried by the complementary ideal dropping copy k
-(``ideal``), or the restriction of an ad-invariant quadratic form with
-weights alpha_1..alpha_m (``invariant_form``).  Geodesic-orbit metrics are
-detected through the eigen data: every eigenspace must be self-saturated,
-the combined system super-adapted, and the weighted projection coefficients
-must collapse to one constant per direction.
+A metric on F^m/diag(F) is naturally reductive exactly when it lies in one
+of two families.  The first is the product metric on the ideal that drops
+one copy k in 1..m: its coefficient matrix is
+T = sum_{i != k} beta_i (e_i - e_k)(e_i - e_k)^T.  Copy k = m is tried
+first and reported as ``diagonal`` (the form is diagonal); k < m is
+reported as ``ideal`` with ``ideal_index`` k.  The second is the
+restriction of an ad-invariant form with weights alpha_1..alpha_m,
+T = diag(alpha) - alpha alpha^T / S with S = sum(alpha), reported as
+``invariant_form``.  Its weights are read off T symmetrically in the
+copies: alpha_i is the mean of T_ii - T_ij T_ik / T_jk and S the mean of
+-alpha_i alpha_j / T_ij over distinct i, j, k.  Both families are matched
+on the form divided by ``power_of_two_scale``, which is exact, so ``tol``
+bounds the reconstruction residual relative to the largest form entry
+and verdicts do not change when the metric is scaled.
+Geodesic-orbit metrics are detected through the eigen data: every
+eigenspace must be self-saturated, the combined system super-adapted, and
+the weighted projection coefficients must collapse to one constant per
+direction.
 """
 
 from __future__ import annotations
@@ -23,7 +33,15 @@ from .coeff import (
     is_super_adapted,
 )
 from .errors import InputError, ParameterError
-from .metrics import EigenData, MetricForm, MetricT, eigendecompose, metric_from_system
+from .metrics import (
+    EigenData,
+    MetricForm,
+    MetricT,
+    bordered,
+    eigendecompose,
+    metric_from_system,
+    power_of_two_scale,
+)
 
 
 class NatRedCase(enum.Enum):
@@ -37,9 +55,9 @@ class NatRedCase(enum.Enum):
 class NatRedResult:
     """Classification outcome with the parameters certifying the case.
 
-    diagonal: ``betas`` holds the m-1 positive weights of the product metric.
-    ideal: ``ideal_index`` is the dropped copy k (1-based) and ``betas`` maps
-    the remaining copies to their weights.
+    diagonal and ideal: ``betas`` maps each copy but the dropped one to its
+    positive weight; ``ideal_index`` is the dropped copy k (1-based) for
+    ideal and None for diagonal, where copy m is dropped.
     invariant_form: ``alphas`` holds the m nonzero weights, ``alpha_sum`` their
     sum; the sign condition (all positive, or exactly one negative with a
     negative sum) certifies positive definiteness on the complement.
@@ -59,91 +77,55 @@ class NatRedResult:
         return self.case is not NatRedCase.NOT_NR
 
 
-def _reconstruct_invariant_form(alphas: np.ndarray, alpha_sum: float) -> np.ndarray:
-    head = alphas[:-1]
-    return np.diag(head) - np.outer(head, head) / alpha_sum
-
-
 def solve_invariant_form(
     form: MetricForm, tol: float = 1e-8
 ) -> tuple[np.ndarray, float] | None:
     """Recover invariant-form weights alpha_1..alpha_m from the form, or None.
 
-    m = 2 admits every form with the canonical weights (2a, 2a).  m = 3 uses
-    the closed form through the determinant; larger m recovers each weight
-    from off-diagonal triples, checks consistency over all index choices,
-    and validates by full reconstruction plus the sign condition.
+    m = 2 admits every form with the canonical weights (2a, 2a).  For
+    m >= 3, T = diag(alpha) - alpha alpha^T / S gives
+    alpha_i = T_ii - T_ij T_ik / T_jk and S = -alpha_i alpha_j / T_ij for
+    any distinct i, j, k; each is the mean over all choices, taken on the
+    coefficient matrix of the scaled form.  The weights are accepted when
+    they rebuild the form to ``tol`` relative to its largest entry, are
+    nonzero, and meet the sign condition.
     """
     a = form.a
     m = form.m
-    scale = float(np.max(np.abs(a)))
     if m == 2:
         alphas = np.array([2 * a[0, 0], 2 * a[0, 0]])
         return alphas, float(alphas.sum())
 
-    small = tol * scale
-    n = m - 1
-    off = a[~np.eye(n, dtype=bool)]
-    if np.any(np.abs(off) <= small):
+    scale = power_of_two_scale(a)
+    a = a / scale
+    small = tol * float(np.max(np.abs(a)))
+    t = bordered(a)
+    off = ~np.eye(m, dtype=bool)
+    if np.any(np.abs(t[off]) <= small):
         return None
 
-    if m == 3:
-        d = a[0, 0] * a[1, 1] - a[0, 1] ** 2
-        den1 = a[1, 1] + a[0, 1]
-        den2 = a[0, 1]
-        den3 = a[0, 0] + a[0, 1]
-        if min(abs(den1), abs(den2), abs(den3)) <= small:
-            return None
-        # the weight of the dropped copy is -d/a12 and must sit last so the
-        # head weights pair with the form coordinates under reconstruction
-        alphas = np.array([d / den1, d / den3, -d / den2])
-        alpha_sum = -(d * d) / (den2 * den1 * den3)
-    else:
-        alphas_head = np.zeros(n)
-        for i in range(n):
-            vals = []
-            for j in range(n):
-                for k in range(n):
-                    if len({i, j, k}) == 3:
-                        vals.append(a[i, i] - a[i, j] * a[i, k] / a[j, k])
-            vals = np.asarray(vals)
-            if np.ptp(vals) > tol * max(scale, float(np.max(np.abs(vals)))):
-                return None
-            alphas_head[i] = vals.mean()
-        if np.any(np.abs(alphas_head) <= small):
-            return None
-        sums = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                sums.append(-alphas_head[i] * alphas_head[j] / a[i, j])
-        sums = np.asarray(sums)
-        if np.ptp(sums) > tol * max(scale, float(np.max(np.abs(sums)))):
-            return None
-        alpha_sum = float(sums.mean())
-        alphas = np.append(alphas_head, alpha_sum - alphas_head.sum())
+    # ratios[i, j, k] = T_ij T_ik / T_jk, averaged over distinct i, j, k
+    ratios = t[:, :, None] * t[:, None, :] / t[None, :, :]
+    distinct = off[:, :, None] & off[:, None, :] & off[None, :, :]
+    alphas = np.diag(t) - np.where(distinct, ratios, 0.0).sum(axis=(1, 2)) / (
+        (m - 1) * (m - 2)
+    )
+    alpha_sum = float(np.mean(-np.outer(alphas, alphas)[off] / t[off]))
 
     if np.any(np.abs(alphas) <= small) or abs(alpha_sum) <= small:
         return None
-    residual = np.max(np.abs(a - _reconstruct_invariant_form(alphas, alpha_sum)))
-    if residual > tol * max(scale, 1.0):
+    rebuilt = np.diag(alphas) - np.outer(alphas, alphas) / alpha_sum
+    if np.max(np.abs(a - rebuilt[:-1, :-1])) > small:
         return None
     negatives = int(np.sum(alphas < 0))
-    if negatives == 0:
-        pass
-    elif negatives == 1 and alpha_sum < 0:
-        pass
-    else:
+    if negatives > 1 or (negatives == 1 and alpha_sum >= 0):
         return None
-    return alphas, float(alpha_sum)
+    return alphas * scale, alpha_sum * scale
 
 
 def classify_natred(form: MetricForm, tol: float = 1e-8) -> NatRedResult:
-    """Match the form against the three naturally reductive shapes."""
-    a = form.a
+    """Match the form against the dropped-copy and invariant-form families."""
     m = form.m
-    n = m - 1
-    small = tol * float(np.max(np.abs(a)))
-
     if m == 2:
         # every metric on F^2/diag(F) is the restriction of an invariant form
         alphas, alpha_sum = solve_invariant_form(form, tol)  # never None at m = 2
@@ -154,24 +136,29 @@ def classify_natred(form: MetricForm, tol: float = 1e-8) -> NatRedResult:
             alpha_sum=alpha_sum,
         )
 
-    offdiag = a[~np.eye(n, dtype=bool)]
-    if np.max(np.abs(offdiag)) <= small:
-        betas = {i + 1: float(a[i, i]) for i in range(n)}
-        return NatRedResult(case=NatRedCase.DIAGONAL, normal=True, betas=betas)
-
-    for k in range(n):
-        others = [i for i in range(n) if i != k]
-        ok = all(abs(a[i, k] + a[i, i]) <= small for i in others) and all(
-            abs(a[i, j]) <= small for i in others for j in others if i < j
-        )
-        if not ok:
+    scale = power_of_two_scale(form.a)
+    a = form.a / scale
+    n = m - 1
+    small = tol * float(np.max(np.abs(a)))
+    diag = np.append(np.diag(a), 0.0)
+    trace = diag.sum()
+    e = np.eye(m, n)  # e_1..e_m on the first m-1 copies, so e_m = 0
+    # copy m first: its dropped-copy product is reported as the diagonal case
+    for k in (n, *range(n)):
+        weights = diag.copy()
+        if k < n:
+            tail = a[k, k] - (trace - a[k, k])
+            if tail <= small:
+                continue
+            weights[n] = tail
+        weights[k] = 0.0
+        # the product sum_i w_i (e_i - e_k)(e_i - e_k)^T
+        v = e - e[k]
+        if np.max(np.abs(a - (v.T * weights) @ v)) > small:
             continue
-        rest = sum(a[i, i] for i in range(n) if i != k)
-        tail = a[k, k] - rest
-        if tail <= small:
-            continue
-        betas = {i + 1: float(a[i, i]) for i in range(n) if i != k}
-        betas[m] = float(tail)
+        betas = {i + 1: float(w * scale) for i, w in enumerate(weights) if i != k}
+        if k == n:
+            return NatRedResult(case=NatRedCase.DIAGONAL, normal=True, betas=betas)
         return NatRedResult(
             case=NatRedCase.IDEAL, normal=True, betas=betas, ideal_index=k + 1
         )

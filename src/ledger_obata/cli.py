@@ -341,13 +341,7 @@ def main(argv=None) -> int:
     try:
         _validate(args)
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except LedgerObataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (LedgerObataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

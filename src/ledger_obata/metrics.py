@@ -12,6 +12,7 @@ Three equivalent encodings of an invariant metric on F^m/diag(F):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +35,8 @@ def _check_square_symmetric(a: np.ndarray, label: str) -> np.ndarray:
         raise InvalidMetricError(f"{label} must be a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise InvalidMetricError(f"{label} has non-finite entries")
-    scale = max(float(np.max(np.abs(a))), 1.0)
     with np.errstate(over="ignore"):
-        if np.max(np.abs(a - a.T)) > SYM_RTOL * scale:
+        if np.max(np.abs(a - a.T)) > SYM_RTOL * float(np.max(np.abs(a))):
             raise InvalidMetricError(f"{label} must be symmetric")
         sym = (a + a.T) / 2
     if not np.all(np.isfinite(sym)):
@@ -62,7 +62,7 @@ class MetricForm:
         if a.shape[0] < 1:
             raise InvalidMetricError("form matrix must be at least 1x1")
         eigs = _eigvalsh(a, "form matrix")
-        if eigs[0] <= 1e-12 * max(float(eigs[-1]), 1.0):
+        if eigs[0] <= 1e-12 * eigs[-1]:
             raise InvalidMetricError("form matrix must be positive definite")
         a = a.copy()
         a.setflags(write=False)
@@ -103,6 +103,27 @@ class MetricT:
         return self.matrix.shape[0]
 
 
+def power_of_two_scale(a: np.ndarray) -> float:
+    """The power of two 2**e with max|a| / 2**e in [0.5, 1), or 1 for a zero array.
+
+    Dividing by it is exact, so a computation run on ``a / scale`` sees the
+    same digits at every scale of ``a`` and cannot overflow.
+    """
+    return math.ldexp(1.0, math.frexp(float(np.max(np.abs(a))))[1])
+
+
+def bordered(a: np.ndarray) -> np.ndarray:
+    """The form bordered by negated row sums: its coefficient matrix T."""
+    m1 = a.shape[0]
+    t = np.zeros((m1 + 1, m1 + 1))
+    t[:m1, :m1] = a
+    row = -a.sum(axis=1)
+    t[:m1, m1] = row
+    t[m1, :m1] = row
+    t[m1, m1] = a.sum()
+    return t
+
+
 def form_to_T(form: MetricForm) -> MetricT:
     """Extend the form to the coefficient matrix with zero row and column sums.
 
@@ -110,15 +131,8 @@ def form_to_T(form: MetricForm) -> MetricT:
     basis vectors e_i - ones/m reproduces a_ij is the form bordered by
     negated row sums.
     """
-    a = form.a
-    m1 = a.shape[0]
-    t = np.zeros((m1 + 1, m1 + 1))
-    t[:m1, :m1] = a
     with np.errstate(over="ignore", invalid="ignore"):
-        row = -a.sum(axis=1)
-        t[:m1, m1] = row
-        t[m1, :m1] = row
-        t[m1, m1] = a.sum()
+        t = bordered(form.a)
     if not np.all(np.isfinite(t)):
         raise InvalidMetricError("form matrix entries overflow its coefficient matrix")
     return MetricT(t)

@@ -17,7 +17,7 @@ import numpy as np
 from .classify import GoCertificate, NatRedCase, NatRedResult
 from .errors import ParameterError
 from .liealg import StructureConstants, default_backend, product_bracket
-from .metrics import MetricForm, MetricT, eigendecompose
+from .metrics import MetricForm, MetricT, eigendecompose, power_of_two_scale
 
 RIDGE = 1e-14
 CONFIRM_TOL = 1e-8
@@ -163,10 +163,12 @@ def go_oracle(
 
     For each seeded sample the diagonal shift is optimized by least
     squares; the verdict is true when every residual stays below ``tol``.
-    Per-sample seeding keeps the result independent of ``jobs``.
+    Residuals are linear in the metric, so they are measured on the metric
+    divided by its ``power_of_two_scale`` and do not change when it is
+    scaled.  Per-sample seeding keeps the result independent of ``jobs``.
     """
     sc = backend if backend is not None else default_backend()
-    m = metric.m
+    matrix = metric.matrix / power_of_two_scale(metric.matrix)
     if jobs > 1 and samples > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -174,7 +176,7 @@ def go_oracle(
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = pool.map(
                 _go_residual_range,
-                [metric.matrix] * (len(bounds) - 1),
+                [matrix] * (len(bounds) - 1),
                 [sc.c] * (len(bounds) - 1),
                 bounds[:-1],
                 bounds[1:],
@@ -182,7 +184,7 @@ def go_oracle(
             )
         residuals = np.concatenate(list(chunks))
     else:
-        residuals = _go_residual_range(metric.matrix, sc.c, 0, samples, seed)
+        residuals = _go_residual_range(matrix, sc.c, 0, samples, seed)
     return _report("geodesic_orbit", residuals, (), samples, seed, tol)
 
 
@@ -226,42 +228,26 @@ def assess_geodesic_orbit(
 
 def _certified_weights(result: NatRedResult, m: int) -> tuple[np.ndarray, int | None]:
     """Copy weights of the certified product and the dropped copy, if any."""
-    if result.case is NatRedCase.DIAGONAL:
-        weights = np.zeros(m)
-        for copy, beta in result.betas.items():
-            weights[copy - 1] = beta
-        return weights, m
-    if result.case is NatRedCase.IDEAL:
-        weights = np.zeros(m)
-        for copy, beta in result.betas.items():
-            weights[copy - 1] = beta
-        return weights, result.ideal_index
-    return np.asarray(result.alphas, dtype=float), None
+    if result.case is NatRedCase.INVARIANT_FORM:
+        return np.asarray(result.alphas, dtype=float), None
+    weights = np.zeros(m)
+    for copy, beta in result.betas.items():
+        weights[copy - 1] = beta
+    return weights, result.ideal_index or m
 
 
-def _reconstructed_form(result: NatRedResult, m: int) -> np.ndarray:
-    n = m - 1
-    a = np.zeros((n, n))
-    if result.case is NatRedCase.DIAGONAL:
-        for copy, beta in result.betas.items():
-            a[copy - 1, copy - 1] = beta
-    elif result.case is NatRedCase.IDEAL:
-        k = result.ideal_index - 1
-        total = 0.0
-        for copy, beta in result.betas.items():
-            if copy == m:
-                total += beta
-                continue
-            i = copy - 1
-            a[i, i] = beta
-            a[i, k] = a[k, i] = -beta
-            total += beta
-        a[k, k] = total
-    else:
-        alphas = np.asarray(result.alphas, dtype=float)
-        head = alphas[:-1]
-        a = np.diag(head) - np.outer(head, head) / result.alpha_sum
-    return a
+def _reconstructed_form(
+    weights: np.ndarray, dropped: int | None, alpha_sum: float | None
+) -> np.ndarray:
+    """The form on the first m-1 copies that the certified weights describe."""
+    m = weights.size
+    if dropped is None:
+        head = weights[:-1]
+        return np.diag(head) - np.outer(head, head) / alpha_sum
+    # sum over copies i of w_i (e_i - e_k)(e_i - e_k)^T with e_m := 0
+    e = np.eye(m, m - 1)
+    v = e - e[dropped - 1]
+    return (v.T * weights) @ v
 
 
 def natred_certificate_check(
@@ -280,7 +266,9 @@ def natred_certificate_check(
     identity ((bracket of two complement elements, projected back), first
     element) = 0 must hold on seeded samples.  All three matter: the
     identity alone holds for any invariant weights, so a corrupted
-    certificate is caught by the reconstruction residual.
+    certificate is caught by the reconstruction residual.  The form and
+    the certified weights are both divided by the form's
+    ``power_of_two_scale`` first, so every residual is scale-free.
     """
     if result.case is NatRedCase.NOT_NR:
         raise ParameterError("nothing to verify: classification is not naturally reductive")
@@ -290,12 +278,16 @@ def natred_certificate_check(
     gram = sc.gram
     notes = []
 
-    scale = float(np.max(np.abs(form.a)))
-    recon_residual = float(np.max(np.abs(form.a - _reconstructed_form(result, m)))) / scale
+    scale = power_of_two_scale(form.a)
+    a = form.a / scale
+    weights, dropped = _certified_weights(result, m)
+    weights = weights / scale
+    alpha_sum = None if result.alpha_sum is None else result.alpha_sum / scale
+    rebuilt = _reconstructed_form(weights, dropped, alpha_sum)
+    recon_residual = float(np.max(np.abs(a - rebuilt))) / float(np.max(np.abs(a)))
     if recon_residual >= tol:
         notes.append(f"certificate does not reconstruct the form ({recon_residual:.3e})")
 
-    weights, dropped = _certified_weights(result, m)
     if dropped is not None:
         mask = np.ones(m, dtype=bool)
         mask[dropped - 1] = False
@@ -306,7 +298,6 @@ def natred_certificate_check(
             return u - u[dropped - 1][None, :]
 
     else:
-        alpha_sum = float(result.alpha_sum)
         kernel = np.linalg.svd(weights[None, :])[2][1:]
         pd_eigs = np.linalg.eigvalsh(kernel @ np.diag(weights) @ kernel.T)
         pd_margin = float(pd_eigs[0] / max(np.max(np.abs(pd_eigs)), 1e-300))

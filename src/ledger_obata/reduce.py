@@ -73,13 +73,8 @@ def _coupling_floor(t: np.ndarray, tol_split: float) -> float:
     return tol_split * float(np.max(np.abs(t)))
 
 
-def _summand(t: np.ndarray, ids: np.ndarray, small: float) -> np.ndarray:
-    m = t.shape[0]
-    out = np.zeros_like(t)
-    for i in range(m):
-        for j in range(m):
-            if i != j and ids[i] == ids[j] and abs(t[i, j]) > small:
-                out[i, j] = t[i, j]
+def _summand(t: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    out = np.where(keep, t, 0.0)
     np.fill_diagonal(out, -out.sum(axis=1))
     return out
 
@@ -92,29 +87,32 @@ def check_split(
     ``tol_split`` is relative to the largest matrix entry: couplings below
     it count as absent.  Success requires every surviving coupling to join
     two copies sharing a part of one of the partitions; the two summands
-    then reassemble the metric exactly up to dropped couplings.
+    then reassemble the metric exactly up to dropped couplings.  The
+    reported violation is the first blocked pair (i, j), i < j, in
+    row-major order.
     """
     t = metric.matrix
     m = metric.m
-    small = _coupling_floor(t, tol_split)
+    coupled = np.abs(t) > _coupling_floor(t, tol_split)
+    np.fill_diagonal(coupled, False)
     ids1 = _part_ids(pair.first, m)
     ids2 = _part_ids(pair.second, m)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs(t[i, j]) <= small:
-                continue
-            if ids1[i] == ids1[j] or ids2[i] == ids2[j]:
-                continue
-            return SplitOutcome(
-                False, pair, violation=(i + 1, j + 1), violation_value=float(t[i, j])
-            )
+    same1 = ids1[:, None] == ids1[None, :]
+    same2 = ids2[:, None] == ids2[None, :]
+    blocked = coupled & ~(same1 | same2)
+    if blocked.any():
+        # blocked is symmetric, so its first entry in row-major order has i < j
+        i, j = np.unravel_index(np.argmax(blocked), blocked.shape)
+        return SplitOutcome(
+            False, pair, violation=(i + 1, j + 1), violation_value=float(t[i, j])
+        )
     return SplitOutcome(
         True,
         pair,
         first=factor_metric(metric, pair.first),
         second=factor_metric(metric, pair.second),
-        summand_first=_summand(t, ids1, small),
-        summand_second=_summand(t, ids2, small),
+        summand_first=_summand(t, coupled & same1),
+        summand_second=_summand(t, coupled & same2),
     )
 
 
@@ -357,9 +355,10 @@ def decompose_report(
 ) -> dict:
     """JSON-ready summary of the decomposition and the group it certifies."""
     decomp = decompose(metric, tol_split)
+    results = decomp.factor_classifications(tol)
     factors = [
         {"m": factor.m, "T": factor.matrix, "natred": natred_report(result)}
-        for factor, result in zip(decomp.factors, decomp.factor_classifications(tol))
+        for factor, result in zip(decomp.factors, results)
     ]
     return {
         "m": metric.m,
@@ -367,7 +366,8 @@ def decompose_report(
         "factor_sizes": list(decomp.factor_sizes),
         "factors": factors,
         "isometry_group_k": decomp.isometry_group_exponent,
-        "go_manifold": decomp.is_go_manifold(tol),
+        # is_go_manifold(tol) without classifying every factor again
+        "go_manifold": all(r.is_naturally_reductive for r in results),
         "splits": [
             {
                 "path": rec.path,

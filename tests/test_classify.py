@@ -278,3 +278,43 @@ def test_go_family_weight_formula():
         assert np.allclose(gammas, family.roots / (rho + lam * family.roots))
         rebuilt = metric_from_system(family.system(gammas))
         assert np.max(np.abs(rebuilt.matrix - metric.matrix)) < 1e-12
+
+
+def test_invariant_form_acceptance_near_the_threshold():
+    # tol = 1e-8 bounds the rebuild residual relative to the largest form
+    # entry: a relative perturbation far below it is accepted, one far
+    # above it rejected, for m = 4..12 and both signs of the weight sum
+    rng = np.random.default_rng(43)
+    for index in range(180):
+        m = 4 + index % 9
+        alphas = rng.uniform(0.5, 3.0, m)
+        if index % 2:
+            j = int(rng.integers(m))
+            alphas[j] = -(alphas.sum() - alphas[j] + rng.uniform(0.5, 2.0))
+        a = invariant_form_from_weights(alphas).a
+        noise = rng.uniform(-1.0, 1.0, a.shape)
+        noise = (noise + noise.T) / 2 * np.max(np.abs(a))
+        close = classify_natred(MetricForm(a + 1e-11 * noise))
+        assert close.case is NatRedCase.INVARIANT_FORM
+        assert np.allclose(close.alphas, alphas, rtol=1e-6)
+        far = classify_natred(MetricForm(a + 1e-6 * noise))
+        assert far.case is NatRedCase.NOT_NR
+
+
+def test_classification_at_extreme_scales():
+    # the classifier works on the form divided by a power of two, so no
+    # threshold is absolute and nothing overflows
+    a = np.array([[2.0, 1.0], [1.0, 3.0]])
+    base = classify_natred(MetricForm(a))
+    for scale in (1e-150, 1e200, 2.0**-700):
+        result = classify_natred(MetricForm(scale * a))
+        assert result.case is base.case
+        assert result.normal == base.normal
+        assert np.allclose(result.alphas, scale * base.alphas, rtol=1e-12, atol=0)
+        assert result.alpha_sum == pytest.approx(scale * base.alpha_sum, rel=1e-12)
+    ideal = np.array([[2.0, -2.0, 0.0], [-2.0, 4.2, -1.5], [0.0, -1.5, 1.5]])
+    for scale in (1e-150, 1e200):
+        result = classify_natred(MetricForm(scale * ideal))
+        assert result.case is NatRedCase.IDEAL
+        assert result.ideal_index == 2
+        assert result.betas[4] == pytest.approx(scale * 0.7, rel=1e-12)

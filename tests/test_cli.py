@@ -14,7 +14,7 @@ from ledger_obata.metrics import eigendecompose, standard_metric
 from ledger_obata.serialize import metric_to_dict, read_metric, write_metric
 from ledger_obata.trees import PartitionPair
 
-from conftest import SEVEN_SPLIT_PAIR, laplacian_metric
+from conftest import SEVEN_SPLIT_PAIR, dense_nonreductive_metric, laplacian_metric
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -118,6 +118,46 @@ def test_non_finite_and_overflowing_input_is_a_typed_error(tmp_path, capsys, pay
     assert "Traceback" not in err
     assert err.startswith("error: form matrix ")
     assert "positive definite" not in err
+
+
+@pytest.mark.parametrize("command", ["classify", "decompose", "verify"])
+def test_huge_well_conditioned_form_runs_without_warnings(tmp_path, capsys, command):
+    path = tmp_path / "huge.json"
+    path.write_text('{"m": 3, "repr": "form", "a": [[1e200, 1e199], [1e199, 1e200]]}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([command, "--input", str(path), "--samples", "5", "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code in (0, 1)
+    assert "Traceback" not in err
+    if command == "classify":
+        assert code == 0
+        assert json.loads(out)["natred"]["case"] == "invariant_form"
+
+
+@pytest.mark.parametrize("scale", [2.0**-30, 1e-9, 1.0, 1e9])
+def test_oracle_refutes_a_dense_metric_at_every_scale(tmp_path, capsys, scale):
+    # oracle residuals are measured on the metric divided by a power of two
+    # near its largest entry, so they do not shrink with the metric
+    metric = dense_nonreductive_metric(np.random.default_rng(3), 4)
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps({"m": 4, "repr": "T", "T": (scale * metric.matrix).tolist()}))
+    code, report = run_json(capsys, ["verify", "--input", str(path), "--samples", "40"])
+    assert code == 0
+    assert report["go_oracle_assessment"] == "refuted"
+    assert report["go_final"] == "no"
+    assert report["ok"] is True
+
+
+def test_oracle_confirms_a_large_geodesic_orbit_metric(tmp_path, capsys):
+    metric, _, _ = go_family(np.array([1.0, 2.0, 3.0, 5.5]), rho=1.0, lam=0.2)
+    path = tmp_path / "go.json"
+    path.write_text(json.dumps({"m": 4, "repr": "T", "T": (1e9 * metric.matrix).tolist()}))
+    code, report = run_json(capsys, ["verify", "--input", str(path), "--samples", "40"])
+    assert code == 0
+    assert report["go_oracle_assessment"] == "confirmed"
+    assert report["natred_certificate"]["verdict"] is True
+    assert report["ok"] is True
 
 
 def test_consecutive_calls_share_no_flags(tmp_path, capsys, monkeypatch):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from ledger_obata.classify import classify_go, classify_natred
 from ledger_obata.coeff import AdaptedSystem, is_adapted
 from ledger_obata.errors import InputError, InvalidMetricError
 from ledger_obata.metrics import (
@@ -15,9 +16,11 @@ from ledger_obata.metrics import (
     eigendecompose,
     form_to_T,
     metric_from_system,
+    power_of_two_scale,
     standard_metric,
     zero_sum_basis,
 )
+from ledger_obata.reduce import decompose
 from ledger_obata.serialize import (
     dumps_numeric,
     metric_from_dict,
@@ -158,6 +161,38 @@ def test_non_finite_and_overflowing_entries_are_rejected_before_eigvalsh(monkeyp
 def test_form_whose_coefficient_matrix_overflows_is_rejected():
     with pytest.raises(InvalidMetricError, match="overflow"):
         form_to_T(MetricForm(np.array([[1e308, 5e307], [5e307, 1e308]]) / 1.2))
+
+
+def test_validity_does_not_depend_on_scale():
+    # condition number 1.2 at every scale: valid, with the same verdicts
+    base = np.array([[1.0, 0.1], [0.1, 1.0]])
+    verdicts = []
+    for scale in (1.0, 1e-150):
+        form = MetricForm(scale * base)
+        metric = form_to_T(form)
+        natred = classify_natred(form)
+        verdicts.append(
+            (
+                natred.case,
+                natred.normal,
+                classify_go(metric).verdict,
+                decompose(metric).factor_sizes,
+            )
+        )
+    assert verdicts[0] == verdicts[1]
+    # with no absolute floor, a tiny asymmetry is still an asymmetry
+    with pytest.raises(InvalidMetricError, match="symmetric"):
+        MetricForm(1e-150 * np.array([[1.0, 0.2], [0.0, 1.0]]))
+    with pytest.raises(InvalidMetricError, match="positive definite"):
+        MetricForm(1e-150 * np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+
+def test_power_of_two_scale():
+    assert power_of_two_scale(np.zeros((2, 2))) == 1.0
+    for value in (0.75, 3.0, 1e-150, 1e200, -7.0):
+        scale = power_of_two_scale(np.array([[value, 0.1 * value]]))
+        assert 0.5 <= abs(value) / scale < 1.0
+        assert scale == 2.0 ** np.round(np.log2(scale))
 
 
 def test_linalg_failure_is_a_typed_error(monkeypatch):

@@ -66,6 +66,28 @@ def test_check_split_reports_blocking_coupling():
     assert outcome.violation_value == pytest.approx(-0.5)
 
 
+def test_check_split_reports_first_blocked_pair_in_row_major_order():
+    # every coupling of a dense metric is present, so every pair of copies
+    # sharing no part is blocked; the report names the first one, i < j
+    metric = dense_nonreductive_metric(np.random.default_rng(41), 5)
+
+    def apart(partition, i, j):
+        return not any(i in part and j in part for part in partition)
+
+    pairs = enumerate_partition_pairs(5)
+    for pair in pairs[:: max(len(pairs) // 40, 1)]:
+        expected = next(
+            (i, j)
+            for i in range(1, 6)
+            for j in range(i + 1, 6)
+            if apart(pair.first, i, j) and apart(pair.second, i, j)
+        )
+        outcome = check_split(metric, pair)
+        assert not outcome.ok
+        assert outcome.violation == expected
+        assert outcome.violation_value == metric.matrix[expected[0] - 1, expected[1] - 1]
+
+
 def test_decompose_worked_seven_example():
     metric = worked_seven_metric()
     decomp = decompose(metric)
