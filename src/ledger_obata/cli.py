@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 import numpy as np
@@ -36,7 +35,13 @@ from .oracle import (
     natred_certificate_check,
 )
 from .reduce import decompose_report
-from .serialize import dumps_numeric, metric_from_dict, write_metric
+from .serialize import (
+    dumps_numeric,
+    metric_from_dict,
+    read_json,
+    write_json,
+    write_metric,
+)
 from .trees import enumerate_partition_pairs
 
 
@@ -78,40 +83,26 @@ def _is_block_list(value) -> bool:
     )
 
 
-def _emit(args, report: dict) -> None:
+def _print_report(args, report: dict, text: str | None = None) -> None:
+    """Print the report as JSON, or as ``text`` (default ``render_text``)."""
     if args.format == "json":
         print(dumps_numeric(report))
     else:
-        print(render_text(report))
-    if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(dumps_numeric(report))
-            fh.write("\n")
+        print(render_text(report) if text is None else text)
 
 
-def _read_json(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}")
+def _emit(args, report: dict, text: str | None = None) -> None:
+    """Print the report, and save it as JSON when --output is given."""
+    _print_report(args, report, text)
+    if args.output:
+        write_json(report, args.output)
 
 
 def _load_metric(args) -> tuple[MetricT, dict]:
     if not args.input:
         raise InputError("--input PATH is required for this command")
-    data = _read_json(args.input)
+    data = read_json(args.input)
     return metric_from_dict(data), data
-
-
-def _warn_cap(args, m: int) -> None:
-    if max(m, args.max_m) > 8:
-        print(
-            f"warning: enumeration above m = 8 is expensive (m = {m})",
-            file=sys.stderr,
-        )
 
 
 def _classified(args, metric: MetricT) -> tuple[dict, NatRedResult, GoVerdict]:
@@ -134,7 +125,6 @@ def _classified(args, metric: MetricT) -> tuple[dict, NatRedResult, GoVerdict]:
             default_backend(),
             samples=args.samples,
             seed=args.seed,
-            jobs=args.jobs,
         )
         if word == "confirmed":
             final = GoVerdict.YES
@@ -172,7 +162,7 @@ def cmd_verify(args) -> int:
     report, nr, final = _classified(args, metric)
 
     word, oracle_report = assess_geodesic_orbit(
-        metric, backend, samples=args.samples, seed=args.seed, jobs=args.jobs
+        metric, backend, samples=args.samples, seed=args.seed
     )
     report["go_oracle"] = oracle_report.to_dict()
     report["go_oracle_assessment"] = word
@@ -185,7 +175,7 @@ def cmd_verify(args) -> int:
 
     certificate = nr
     source = "classifier"
-    if isinstance(raw, dict) and raw.get("natred_certificate") is not None:
+    if raw.get("natred_certificate") is not None:
         certificate = natred_from_dict(raw["natred_certificate"])
         source = "input file"
     if certificate.is_naturally_reductive:
@@ -246,17 +236,13 @@ def cmd_generate(args) -> int:
     if args.output:
         write_metric(metric, args.output)
         report["written"] = args.output
-    if args.format == "json":
-        print(dumps_numeric(report))
-    else:
-        print(render_text(report))
+    _print_report(args, report)
     return 0
 
 
 def cmd_trees(args) -> int:
     if args.m is None:
         raise InputError("--m INT is required for trees")
-    _warn_cap(args, args.m)
     pairs = enumerate_partition_pairs(args.m, max_m=args.max_m)
     report = {
         "m": args.m,
@@ -267,19 +253,40 @@ def cmd_trees(args) -> int:
             for pair in pairs
         ],
     }
-    if args.format == "text":
-        print(f"m = {args.m}: {len(pairs)} admissible partition pairs")
-        for pair in pairs:
-            left = " | ".join("".join(str(x) for x in p) for p in pair.first)
-            right = " | ".join("".join(str(x) for x in p) for p in pair.second)
-            print(f"  {left}  //  {right}")
-        if getattr(args, "output", None):
-            with open(args.output, "w") as fh:
-                fh.write(dumps_numeric(report))
-                fh.write("\n")
-    else:
-        _emit(args, report)
+    lines = [f"m = {args.m}: {len(pairs)} admissible partition pairs"]
+    for pair in pairs:
+        left = " | ".join("".join(str(x) for x in p) for p in pair.first)
+        right = " | ".join("".join(str(x) for x in p) for p in pair.second)
+        lines.append(f"  {left}  //  {right}")
+    _emit(args, report, "\n".join(lines))
     return 0
+
+
+# every flag of ``lot`` with its argparse settings
+_FLAGS = {
+    "--input": dict(help="metric JSON file"),
+    "--output": dict(help="output file (report JSON, or the generated metric)"),
+    "--format": dict(choices=("text", "json"), default="text"),
+    "--tol": dict(type=float, default=1e-8),
+    "--cluster-tol": dict(dest="cluster_tol", type=float, default=1e-8),
+    "--split-tol": dict(dest="split_tol", type=float, default=1e-9),
+    "--samples": dict(type=int, default=200),
+    "--seed": dict(type=int, default=42),
+    "--centralizers": dict(action="store_true", help="also check the centralizer identity"),
+    "--z": dict(help="comma-separated nodes"),
+    "--rho": dict(type=float, default=1.0),
+    "--lambda": dict(dest="lam", type=float, default=0.0),
+    "--m": dict(type=int, help="number of copies"),
+    "--max-m": dict(dest="max_m", type=int, default=8, help="enumeration cap"),
+}
+# the only flags each subcommand reads
+_COMMAND_FLAGS = {
+    "classify": "--input --output --format --tol --cluster-tol --samples --seed",
+    "decompose": "--input --output --format --tol --split-tol",
+    "verify": "--input --output --format --tol --cluster-tol --samples --seed --centralizers",
+    "generate": "--z --rho --lambda --tol --cluster-tol --output --format",
+    "trees": "--m --max-m --output --format",
+}
 
 
 def build_parser() -> _Parser:
@@ -298,36 +305,19 @@ def build_parser() -> _Parser:
     for name, (func, help_text) in commands.items():
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        p.add_argument("--input", help="metric JSON file")
-        p.add_argument("--output", help="output file (report JSON, or the generated metric)")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--m", type=int, help="number of copies (trees)")
-        p.add_argument("--z", help="comma-separated nodes for generate")
-        p.add_argument("--rho", type=float, default=1.0)
-        p.add_argument("--lambda", dest="lam", type=float, default=0.0)
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--cluster-tol", dest="cluster_tol", type=float, default=1e-8)
-        p.add_argument("--split-tol", dest="split_tol", type=float, default=1e-9)
-        p.add_argument("--samples", type=int, default=200)
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--max-m", dest="max_m", type=int, default=8, help="enumeration cap (trees)")
-        p.add_argument(
-            "--centralizers",
-            action="store_true",
-            help="include the centralizer bracket identity in verify",
-        )
+        for flag in _COMMAND_FLAGS[name].split():
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def _validate(args) -> None:
+    """Check the numeric flags that the parsed subcommand has."""
+    given = vars(args)
     for name in ("tol", "cluster_tol", "split_tol"):
-        if getattr(args, name) <= 0:
+        if name in given and given[name] <= 0:
             raise InputError(f"--{name.replace('_', '-')} must be positive")
-    if args.samples < 1:
+    if given.get("samples", 1) < 1:
         raise InputError("--samples must be at least 1")
-    if args.jobs < 1:
-        raise InputError("--jobs must be at least 1")
 
 
 @functools.lru_cache(maxsize=None)

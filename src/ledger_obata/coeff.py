@@ -85,7 +85,7 @@ def cluster_indices(values: np.ndarray, cluster_tol: float = 1e-8) -> list[list[
     values = np.asarray(values, dtype=float)
     order = np.argsort(values, kind="stable")
     scale = np.max(np.abs(values)) if values.size else 0.0
-    gap = cluster_tol * max(scale, 1e-300)
+    gap = cluster_tol * scale
     clusters: list[list[int]] = []
     for idx in order:
         if clusters and values[idx] - values[clusters[-1][-1]] <= gap:

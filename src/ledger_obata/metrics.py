@@ -84,7 +84,7 @@ class MetricT:
         m = t.shape[0]
         if m < 2:
             raise InvalidMetricError("coefficient matrix must be at least 2x2")
-        scale = max(float(np.max(np.abs(t))), 1e-300)
+        scale = float(np.max(np.abs(t)))
         if np.max(np.abs(t @ np.ones(m))) > 1e-8 * scale * np.sqrt(m):
             raise InvalidMetricError("coefficient matrix must annihilate the all-ones vector")
         eigs = _eigvalsh(t, "coefficient matrix")

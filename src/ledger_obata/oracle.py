@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import GoCertificate, NatRedCase, NatRedResult
-from .errors import ParameterError
+from .errors import InputError, ParameterError
 from .liealg import StructureConstants, default_backend, product_bracket
 from .metrics import MetricForm, MetricT, eigendecompose, power_of_two_scale
 
@@ -138,26 +138,12 @@ def certificate_shift(certificate: GoCertificate, x: np.ndarray) -> np.ndarray:
     return -np.einsum("j,ja->a", certificate.constants, components)
 
 
-def _go_residual_range(
-    matrix: np.ndarray, table: np.ndarray, start: int, stop: int, seed: int
-) -> np.ndarray:
-    sc = StructureConstants(dim=table.shape[0], c=table)
-    metric = MetricT(matrix)
-    out = np.empty(stop - start)
-    for i in range(start, stop):
-        rng = np.random.default_rng([seed, i])
-        x = _sample_tangent(rng, matrix.shape[0], sc.dim)
-        out[i - start], _ = go_sample_residual(metric, x, sc)
-    return out
-
-
 def go_oracle(
     metric: MetricT,
     backend: StructureConstants | None = None,
     samples: int = 200,
     seed: int = 42,
     tol: float = 1e-8,
-    jobs: int = 1,
 ) -> OracleReport:
     """Test the geodesic-orbit property on random tangent directions.
 
@@ -165,26 +151,14 @@ def go_oracle(
     squares; the verdict is true when every residual stays below ``tol``.
     Residuals are linear in the metric, so they are measured on the metric
     divided by its ``power_of_two_scale`` and do not change when it is
-    scaled.  Per-sample seeding keeps the result independent of ``jobs``.
+    scaled.  Sample i is drawn from default_rng([seed, i]).
     """
     sc = backend if backend is not None else default_backend()
-    matrix = metric.matrix / power_of_two_scale(metric.matrix)
-    if jobs > 1 and samples > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        bounds = np.linspace(0, samples, min(jobs, samples) + 1, dtype=int)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = pool.map(
-                _go_residual_range,
-                [matrix] * (len(bounds) - 1),
-                [sc.c] * (len(bounds) - 1),
-                bounds[:-1],
-                bounds[1:],
-                [seed] * (len(bounds) - 1),
-            )
-        residuals = np.concatenate(list(chunks))
-    else:
-        residuals = _go_residual_range(matrix, sc.c, 0, samples, seed)
+    scaled = MetricT(metric.matrix / power_of_two_scale(metric.matrix))
+    residuals = np.empty(samples)
+    for i in range(samples):
+        x = _sample_tangent(np.random.default_rng([seed, i]), metric.m, sc.dim)
+        residuals[i], _ = go_sample_residual(scaled, x, sc)
     return _report("geodesic_orbit", residuals, (), samples, seed, tol)
 
 
@@ -196,7 +170,6 @@ def assess_geodesic_orbit(
     confirm_tol: float = CONFIRM_TOL,
     refute_tol: float = REFUTE_TOL,
     rounds: int = 3,
-    jobs: int = 1,
 ) -> tuple[str, OracleReport]:
     """Three-way oracle verdict with resampling between the thresholds.
 
@@ -214,7 +187,6 @@ def assess_geodesic_orbit(
             samples << round_index,
             seed + 7919 * round_index,
             confirm_tol,
-            jobs,
         )
         if report.max_residual < confirm_tol:
             return "confirmed", report
@@ -227,13 +199,38 @@ def assess_geodesic_orbit(
 
 
 def _certified_weights(result: NatRedResult, m: int) -> tuple[np.ndarray, int | None]:
-    """Copy weights of the certified product and the dropped copy, if any."""
+    """Copy weights of the certified product and the dropped copy, if any.
+
+    Parameters that cannot describe a metric on m copies are an InputError:
+    invariant_form needs m ``alphas`` and a nonzero ``alpha_sum``; diagonal
+    drops copy m and ideal drops ``ideal_index`` in 1..m-1, and both need
+    ``betas`` keyed by copies in 1..m that cover every copy but the dropped
+    one.  Every weight must be finite.
+    """
+
+    def unfit(what: str) -> InputError:
+        return InputError(f"certificate does not fit m = {m}: {what}")
+
     if result.case is NatRedCase.INVARIANT_FORM:
-        return np.asarray(result.alphas, dtype=float), None
-    weights = np.zeros(m)
-    for copy, beta in result.betas.items():
-        weights[copy - 1] = beta
-    return weights, result.ideal_index or m
+        if np.shape(result.alphas) != (m,):
+            raise unfit(f"'alphas' must list {m} weights")
+        if not result.alpha_sum:
+            raise unfit("'alpha_sum' must be present and nonzero")
+        weights, dropped = np.asarray(result.alphas, dtype=float), None
+    else:
+        index, ideal = result.ideal_index, result.case is NatRedCase.IDEAL
+        if (index is not None) != ideal or (ideal and not 1 <= index <= m - 1):
+            raise unfit(f"'ideal_index' must be in 1..{m - 1} for ideal, absent for diagonal")
+        dropped = index or m
+        copies = set(result.betas or ())
+        if not set(range(1, m + 1)) - {dropped} <= copies <= set(range(1, m + 1)):
+            raise unfit(f"'betas' keys must lie in 1..{m} and cover every copy but {dropped}")
+        weights = np.zeros(m)
+        for copy, beta in result.betas.items():
+            weights[copy - 1] = beta
+    if not (np.all(np.isfinite(weights)) and np.isfinite(result.alpha_sum or 0.0)):
+        raise unfit("weights must be finite")
+    return weights, dropped
 
 
 def _reconstructed_form(

@@ -61,10 +61,15 @@ def metric_to_dict(metric: MetricT) -> dict:
     return {"m": metric.m, "repr": "T", "T": [list(row) for row in metric.matrix]}
 
 
-def write_metric(metric: MetricT, path: str) -> None:
+def write_json(obj: Any, path: str) -> None:
+    """Write ``obj`` through ``dumps_numeric``, with a final newline."""
     with open(path, "w") as fh:
-        fh.write(dumps_numeric(metric_to_dict(metric)))
+        fh.write(dumps_numeric(obj))
         fh.write("\n")
+
+
+def write_metric(metric: MetricT, path: str) -> None:
+    write_json(metric_to_dict(metric), path)
 
 
 def _as_matrix(data: Any, label: str) -> np.ndarray:
@@ -115,12 +120,16 @@ def metric_from_dict(data: dict) -> MetricT:
     raise InputError(f"unknown metric repr {kind!r} (expected 'T', 'form' or 'eigen')")
 
 
-def read_metric(path: str) -> MetricT:
+def read_json(path: str) -> Any:
+    """Parse a JSON file; an unreadable or malformed file is an ``InputError``."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}")
-    return metric_from_dict(data)
+
+
+def read_metric(path: str) -> MetricT:
+    return metric_from_dict(read_json(path))

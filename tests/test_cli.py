@@ -1,6 +1,11 @@
 """End-to-end tests of the command line driven in process."""
 
+import argparse
 import json
+import os
+import re
+import subprocess
+import sys
 import warnings
 from importlib.metadata import EntryPoint, PackageNotFoundError, distribution
 from pathlib import Path
@@ -16,7 +21,22 @@ from ledger_obata.trees import PartitionPair
 
 from conftest import SEVEN_SPLIT_PAIR, dense_nonreductive_metric, laplacian_metric
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
+README = ROOT / "README.md"
+
+CLASSIFY_FLAGS = {
+    "--input", "--output", "--format", "--tol", "--cluster-tol", "--samples", "--seed"
+}
+COMMAND_FLAGS = {
+    "classify": CLASSIFY_FLAGS,
+    "decompose": {"--input", "--output", "--format", "--tol", "--split-tol"},
+    "verify": CLASSIFY_FLAGS | {"--centralizers"},
+    "generate": {
+        "--z", "--rho", "--lambda", "--tol", "--cluster-tol", "--output", "--format"
+    },
+    "trees": {"--m", "--max-m", "--output", "--format"},
+}
 
 SO3_ENTRIES = [
     [0, 1, 2, 2.0],
@@ -26,6 +46,10 @@ SO3_ENTRIES = [
     [2, 0, 1, 2.0],
     [0, 2, 1, -2.0],
 ]
+
+
+# decompose draws no samples, so it does not take --samples
+SAMPLES_FLAG = {"classify": ["--samples", "5"], "decompose": [], "verify": ["--samples", "5"]}
 
 
 def run_json(capsys, argv):
@@ -112,7 +136,7 @@ def test_non_finite_and_overflowing_input_is_a_typed_error(tmp_path, capsys, pay
     path.write_text(payload)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # an overflow warning is not a typed error
-        code = cli.main([command, "--input", str(path), "--samples", "5"])
+        code = cli.main([command, "--input", str(path)] + SAMPLES_FLAG[command])
     err = capsys.readouterr().err
     assert code == 1
     assert "Traceback" not in err
@@ -126,7 +150,9 @@ def test_huge_well_conditioned_form_runs_without_warnings(tmp_path, capsys, comm
     path.write_text('{"m": 3, "repr": "form", "a": [[1e200, 1e199], [1e199, 1e200]]}')
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = cli.main([command, "--input", str(path), "--samples", "5", "--format", "json"])
+        code = cli.main(
+            [command, "--input", str(path), "--format", "json"] + SAMPLES_FLAG[command]
+        )
     out, err = capsys.readouterr()
     assert code in (0, 1)
     assert "Traceback" not in err
@@ -183,9 +209,8 @@ def test_consecutive_calls_share_no_flags(tmp_path, capsys, monkeypatch):
     assert (first.command, first.tol, first.format, first.input) == (
         "decompose", 1e-5, "json", str(path)
     )
-    assert (second.command, second.tol, second.format, second.input) == (
-        "trees", 1e-8, "text", None
-    )
+    assert (second.command, second.format, second.output) == ("trees", "text", None)
+    assert not hasattr(second, "tol") and not hasattr(second, "input")
     assert second.func is cli.cmd_trees
     assert cli._parser() is cli._parser()
 
@@ -261,13 +286,14 @@ def test_exit_code_1_on_bad_inputs(tmp_path, capsys):
     assert cli.main(["classify"]) == 1
     assert "error" in capsys.readouterr().err
 
-    assert cli.main(["classify", "--input", str(tmp_path / "nope.json")]) == 1
-    capsys.readouterr()
+    missing = tmp_path / "nope.json"
+    assert cli.main(["classify", "--input", str(missing)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read {missing}: ")
 
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
     assert cli.main(["classify", "--input", str(bad)]) == 1
-    capsys.readouterr()
+    assert capsys.readouterr().err.startswith(f"error: {bad} is not valid JSON: ")
 
     not_metric = tmp_path / "eye.json"
     not_metric.write_text(json.dumps({"m": 3, "repr": "T", "T": np.eye(3).tolist()}))
@@ -427,3 +453,134 @@ def test_console_entry_point_registered():
         if ep.group == "console_scripts" and ep.name == "lot"
     ]
     assert installed == [scripts["lot"]], "installed metadata is stale; reinstall"
+
+
+def declared_flags() -> dict[str, set[str]]:
+    """Option strings of each subcommand of ``build_parser()``, without --help."""
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+
+
+def readme_flag_tables() -> dict[str, set[str]]:
+    """Flags in the first column of each "#### `lot <command>`" table."""
+    tables: dict[str, set[str]] = {}
+    command = None
+    for line in README.read_text().splitlines():
+        heading = re.fullmatch(r"#### `lot (\w+)`", line)
+        if heading:
+            command = heading.group(1)
+            tables[command] = set()
+        elif command and line.startswith("|"):
+            tables[command] |= set(re.findall(r"`(--[\w-]+)`", line.split("|")[1]))
+        elif command and tables[command] and not line.strip():
+            command = None
+    return tables
+
+
+def test_each_subcommand_declares_only_its_own_flags():
+    assert declared_flags() == COMMAND_FLAGS
+
+
+def test_readme_flag_tables_match_the_parser():
+    assert readme_flag_tables() == declared_flags()
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_flags_of_other_subcommands_are_usage_errors(capsys, command):
+    foreign = set().union(*COMMAND_FLAGS.values()) - COMMAND_FLAGS[command]
+    assert foreign
+    for flag in sorted(foreign):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, flag, "5"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["decompose", "--input", "F", "--samples", "5"], ["generate", "--input", "F"]],
+    ids=["decompose-samples", "generate-input"],
+)
+def test_unread_flag_exits_1_from_the_console(argv):
+    env = dict(os.environ)
+    path = [str(ROOT / "src"), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in path if p)
+    argv = [sys.executable, "-m", "ledger_obata.cli", *argv]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "unrecognized arguments" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+PINNED_FORM = {"m": 3, "repr": "form", "a": [[2.0, 1.0], [1.0, 3.0]]}
+
+
+@pytest.mark.parametrize(
+    "certificate",
+    [
+        {"case": "ideal", "betas": {"9": 1.0}, "ideal_index": 1},
+        {"case": "invariant_form"},
+        {"case": "diagonal"},
+        {"case": "ideal", "betas": {"1": 1.0}, "ideal_index": 7},
+        {"case": "ideal", "betas": {"2": 1.0, "3": 1.0}},
+        {"case": "diagonal", "betas": {"1": 1.0}},
+        {"case": "diagonal", "betas": {"1": 1.0, "2": 1.0}, "ideal_index": 1},
+        {"case": "invariant_form", "alphas": [1.0, 1.0], "alpha_sum": 2.0},
+        {"case": "invariant_form", "alphas": [1.0, 1.0, -2.0], "alpha_sum": 0.0},
+        {"case": "invariant_form", "alphas": [1.0, 1.0, 1.0]},
+        {"case": "diagonal", "betas": {"1": 1.0, "2": float("nan")}},
+    ],
+)
+def test_certificate_that_does_not_fit_m_exits_1(tmp_path, capsys, certificate):
+    path = tmp_path / "claimed.json"
+    path.write_text(json.dumps({**PINNED_FORM, "natred_certificate": certificate}))
+    code = cli.main(["verify", "--input", str(path), "--samples", "5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: certificate does not fit m = 3: ")
+
+
+@pytest.mark.parametrize(
+    "certificate",
+    [
+        {"case": "ideal", "betas": {"2": 1.0, "3": 1.0}, "ideal_index": 1},
+        {"case": "diagonal", "betas": {"1": 2.0, "2": 3.0}},
+        {"case": "invariant_form", "alphas": [1.25, 1.5, -5.0], "alpha_sum": -2.25},
+    ],
+)
+def test_certificate_that_fits_m_but_not_the_metric_exits_2(tmp_path, capsys, certificate):
+    path = tmp_path / "claimed.json"
+    path.write_text(json.dumps({**PINNED_FORM, "natred_certificate": certificate}))
+    code, report = run_json(capsys, ["verify", "--input", str(path), "--samples", "5"])
+    assert code == 2
+    assert report["natred_certificate_source"] == "input file"
+    assert report["natred_certificate"]["verdict"] is False
+
+
+def test_subnormal_form_matches_the_unscaled_form(tmp_path, capsys):
+    # 1e-310 is below the smallest normal double, about 2.2e-308
+    a = np.array([[1.0, 0.3], [0.3, 2.0]])
+    reports = {}
+    for scale in (1.0, 1e-310):
+        path = tmp_path / f"form-{scale}.json"
+        path.write_text(json.dumps({"m": 3, "repr": "form", "a": (scale * a).tolist()}))
+        _, classified = run_json(capsys, ["classify", "--input", str(path)])
+        _, decomposed = run_json(capsys, ["decompose", "--input", str(path)])
+        code, verified = run_json(capsys, ["verify", "--input", str(path), "--samples", "20"])
+        assert code == 0
+        assert verified["ok"] is True
+        reports[scale] = (
+            classified["natred"]["case"],
+            classified["go"]["clusters"],
+            classified["go_final"],
+            decomposed["factor_sizes"],
+        )
+    assert reports[1e-310] == reports[1.0] == ("invariant_form", [[0], [1]], "yes", [3])

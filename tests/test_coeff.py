@@ -92,6 +92,12 @@ def test_cluster_indices_groups_values():
     assert len(cluster_indices(values, cluster_tol=10.0)) == 1
 
 
+def test_cluster_indices_is_scale_free_down_to_subnormals():
+    values = np.array([1.0, 2.0, 1.0 + 1e-12, 5.0])
+    for scale in (1e-300, 1e-310):
+        assert cluster_indices(scale * values) == cluster_indices(values)
+
+
 def test_canonical_sign_first_significant_entry_positive():
     v = np.array([0.0, -2.0, 1.0])
     flipped = canonical_sign(v)

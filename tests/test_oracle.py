@@ -11,7 +11,13 @@ from ledger_obata.classify import (
     go_family,
 )
 from ledger_obata.errors import ParameterError
-from ledger_obata.metrics import MetricForm, MetricT, T_to_form, standard_metric
+from ledger_obata.metrics import (
+    MetricForm,
+    MetricT,
+    T_to_form,
+    power_of_two_scale,
+    standard_metric,
+)
 from ledger_obata.oracle import (
     assess_geodesic_orbit,
     brackets_property_check,
@@ -79,14 +85,21 @@ def test_certificate_shift_solves_geodesic_condition(backend):
         assert np.allclose(solved, predicted, atol=1e-6)
 
 
-def test_go_oracle_job_count_does_not_change_results(backend):
-    metric, _, _ = go_family(np.array([1.0, 2.0, 3.0]), rho=1.0, lam=0.0)
-    serial = go_oracle(metric, backend, samples=6, seed=9, jobs=1)
-    parallel = go_oracle(metric, backend, samples=6, seed=9, jobs=2)
-    assert serial.max_residual == parallel.max_residual
-    assert serial.residual_min == parallel.residual_min
-    assert serial.residual_median == parallel.residual_median
-    assert serial.failures == parallel.failures
+def test_go_oracle_sample_i_replays_from_its_own_seed(backend):
+    metric = dense_nonreductive_metric(np.random.default_rng(5), 4)
+    report = go_oracle(metric, backend, samples=6, seed=9)
+    scaled = MetricT(metric.matrix / power_of_two_scale(metric.matrix))
+    residuals = []
+    for i in range(6):
+        x = np.random.default_rng([9, i]).standard_normal((4, 3))
+        x -= x.mean(axis=0)
+        x /= np.linalg.norm(x)
+        residuals.append(go_sample_residual(scaled, x, backend)[0])
+    assert report.samples == 6
+    assert report.max_residual == max(residuals)
+    assert report.residual_min == min(residuals)
+    assert report.residual_median == np.median(residuals)
+    assert report.failures == tuple(i for i, r in enumerate(residuals) if r >= report.tol)
 
 
 def test_assess_geodesic_orbit_verdicts(backend):

@@ -1,4 +1,9 @@
-"""Property tests: naturally reductive verdicts under relabelling and scaling."""
+"""Property tests: verdicts under relabelling and scaling of the metric.
+
+Relabelling the m copies and scaling the metric by a positive constant are
+symmetries of the problem, so the naturally reductive verdict, the
+geodesic-orbit verdict and the decomposition must not change under them.
+"""
 
 import numpy as np
 import pytest
@@ -6,8 +11,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from ledger_obata.classify import NatRedCase, classify_natred  # noqa: E402
+from ledger_obata.classify import (  # noqa: E402
+    NatRedCase,
+    classify_go,
+    classify_natred,
+    go_family,
+)
 from ledger_obata.metrics import MetricT, T_to_form  # noqa: E402
+from ledger_obata.reduce import decompose_report  # noqa: E402
 
 from conftest import dense_nonreductive_metric  # noqa: E402
 
@@ -30,10 +41,17 @@ def invariant_t(alphas: np.ndarray) -> np.ndarray:
 
 
 @st.composite
-def metrics(draw):
-    """A coefficient matrix from one of the three families, m = 3..9."""
-    m = draw(st.integers(3, 9))
-    family = draw(st.sampled_from(["product", "invariant", "dense"]))
+def metrics(draw, families=("product", "invariant", "dense"), max_m=9):
+    """A coefficient matrix from one of ``families``, m = 3..max_m.
+
+    ``go_family`` draws a geodesic-orbit family metric from random nodes.
+    """
+    m = draw(st.integers(3, max_m))
+    family = draw(st.sampled_from(families))
+    if family == "go_family":
+        gaps = draw(st.lists(st.floats(0.2, 1.5), min_size=m, max_size=m))
+        metric, _, _ = go_family(np.cumsum(gaps), 1.0, draw(st.floats(0.0, 0.5)))
+        return metric.matrix
     if family == "product":
         k = draw(st.integers(0, m - 1))
         betas = {i: draw(WEIGHT) for i in range(m) if i != k}
@@ -88,3 +106,72 @@ def test_natred_verdict_is_invariant_under_relabelling_and_scaling(t, perm_seed,
     k = dropped_copy(base, m)
     if k is not None:
         assert dropped_copy(moved, m) == int(np.flatnonzero(perm == k - 1)[0]) + 1
+
+
+def relabelled_and_scaled(t: np.ndarray, perm_seed: int, log_scale: float) -> MetricT:
+    perm = np.random.default_rng(perm_seed).permutation(t.shape[0])
+    return MetricT(10.0**log_scale * t[np.ix_(perm, perm)])
+
+
+@pytest.mark.parametrize("family", ["go_family", "product", "invariant", "dense"])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    perm_seed=st.integers(0, 2**32 - 1),
+    log_scale=st.floats(-6.0, 6.0),
+)
+def test_go_verdict_is_invariant_under_relabelling_and_scaling(
+    family, data, perm_seed, log_scale
+):
+    t = data.draw(metrics((family,), max_m=6))
+    base = classify_go(MetricT(t))
+    moved = classify_go(relabelled_and_scaled(t, perm_seed, log_scale))
+    assert moved.verdict is base.verdict
+    # every metric with m = 3 is naturally reductive, hence geodesic orbit
+    generic_no = family == "dense" and t.shape[0] > 3
+    assert base.verdict.value == ("no" if generic_no else "yes")
+
+
+@st.composite
+def block_tree_products(draw):
+    """A product of 1..4 irreducible blocks glued in a tree at shared copies.
+
+    Block one holds the first copies; each later block shares one copy with
+    the copies placed before it and adds new ones.  A block is a dense metric
+    or a naturally reductive invariant form on its copies, so every entry
+    inside a block is nonzero.  Returns the coefficient matrix and the
+    block sizes.
+    """
+    sizes = draw(st.lists(st.integers(2, 4), min_size=1, max_size=4))
+    blocks = [list(range(sizes[0]))]
+    placed = sizes[0]
+    for size in sizes[1:]:
+        shared = draw(st.integers(0, placed - 1))
+        blocks.append([shared] + list(range(placed, placed + size - 1)))
+        placed += size - 1
+    t = np.zeros((placed, placed))
+    for copies in blocks:
+        n = len(copies)
+        if draw(st.booleans()):
+            block = invariant_t(np.array(draw(st.lists(WEIGHT, min_size=n, max_size=n))))
+        else:
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            block = dense_nonreductive_metric(rng, n).matrix
+        t[np.ix_(copies, copies)] += block
+    return t, sizes
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    product=block_tree_products(),
+    perm_seed=st.integers(0, 2**32 - 1),
+    log_scale=st.floats(-6.0, 6.0),
+)
+def test_decomposition_is_invariant_under_relabelling_and_scaling(product, perm_seed, log_scale):
+    t, sizes = product
+    base = decompose_report(MetricT(t))
+    moved = decompose_report(relabelled_and_scaled(t, perm_seed, log_scale))
+    assert sorted(base["factor_sizes"]) == sorted(sizes)
+    for key in ("reducible", "isometry_group_k", "go_manifold"):
+        assert moved[key] == base[key], key
+    assert sorted(moved["factor_sizes"]) == sorted(base["factor_sizes"])
