@@ -46,7 +46,11 @@ from .trees import enumerate_partition_pairs
 
 
 class _Parser(argparse.ArgumentParser):
-    """Exit 1 on bad command lines; code 2 is reserved for disagreements."""
+    """Exit 1 on bad command lines; code 2 is reserved for disagreements.
+
+    ``build_parser`` sets ``commands`` on the top-level parser: the parser
+    of each subcommand, by name.
+    """
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -295,6 +299,7 @@ def build_parser() -> _Parser:
         description="Classify and decompose invariant metrics on F^m/diag(F).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
     commands = {
         "classify": (cmd_classify, "naturally-reductive case and geodesic-orbit verdict"),
         "decompose": (cmd_decompose, "irreducible factors and the isometry group"),
@@ -327,7 +332,12 @@ def _parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args, extras = parser.parse_known_args(argv)
+    if extras:
+        # argparse hands a subcommand's unknown flags back to the top level;
+        # report them with the usage of the subcommand, which lists its flags
+        parser.commands[args.command].error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         _validate(args)
         return args.func(args)

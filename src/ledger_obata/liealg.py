@@ -133,12 +133,12 @@ def default_backend() -> StructureConstants:
 
 
 def product_bracket(sc: StructureConstants, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise bracket of two (m, dim) coefficient arrays."""
+    """Row-wise bracket of two (m, dim) coefficient arrays, or of two stacks of them."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
         raise ValueError(f"shape mismatch {u.shape} vs {v.shape}")
-    return np.einsum("mi,mj,ijk->mk", u, v, sc.c)
+    return np.einsum("...i,...j,ijk->...k", u, v, sc.c)
 
 
 def split_diagonal(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -6,6 +6,19 @@ force: draw random tangent elements, reduce each claim to a small linear
 least-squares problem in the diagonal subalgebra, and record residuals.
 The checks share no code with the classifier beyond the structure-constant
 backend, so agreement between the two is meaningful evidence.
+
+Replay contract: sample i of a run with base seed ``seed`` is drawn from
+``default_rng([seed, i])``, so any failing sample can be recomputed alone.
+
+The GO oracle and the certificate check run batched.  Samples are drawn one
+chunk of ``CHUNK`` at a time (only the generator calls loop in Python),
+stacked into (S, m, d) arrays, and centred, normalised, projected and
+measured for the whole chunk in numpy; only the residual vector is kept, so
+the working set does not grow with ``samples``.  Each slice of a chunk
+goes through the same operations, in the same order, as a lone sample, so
+``go_sample_residual`` replays any sample of ``go_oracle`` bit for bit, and
+the reports agree with a one-sample-at-a-time loop to rounding level.
+``brackets_property_check`` still loops over samples: see its docstring.
 """
 
 from __future__ import annotations
@@ -20,6 +33,9 @@ from .liealg import StructureConstants, default_backend, product_bracket
 from .metrics import MetricForm, MetricT, eigendecompose, power_of_two_scale
 
 RIDGE = 1e-14
+# samples per batched oracle pass: large enough that numpy's per-call cost is
+# shared, small enough that the working set does not grow with ``samples``
+CHUNK = 64
 CONFIRM_TOL = 1e-8
 REFUTE_TOL = 1e-4
 
@@ -79,21 +95,84 @@ def _report(kind, residuals, extra, samples, seed, tol, notes=""):
 
 
 def _ad_rows(sc: StructureConstants, u: np.ndarray) -> np.ndarray:
-    """Stack of ad matrices, one per row of u: out[l] @ w = [u_l, w]."""
-    return np.einsum("li,ijk->lkj", u, sc.c)
+    """Stack of ad matrices, one per row of u: out[..., l, :, :] @ w = [u_l, w]."""
+    return np.einsum("...i,ijk->...kj", u, sc.c)
 
 
 def _weighted_norm(gram: np.ndarray, u: np.ndarray) -> float:
     return float(np.sqrt(max(np.einsum("la,ab,lb->", u, gram, u), 0.0)))
 
 
-def _sample_tangent(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
-    x = rng.standard_normal((m, d))
-    x = x - x.mean(axis=0)
-    norm = np.linalg.norm(x)
-    if norm < 1e-12:
-        return _sample_tangent(rng, m, d)
-    return x / norm
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each (m, d) slice of x, bit for bit np.linalg.norm's.
+
+    A (1, n) @ (n, 1) matmul takes the same dot routine as the norm of one
+    flattened slice, so a replay of one sample sees the same digits.
+    """
+    flat = x.reshape(len(x), -1)
+    return np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None]))[:, 0, 0]
+
+
+def _sample_tangents(seed: int, indices: range, m: int, d: int) -> np.ndarray:
+    """Unit complement elements for samples ``indices``, stacked to (S, m, d).
+
+    Sample i is drawn from default_rng([seed, i]) and centred; a draw whose
+    centred norm is below 1e-12 is replaced by the next draw of the same
+    generator.
+    """
+    rngs = [np.random.default_rng([seed, i]) for i in indices]
+    x = np.stack([rng.standard_normal((m, d)) for rng in rngs])
+    x -= x.mean(axis=1, keepdims=True)
+    norm = _norms(x)
+    for j in np.flatnonzero(norm < 1e-12):
+        while norm[j] < 1e-12:
+            x[j] = rngs[j].standard_normal((m, d))
+            x[j] -= x[j].mean(axis=0)
+            norm[j] = np.linalg.norm(x[j])
+    return x / norm[:, None, None]
+
+
+def _require_samples(samples: int) -> None:
+    if samples < 1:
+        raise ParameterError(f"samples must be at least 1, got {samples}")
+
+
+def _go_residuals(
+    metric: MetricT,
+    x: np.ndarray,
+    sc: StructureConstants,
+    shift: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Geodesic-condition residuals of a stack x of tangent elements (S, m, d).
+
+    Measures the complement component of [x + 1 (x) shift, A x] in the
+    minus-Killing norm, for every slice at once.  With ``shift`` None the
+    optimal diagonal shift of each slice is found by ridge-regularized
+    least squares; otherwise ``shift`` holds one shift per slice, (S, d).
+    Returns the residuals (S,) and the shifts (S, d).  Each slice is
+    computed on its own, so its digits do not depend on S.
+    """
+    d = sc.dim
+    gram = sc.gram
+    ax = metric.matrix @ x
+    base = product_bracket(sc, x, ax)
+    base -= base.mean(axis=1, keepdims=True)
+    coef = -_ad_rows(sc, ax)
+    coef -= coef.mean(axis=1, keepdims=True)
+    if shift is None:
+        lhs = np.einsum("slab,ac,slcd->sbd", coef, gram, coef)
+        rhs = -np.einsum("slab,ac,slc->sb", coef, gram, base)
+        trace = np.trace(lhs, axis1=1, axis2=2)
+        ridge = RIDGE * trace / d
+        solvable = trace > 0.0
+        shift = np.zeros((len(x), d))
+        shift[solvable] = np.linalg.solve(
+            lhs[solvable] + ridge[solvable, None, None] * np.eye(d),
+            rhs[solvable, :, None],
+        )[..., 0]
+    rest = base + np.einsum("slab,sb->sla", coef, shift)
+    quad = np.einsum("sla,ab,slb->s", rest, gram, rest)
+    return np.sqrt(np.maximum(quad, 0.0)), shift
 
 
 def go_sample_residual(
@@ -104,28 +183,15 @@ def go_sample_residual(
 ) -> tuple[float, np.ndarray]:
     """Geodesic-condition residual for one tangent element.
 
-    Measures the complement component of [x + 1 (x) shift, A x] in the
-    minus-Killing norm.  With ``shift`` None the optimal diagonal shift is
-    found by ridge-regularized least squares and returned.
+    The one-sample view of ``_go_residuals``: measures the complement
+    component of [x + 1 (x) shift, A x] in the minus-Killing norm.  With
+    ``shift`` None the optimal diagonal shift is found by ridge-regularized
+    least squares and returned.
     """
     sc = backend if backend is not None else default_backend()
-    ax = metric.matrix @ x
-    base = product_bracket(sc, x, ax)
-    base = base - base.mean(axis=0)
-    coef = -_ad_rows(sc, ax)
-    coef = coef - coef.mean(axis=0)
-    gram = sc.gram
-    if shift is None:
-        lhs = np.einsum("lab,ac,lcd->bd", coef, gram, coef)
-        trace = float(np.trace(lhs))
-        if trace <= 0.0:
-            shift = np.zeros(sc.dim)
-        else:
-            rhs = -np.einsum("lab,ac,lc->b", coef, gram, base)
-            ridge = RIDGE * trace / sc.dim
-            shift = np.linalg.solve(lhs + ridge * np.eye(sc.dim), rhs)
-    rest = base + np.einsum("lab,b->la", coef, shift)
-    return _weighted_norm(gram, rest), shift
+    given = None if shift is None else np.asarray(shift, dtype=float)[None]
+    residuals, shifts = _go_residuals(metric, np.asarray(x, dtype=float)[None], sc, given)
+    return float(residuals[0]), shifts[0]
 
 
 def certificate_shift(certificate: GoCertificate, x: np.ndarray) -> np.ndarray:
@@ -153,12 +219,14 @@ def go_oracle(
     divided by its ``power_of_two_scale`` and do not change when it is
     scaled.  Sample i is drawn from default_rng([seed, i]).
     """
+    _require_samples(samples)
     sc = backend if backend is not None else default_backend()
     scaled = MetricT(metric.matrix / power_of_two_scale(metric.matrix))
     residuals = np.empty(samples)
-    for i in range(samples):
-        x = _sample_tangent(np.random.default_rng([seed, i]), metric.m, sc.dim)
-        residuals[i], _ = go_sample_residual(scaled, x, sc)
+    for start in range(0, samples, CHUNK):
+        chunk = range(start, min(start + CHUNK, samples))
+        x = _sample_tangents(seed, chunk, metric.m, sc.dim)
+        residuals[chunk.start:chunk.stop] = _go_residuals(scaled, x, sc)[0]
     return _report("geodesic_orbit", residuals, (), samples, seed, tol)
 
 
@@ -267,6 +335,7 @@ def natred_certificate_check(
     the certified weights are both divided by the form's
     ``power_of_two_scale`` first, so every residual is scale-free.
     """
+    _require_samples(samples)
     if result.case is NatRedCase.NOT_NR:
         raise ParameterError("nothing to verify: classification is not naturally reductive")
     sc = backend if backend is not None else default_backend()
@@ -292,7 +361,7 @@ def natred_certificate_check(
         pd_margin = float(kept.min() / max(kept.max(), 1e-300)) if kept.size else -1.0
 
         def project(u: np.ndarray) -> np.ndarray:
-            return u - u[dropped - 1][None, :]
+            return u - u[..., dropped - 1 : dropped, :]
 
     else:
         kernel = np.linalg.svd(weights[None, :])[2][1:]
@@ -300,7 +369,7 @@ def natred_certificate_check(
         pd_margin = float(pd_eigs[0] / max(np.max(np.abs(pd_eigs)), 1e-300))
 
         def project(u: np.ndarray) -> np.ndarray:
-            return u - (weights @ u)[None, :] / alpha_sum
+            return u - (weights @ u)[..., None, :] / alpha_sum
 
     pd_residual = 0.0
     if pd_margin <= 0.0:
@@ -308,14 +377,19 @@ def natred_certificate_check(
         notes.append("certified product is not positive definite on the complement")
 
     residuals = np.empty(samples)
-    for i in range(samples):
-        rng = np.random.default_rng([seed, i])
-        x = project(rng.standard_normal((m, d)))
-        y = project(rng.standard_normal((m, d)))
-        x /= max(np.linalg.norm(x), 1e-300)
-        y /= max(np.linalg.norm(y), 1e-300)
+    for start in range(0, samples, CHUNK):
+        chunk = range(start, min(start + CHUNK, samples))
+        # x and y are the first and second (m, d) draws of each sample
+        draws = np.stack([np.random.default_rng([seed, i]).standard_normal((2, m, d))
+                          for i in chunk])
+        x = project(draws[:, 0])
+        y = project(draws[:, 1])
+        x /= np.maximum(_norms(x), 1e-300)[:, None, None]
+        y /= np.maximum(_norms(y), 1e-300)[:, None, None]
         braid = project(product_bracket(sc, x, y))
-        residuals[i] = abs(np.einsum("i,ia,ab,ib->", weights, braid, gram, x))
+        residuals[chunk.start:chunk.stop] = np.abs(
+            np.einsum("l,sla,ab,slb->s", weights, braid, gram, x)
+        )
     return _report(
         "naturally_reductive_certificate",
         residuals,
@@ -371,7 +445,14 @@ def brackets_property_check(
     (iii) two same-cluster elements with vanishing paired brackets have
     their bracket's complement part inside the cluster.  On non-GO input
     some residual is expected to blow up, documenting necessity.
+
+    Unlike the other two oracles this check runs one sample at a time.
+    Batching it is possible (batched normal equations for the least-squares
+    steps) but waits for the benchmark to stop keeping every report of a
+    timed run: the faster ``lot verify`` would then keep more reports and
+    read as a memory regression.
     """
+    _require_samples(samples)
     sc = backend if backend is not None else default_backend()
     eigen = eigendecompose(metric, cluster_tol)
     vectors = eigen.system.vectors

@@ -498,8 +498,20 @@ def test_flags_of_other_subcommands_are_usage_errors(capsys, command):
             cli.main([command, flag, "5"])
         assert exc.value.code == 1
         err = capsys.readouterr().err
+        assert err.startswith(f"usage: lot {command} ")
         assert f"unrecognized arguments: {flag}" in err
         assert "Traceback" not in err
+
+
+def test_unread_flag_is_reported_with_the_subcommand_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["decompose", "--input", "F", "--samples", "5"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: lot decompose")
+    assert "--split-tol" in err
+    assert "lot decompose: error: unrecognized arguments: --samples 5" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Tests for the brute-force numeric verification oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,9 @@ from ledger_obata.metrics import (
     power_of_two_scale,
     standard_metric,
 )
+from ledger_obata.liealg import product_bracket
 from ledger_obata.oracle import (
+    CHUNK,
     assess_geodesic_orbit,
     brackets_property_check,
     certificate_shift,
@@ -102,6 +106,67 @@ def test_go_oracle_sample_i_replays_from_its_own_seed(backend):
     assert report.failures == tuple(i for i, r in enumerate(residuals) if r >= report.tol)
 
 
+@pytest.mark.parametrize("samples", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+def test_go_oracle_chunks_replay_sample_by_sample(backend, samples):
+    metric = dense_nonreductive_metric(np.random.default_rng(8), 5)
+    # a tolerance inside the residual range makes failures a proper subset
+    report = go_oracle(metric, backend, samples=samples, seed=21, tol=0.1)
+    scaled = MetricT(metric.matrix / power_of_two_scale(metric.matrix))
+    residuals = []
+    for i in range(samples):
+        x = np.random.default_rng([21, i]).standard_normal((5, 3))
+        x -= x.mean(axis=0)
+        x /= np.linalg.norm(x)
+        residuals.append(go_sample_residual(scaled, x, backend)[0])
+    assert report.samples == samples
+    assert report.max_residual == max(residuals)
+    assert report.residual_min == min(residuals)
+    assert report.residual_median == np.median(residuals)
+    assert report.failures == tuple(i for i, r in enumerate(residuals) if r >= report.tol)
+    if samples > CHUNK:
+        assert 0 < len(report.failures) < samples
+
+
+def test_go_oracle_working_set_does_not_grow_with_samples(backend):
+    metric = dense_nonreductive_metric(np.random.default_rng(3), 6)
+    go_oracle(metric, backend, samples=CHUNK, seed=1)
+    tracemalloc.start()
+    try:
+        report = go_oracle(metric, backend, samples=3200, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.samples == 3200
+    assert peak < 512 * 1024
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_go_oracle_needs_a_sample(backend, samples):
+    with pytest.raises(ParameterError, match="samples must be at least 1"):
+        go_oracle(standard_metric(4), backend, samples=samples)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_assess_geodesic_orbit_needs_a_sample(backend, samples):
+    # with no samples a dense metric that is not GO would read as confirmed
+    dense = dense_nonreductive_metric(np.random.default_rng(19), 4)
+    with pytest.raises(ParameterError, match="samples must be at least 1"):
+        assess_geodesic_orbit(dense, backend, samples=samples)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_natred_certificate_check_needs_a_sample(backend, samples):
+    form = MetricForm(np.diag([1.0, 2.0, 3.0]))
+    with pytest.raises(ParameterError, match="samples must be at least 1"):
+        natred_certificate_check(form, classify_natred(form), backend, samples=samples)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_brackets_property_check_needs_a_sample(backend, samples):
+    with pytest.raises(ParameterError, match="samples must be at least 1"):
+        brackets_property_check(standard_metric(4), backend, samples=samples)
+
+
 def test_assess_geodesic_orbit_verdicts(backend):
     metric, _, _ = go_family(np.array([1.0, 2.0, 3.0]), rho=1.0, lam=0.2)
     word, report = assess_geodesic_orbit(metric, backend, samples=10, seed=2)
@@ -154,6 +219,69 @@ def test_natred_certificate_check_catches_corruption(backend):
         natred_certificate_check(
             pinned, NatRedResult(case=NatRedCase.NOT_NR), backend
         )
+
+
+def certificate_residuals_by_loop(form, result, backend, samples, seed):
+    """The certificate check's sampled residuals, one sample at a time."""
+    m, d = form.m, backend.dim
+    scale = power_of_two_scale(form.a)
+    if result.case is NatRedCase.INVARIANT_FORM:
+        weights = np.asarray(result.alphas) / scale
+        alpha_sum = result.alpha_sum / scale
+
+        def project(u):
+            return u - (weights @ u)[None, :] / alpha_sum
+
+    else:
+        dropped = result.ideal_index or m
+        weights = np.zeros(m)
+        for copy, beta in result.betas.items():
+            weights[copy - 1] = beta / scale
+
+        def project(u):
+            return u - u[dropped - 1][None, :]
+
+    residuals = np.empty(samples)
+    for i in range(samples):
+        rng = np.random.default_rng([seed, i])
+        x = project(rng.standard_normal((m, d)))
+        y = project(rng.standard_normal((m, d)))
+        x /= max(np.linalg.norm(x), 1e-300)
+        y /= max(np.linalg.norm(y), 1e-300)
+        braid = project(product_bracket(backend, x, y))
+        residuals[i] = abs(np.einsum("i,ia,ab,ib->", weights, braid, backend.gram, x))
+    return residuals
+
+
+@pytest.mark.parametrize(
+    "form, certificate, tol",
+    [
+        (MetricForm(np.diag([1.0, 2.0, 3.0])), None, 1e-8),
+        (MetricForm(np.array([[2.0, 1.0], [1.0, 3.0]])), None, 1e-8),
+        # alpha_sum does not match the alphas, so the sampled identity fails
+        # on a proper subset of samples at this tolerance
+        (
+            MetricForm(np.array([[2.0, 1.0], [1.0, 3.0]])),
+            NatRedResult(
+                case=NatRedCase.INVARIANT_FORM, alphas=np.array([1.0, 2.0, 3.5]), alpha_sum=0.5
+            ),
+            0.02,
+        ),
+    ],
+    ids=["product", "invariant-form", "inconsistent-invariant-form"],
+)
+def test_natred_certificate_check_replays_sample_by_sample(backend, form, certificate, tol):
+    result = certificate or classify_natred(form)
+    samples = 2 * CHUNK + 5
+    report = natred_certificate_check(form, result, backend, samples=samples, seed=12, tol=tol)
+    residuals = certificate_residuals_by_loop(form, result, backend, samples, 12)
+    assert report.samples == samples
+    assert report.failures == tuple(int(i) for i in np.nonzero(residuals >= tol)[0])
+    assert abs(report.residual_min - residuals.min()) <= 1e-14
+    assert abs(report.residual_median - np.median(residuals)) <= 1e-14
+    assert report.max_residual >= residuals.max() - 1e-14
+    if certificate is not None:
+        assert 0 < len(report.failures) < samples
 
 
 def test_bracket_properties_on_go_and_dense_metrics(backend):
