@@ -391,17 +391,17 @@ def _phi(z: np.ndarray, t: float) -> float:
 
 
 def _bisect_root(z: np.ndarray, lo: float, hi: float) -> float:
-    """Root of phi in (lo, hi); phi climbs from -inf to +inf across the gap."""
-    shrink_a = shrink_b = 1e-9 * (hi - lo)
-    a, b = lo + shrink_a, hi - shrink_b
-    while _phi(z, a) > 0:
-        shrink_a *= 0.5
-        a = lo + shrink_a
-    while _phi(z, b) < 0:
-        shrink_b *= 0.5
-        b = hi - shrink_b
+    """Root of phi in the open gap (lo, hi), where phi climbs from -inf just
+    above ``lo`` to +inf just below ``hi``; so bisection never evaluates an end."""
+    a, b = lo, hi
+    if not a < 0.5 * (a + b) < b:
+        raise ParameterError(
+            f"no double lies strictly between the nodes {float(lo)!r} and {float(hi)!r}"
+        )
     for _ in range(200):
         mid = 0.5 * (a + b)
+        if not a < mid < b:
+            break
         if _phi(z, mid) < 0:
             a = mid
         else:
@@ -409,6 +409,8 @@ def _bisect_root(z: np.ndarray, lo: float, hi: float) -> float:
         if b - a <= 1e-12 * max(abs(a), abs(b)):
             break
     t = 0.5 * (a + b)
+    if not lo < t < hi:  # a and b are adjacent doubles, one of them an end
+        t = b if a == lo else a
     # Newton polish; derivative of phi is sum z_k / (z_k - t)^2 > 0 on the gap
     for _ in range(3):
         deriv = float(np.sum(z / (z - t) ** 2))

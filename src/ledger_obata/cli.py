@@ -18,7 +18,6 @@ import numpy as np
 
 from .classify import (
     GoVerdict,
-    NatRedResult,
     classify_go,
     classify_natred,
     go_family,
@@ -28,8 +27,9 @@ from .classify import (
 )
 from .errors import InputError, LedgerObataError
 from .liealg import default_backend
-from .metrics import MetricT, T_to_form
+from .metrics import MetricForm, MetricT, T_to_form, power_of_two_scale
 from .oracle import (
+    OracleReport,
     assess_geodesic_orbit,
     brackets_property_check,
     natred_certificate_check,
@@ -109,11 +109,13 @@ def _load_metric(args) -> tuple[MetricT, dict]:
     return metric_from_dict(data), data
 
 
-def _classified(args, metric: MetricT) -> tuple[dict, NatRedResult, GoVerdict]:
+def _classified(
+    args, metric: MetricT
+) -> tuple[dict, GoVerdict, tuple[str, OracleReport] | None]:
     """Shared classification report with oracle fallback on indeterminate.
 
-    Returns the report, the naturally-reductive result and the final
-    geodesic-orbit verdict.
+    Returns the report, the final geodesic-orbit verdict and the
+    fallback's oracle assessment (None when the classifier decided).
     """
     nr = classify_natred(T_to_form(metric), args.tol)
     go = classify_go(metric, args.tol, args.cluster_tol)
@@ -123,13 +125,15 @@ def _classified(args, metric: MetricT) -> tuple[dict, NatRedResult, GoVerdict]:
         "go": go_report(go),
     }
     final = go.verdict
+    assessment = None
     if go.verdict is GoVerdict.INDETERMINATE:
-        word, oracle_report = assess_geodesic_orbit(
+        assessment = assess_geodesic_orbit(
             metric,
             default_backend(),
             samples=args.samples,
             seed=args.seed,
         )
+        word, oracle_report = assessment
         if word == "confirmed":
             final = GoVerdict.YES
         elif word == "refuted":
@@ -143,7 +147,7 @@ def _classified(args, metric: MetricT) -> tuple[dict, NatRedResult, GoVerdict]:
         report["agreement"] = bool(
             nr.is_naturally_reductive == (final is GoVerdict.YES)
         )
-    return report, nr, final
+    return report, final, assessment
 
 
 def cmd_classify(args) -> int:
@@ -163,9 +167,10 @@ def cmd_decompose(args) -> int:
 def cmd_verify(args) -> int:
     metric, raw = _load_metric(args)
     backend = default_backend()
-    report, nr, final = _classified(args, metric)
+    report, final, assessment = _classified(args, metric)
 
-    word, oracle_report = assess_geodesic_orbit(
+    # the fallback ran the oracle with these arguments already
+    word, oracle_report = assessment or assess_geodesic_orbit(
         metric, backend, samples=args.samples, seed=args.seed
     )
     report["go_oracle"] = oracle_report.to_dict()
@@ -177,14 +182,19 @@ def cmd_verify(args) -> int:
     if final is GoVerdict.NO and word == "confirmed":
         disagreements.append("classifier denies geodesic orbit, oracle confirms")
 
-    certificate = nr
-    source = "classifier"
+    form = T_to_form(metric)
     if raw.get("natred_certificate") is not None:
         certificate = natred_from_dict(raw["natred_certificate"])
         source = "input file"
+    else:
+        # reported weights are rounded where subnormal: check the exact ones
+        # that the classifier finds on the form divided by its scale
+        form = MetricForm(form.a / power_of_two_scale(form.a))
+        certificate = classify_natred(form, args.tol)
+        source = "classifier"
     if certificate.is_naturally_reductive:
         cert_report = natred_certificate_check(
-            T_to_form(metric),
+            form,
             certificate,
             backend,
             samples=args.samples,

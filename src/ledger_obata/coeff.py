@@ -265,10 +265,14 @@ def subalgebra_partition(spanning: np.ndarray, tol: float = 1e-8) -> list[tuple[
     """Recover the set partition underlying a diamond-closed subspace.
 
     ``spanning`` must span a subspace U of R^n that contains the all-ones
-    vector and is closed under the diamond product; such a subspace is the
-    span of the indicator vectors of a unique partition of {0..n-1}, which
-    is returned as sorted tuples.  Raises ClosureError with a witness pair
-    when closure fails.
+    vector and is closed under the diamond product.  Such a U is a unital
+    subalgebra of R^n, spanned by the indicators of its atoms: the classes
+    of coordinates on which all of U agrees.  In an orthonormal basis of U
+    the rows of the coordinates of one atom p coincide, and rows of
+    different atoms are orthogonal of length 1/sqrt|p|, so the atoms are
+    the groups of rows that agree within ``tol``.  Returns the parts as
+    sorted tuples, ordered by their least element.  Raises ClosureError,
+    with a witness pair when closure fails.
     """
     basis = _orthonormal_basis(spanning)
     n = basis.shape[1]
@@ -285,38 +289,15 @@ def subalgebra_partition(spanning: np.ndarray, tol: float = 1e-8) -> list[tuple[
                     (basis[i], basis[j]),
                 )
 
-    parts: list[tuple[int, ...]] = []
-    active = list(range(n))
-    current = basis
-    while True:
-        if current.shape[0] <= 1:
-            parts.append(tuple(sorted(active)))
-            break
-        vec = sparsest_unit_vector(current)
-        cut = ZERO_RTOL * np.linalg.norm(vec)
-        support = [active[i] for i in range(len(active)) if abs(vec[i]) > cut]
-        parts.append(tuple(sorted(support)))
-        keep = [i for i in range(len(active)) if abs(vec[i]) <= cut]
-        # restrict U to vectors vanishing on the support just removed
-        sup_cols = [i for i in range(len(active)) if abs(vec[i]) > cut]
-        cols = current[:, sup_cols]
-        u, s, vt = np.linalg.svd(cols.T, full_matrices=True)
-        rank = int(np.sum(s > RANK_RTOL * max(s[0] if s.size else 0.0, 1e-300)))
-        kernel = vt[rank:]
-        current = _orthonormal_basis((kernel @ current)[:, keep])
-        active = [active[i] for i in keep]
-        if not active:
-            break
-
-    covered = sorted(i for p in parts for i in p)
-    if covered != list(range(n)):
-        raise ClosureError("partition recovery failed to cover all coordinates")
-    # indicator vectors must reproduce U
-    indicators = np.zeros((len(parts), n))
-    for r, p in enumerate(parts):
-        indicators[r, list(p)] = 1.0
+    rows = basis.T
+    atom = np.full(n, -1)
+    for x in range(n):
+        if atom[x] < 0:
+            atom[(atom < 0) & (np.linalg.norm(rows - rows[x], axis=1) <= tol)] = x
+    indicators = (atom == np.unique(atom)[:, None]).astype(float)
     ind_basis = _orthonormal_basis(indicators)
-    for row in basis:
-        if np.linalg.norm(row - _project_onto(ind_basis, row)) > tol:
-            raise ClosureError("indicator vectors do not span the subspace")
-    return sorted(parts)
+    if len(indicators) != k or any(
+        np.linalg.norm(row - _project_onto(ind_basis, row)) > tol for row in basis
+    ):
+        raise ClosureError("indicator vectors do not span the subspace")
+    return [tuple(int(x) for x in np.flatnonzero(row)) for row in indicators]

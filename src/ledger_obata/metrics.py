@@ -21,10 +21,9 @@ from .coeff import (
     AdaptedSystem,
     canonical_sign,
     cluster_indices,
-    is_self_saturated,
     self_saturated_basis,
 )
-from .errors import InvalidMetricError
+from .errors import InvalidMetricError, SelfSaturationError
 
 SYM_RTOL = 1e-10
 
@@ -203,9 +202,11 @@ def eigendecompose(metric: MetricT, cluster_tol: float = 1e-8) -> EigenData:
             block = np.array([canonical_sign(block[0] / np.linalg.norm(block[0]))])
             saturated = True
         else:
-            saturated, _ = is_self_saturated(block)
-            if saturated:
+            try:
                 block = self_saturated_basis(block)
+                saturated = True
+            except SelfSaturationError:
+                saturated = False
         rows.extend(block)
         out_gammas.extend([gamma] * len(cl))
         out_clusters.append(tuple(range(pos, pos + len(cl))))

@@ -14,6 +14,7 @@ each partition collects edges incident to vertices of one color.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
@@ -43,8 +44,23 @@ class PartitionPair:
     def factor_sizes(self) -> tuple[int, int]:
         return len(self.first), len(self.second)
 
+    def _parts_graph(self) -> dict[int, tuple[int, int]]:
+        """Index x as the edge (its part in first, m1 + its part in second)."""
+        m1 = len(self.first)
+        first = {x: i for i, part in enumerate(self.first) for x in part}
+        return {x: (first[x], m1 + j) for j, part in enumerate(self.second) for x in part}
+
     def validate(self) -> None:
-        """Raise ParameterError if any of the three pairing rules fails."""
+        """Raise ParameterError unless the pair is admissible.
+
+        Once both sides partition 1..m into at least two parts with
+        m1 + m2 = m + 1, the rules are read off the parts graph, with m + 1
+        vertices and m edges: two parts share two indices exactly when an
+        edge repeats, and a common proper union of parts is exactly the
+        index set of a component when the graph is disconnected.  Such a
+        graph is a tree exactly when it is connected, so the pair is
+        admissible exactly when its parts graph is a tree.
+        """
         m = self.m
         ground = set(range(1, m + 1))
         for label, partition in (("first", self.first), ("second", self.second)):
@@ -64,40 +80,24 @@ class PartitionPair:
             raise ParameterError(
                 f"part counts {m1} + {m2} must equal m + 1 = {m + 1}"
             )
-        for p in self.first:
-            for q in self.second:
-                if len(set(p) & set(q)) > 1:
-                    raise ParameterError(
-                        f"parts {p} and {q} share more than one index"
-                    )
-        second_union: set[frozenset[int]] = set()
-        for r in range(1, len(self.second)):
-            for combo in _unions(self.second, r):
-                second_union.add(combo)
-        for r in range(1, len(self.first)):
-            for combo in _unions(self.first, r):
-                if combo in second_union:
-                    raise ParameterError(
-                        f"common proper invariant index set {sorted(combo)}"
-                    )
+        graph = self._parts_graph()
+        (u, v), count = Counter(graph.values()).most_common(1)[0]
+        if count > 1:
+            raise ParameterError(
+                f"parts {self.first[u]} and {self.second[v - m1]} share more than one index"
+            )
+        reached, frontier = {0}, {0}
+        while frontier:
+            frontier = {w for e in graph.values() if frontier & set(e) for w in e} - reached
+            reached |= frontier
+        if len(reached) <= m:
+            component = sorted(x for x, (u, _) in graph.items() if u in reached)
+            raise ParameterError(f"common proper invariant index set {component}")
 
     def tree_edges(self) -> list[tuple[int, int]]:
-        """Recover tree edges: vertices are parts (first then second),
-        edge between parts sharing an index, labeled by that index."""
-        edges = []
-        for i, p in enumerate(self.first):
-            for j, q in enumerate(self.second):
-                shared = set(p) & set(q)
-                if shared:
-                    edges.append((i, len(self.first) + j, shared.pop()))
-        return [(u, v) for u, v, _ in sorted(edges, key=lambda e: e[2])]
-
-
-def _unions(partition: Partition, r: int):
-    from itertools import combinations
-
-    for combo in combinations(partition, r):
-        yield frozenset(x for part in combo for x in part)
+        """Edges of the parts graph by index: the pair's tree when it is admissible."""
+        graph = self._parts_graph()
+        return [graph[x] for x in sorted(graph)]
 
 
 def _decode_pruefer(seq: tuple[int, ...], size: int) -> list[tuple[int, int]]:
@@ -183,8 +183,10 @@ def enumerate_partition_pairs(
 ) -> list[PartitionPair]:
     """All admissible partition pairs for F^m/diag(F), canonically ordered.
 
-    The count grows like (m + 1)^(m - 1) labeled trees, so m is capped
-    (default 8) to keep enumeration affordable; raise ``max_m`` to go higher.
+    There are (m + 1)^(m - 2) - 1 pairs, found by decoding all
+    (m + 1)^(m - 1) Pruefer codes of trees on m + 1 vertices, so m is
+    capped (default 8) to keep enumeration affordable; raise ``max_m`` to
+    go higher.
     """
     if m < 2:
         raise ParameterError("m must be at least 2")

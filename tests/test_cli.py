@@ -16,6 +16,7 @@ import pytest
 from ledger_obata import cli
 from ledger_obata.classify import GoResult, GoVerdict, go_family
 from ledger_obata.metrics import eigendecompose, standard_metric
+from ledger_obata.oracle import assess_geodesic_orbit
 from ledger_obata.serialize import metric_to_dict, read_metric, write_metric
 from ledger_obata.trees import PartitionPair
 
@@ -431,6 +432,20 @@ def test_indeterminate_falls_back_to_oracle(tmp_path, monkeypatch, capsys):
     assert report["go_final"] == "yes"
     assert report["agreement"] is True
 
+    # verify reuses the fallback's assessment instead of running the oracle again
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return assess_geodesic_orbit(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "assess_geodesic_orbit", counted)
+    code, report = run_json(capsys, ["verify", "--input", str(path), "--samples", "10"])
+    assert code == 0
+    assert len(calls) == 1
+    assert report["go_oracle"] == report["go_oracle_fallback"]
+    assert report["go_oracle_assessment"] == "confirmed"
+
 
 def test_console_entry_point_registered():
     # The declaration in pyproject.toml is the source of truth: installed
@@ -531,6 +546,28 @@ def test_unread_flag_exits_1_from_the_console(argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "nodes, codes",
+    [
+        ("1,1.0000001,2", (0,)),
+        ("1,1.000000001,1.000000002,3", (0, 1)),
+        ("1,1.0000000000000002,2", (1,)),
+    ],
+    ids=["close", "three-close", "adjacent-doubles"],
+)
+def test_generate_on_close_nodes_ends(nodes, codes):
+    # a subprocess, so that a hang fails at the timeout instead of stalling the suite
+    env = dict(os.environ)
+    path = [str(ROOT / "src"), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in path if p)
+    argv = [sys.executable, "-m", "ledger_obata.cli", "generate", "--z", nodes]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode in codes
+    assert "Traceback" not in proc.stderr
+    if codes == (1,):
+        assert "no double lies strictly between the nodes" in proc.stderr
+
+
 PINNED_FORM = {"m": 3, "repr": "form", "a": [[2.0, 1.0], [1.0, 3.0]]}
 
 
@@ -596,3 +633,17 @@ def test_subnormal_form_matches_the_unscaled_form(tmp_path, capsys):
             decomposed["factor_sizes"],
         )
     assert reports[1e-310] == reports[1.0] == ("invariant_form", [[0], [1]], "yes", [3])
+
+
+@pytest.mark.parametrize("scale", [1e-318, 1e-320])
+def test_verify_checks_the_classifier_certificate_at_any_scale(tmp_path, capsys, scale):
+    # the reported weights keep only a few digits this far below 2.2e-308
+    path = tmp_path / "form.json"
+    a = scale * np.array([[1.0, 0.3], [0.3, 2.0]])
+    path.write_text(json.dumps({"m": 3, "repr": "form", "a": a.tolist()}))
+    code, report = run_json(capsys, ["verify", "--input", str(path), "--samples", "20"])
+    assert code == 0
+    assert report["natred"]["case"] == "invariant_form"
+    assert report["natred_certificate_source"] == "classifier"
+    assert report["natred_certificate"]["verdict"] is True
+    assert report["ok"] is True

@@ -200,3 +200,32 @@ def test_subalgebra_partition_requires_ones_and_closure():
     not_closed = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 0.0, 0.0]])
     with pytest.raises(ClosureError):
         subalgebra_partition(not_closed)
+
+
+def mixed_indicator_span(rng, labels, extra):
+    """Random spanning set of the indicators of the partition ``labels``."""
+    parts = [np.flatnonzero(labels == label) for label in np.unique(labels)]
+    indicators = np.zeros((len(parts), labels.size))
+    for r, part in enumerate(parts):
+        indicators[r, part] = 1.0
+    mixing = rng.normal(size=(len(parts) + extra, len(parts)))
+    return mixing @ indicators, sorted(tuple(int(i) for i in part) for part in parts)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_subalgebra_partition_recovers_relabelled_partitions(seed):
+    rng = np.random.default_rng([202, seed])
+    for _ in range(40):
+        n = int(rng.integers(1, 25))
+        labels = rng.integers(0, int(rng.integers(1, n + 1)), size=n)
+        spanning, parts = mixed_indicator_span(rng, labels, int(rng.integers(0, 4)))
+        assert subalgebra_partition(spanning) == parts
+
+
+def test_subalgebra_partition_splits_two_halves_of_twelve():
+    rng = np.random.default_rng(24)
+    for _ in range(20):
+        labels = rng.permutation(np.repeat([0, 1], 12))
+        spanning, parts = mixed_indicator_span(rng, labels, int(rng.integers(0, 3)))
+        assert subalgebra_partition(spanning) == parts
+        assert [len(p) for p in parts] == [12, 12]

@@ -166,6 +166,49 @@ def test_validate_rejects_rule_violations():
         PartitionPair(((1, 2), (2, 3)), ((1,), (2,), (3,))).validate()
 
 
+def test_validate_raises_exactly_on_the_rule_violations():
+    for m in range(2, 6):
+        partitions = [
+            canon(p) for p in all_set_partitions(list(range(1, m + 1)))
+        ]
+        for p1 in partitions:
+            for p2 in partitions:
+                try:
+                    PartitionPair(p1, p2).validate()
+                    admitted = True
+                except ParameterError:
+                    admitted = False
+                assert admitted == admissible_by_rules(p1, p2, m), (p1, p2)
+
+
+def path_pair(m):
+    """The pair of the path 0 - 1 - .. - m whose edge x joins x - 1 and x."""
+    first = [[x for x in (v, v + 1) if 1 <= x <= m] for v in range(0, m + 1, 2)]
+    second = [[x for x in (v, v + 1) if 1 <= x <= m] for v in range(1, m + 1, 2)]
+    return PartitionPair(canon(first), canon(second))
+
+
+def test_long_path_pair_validates_and_violations_are_named():
+    pair = path_pair(31)
+    assert pair.factor_sizes == (16, 16)
+    pair.validate()
+    edges = pair.tree_edges()
+    assert len(edges) == 31
+    assert edge_set(edges) == edge_set(
+        (x // 2, 16 + (x - 1) // 2) for x in range(1, 32)
+    )
+    # (29, 30), (31,) -> (29,), (30, 31) on the second side repeats the
+    # edge 30, 31 of the part (30, 31) on the first side
+    second = [p for p in pair.second if p not in ((29, 30), (31,))]
+    looped = PartitionPair(pair.first, canon([*second, (29,), (30, 31)]))
+    with pytest.raises(ParameterError, match=r"\(30, 31\) and \(30, 31\) share"):
+        looped.validate()
+    # m + 1 parts without a repeated edge: a 4-cycle beside the edge 5
+    split = PartitionPair(((1, 2), (3, 4), (5,)), ((1, 3), (2, 4), (5,)))
+    with pytest.raises(ParameterError, match=r"invariant index set \[1, 2, 3, 4\]"):
+        split.validate()
+
+
 def test_enumeration_bounds():
     assert enumerate_partition_pairs(2) == []
     with pytest.raises(ParameterError):
