@@ -28,7 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeff import (
+    ADAPTED_TOL,
     AdaptedSystem,
+    adaptedness_error,
     cluster_indices,
     is_super_adapted,
 )
@@ -444,12 +446,23 @@ def go_family(
     """Geodesic-orbit metric with weights gamma_i = t_i / (rho + lam * t_i).
 
     ``rho`` must be nonzero and every denominator positive so the weights
-    are positive.  Returns the metric, the underlying family and the
-    weights.
+    are positive.  Nodes so close that the family misses ``ADAPTED_TOL``
+    are a ParameterError: the roots then lie so near the nodes that
+    z / (z - t) loses its digits to cancellation.  Returns the metric, the
+    underlying family and the weights.
     """
     if rho == 0:
         raise ParameterError("rho must be nonzero")
     fam = super_adapted_family(z)
+    error = adaptedness_error(fam.vectors)
+    if error > ADAPTED_TOL:
+        gaps = np.diff(np.asarray(z, dtype=float))
+        i = int(np.argmin(gaps))
+        raise ParameterError(
+            f"nodes are ill-conditioned: the closest gap, z_{i + 2} - z_{i + 1} = "
+            f"{gaps[i]:.3g}, leaves the family an adaptedness error of {error:.3g} "
+            f"({ADAPTED_TOL:g} allowed)"
+        )
     denom = rho + lam * fam.roots
     if np.any(denom <= 0):
         bad = int(np.argmin(denom))

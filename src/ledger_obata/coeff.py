@@ -20,6 +20,8 @@ from .errors import ClosureError, InputError, SelfSaturationError
 RANK_RTOL = 1e-10
 # An entry counts as zero when below this fraction of the vector norm.
 ZERO_RTOL = 1e-9
+# Largest deviation from zero sums and orthonormality of an adapted system.
+ADAPTED_TOL = 1e-8
 
 
 def diamond(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -67,13 +69,16 @@ class AdaptedSystem:
         return self.vectors.shape[1]
 
 
-def is_adapted(system: AdaptedSystem, tol: float = 1e-8) -> bool:
+def adaptedness_error(v: np.ndarray) -> float:
+    """Largest deviation of the rows of v from zero sums and orthonormality."""
+    sums = np.max(np.abs(v.sum(axis=1)))
+    products = np.max(np.abs(v @ v.T - np.eye(v.shape[0])))
+    return float(max(sums, products))
+
+
+def is_adapted(system: AdaptedSystem, tol: float = ADAPTED_TOL) -> bool:
     """True when the vectors are zero-sum, unit and pairwise orthogonal."""
-    v = system.vectors
-    if np.max(np.abs(v.sum(axis=1))) > tol:
-        return False
-    gram = v @ v.T
-    return bool(np.max(np.abs(gram - np.eye(v.shape[0]))) <= tol)
+    return adaptedness_error(system.vectors) <= tol
 
 
 def cluster_indices(values: np.ndarray, cluster_tol: float = 1e-8) -> list[list[int]]:

@@ -167,11 +167,11 @@ def zero_sum_basis(m: int) -> np.ndarray:
 class EigenData:
     """Adapted system of T with its eigenvalue clusters.
 
-    ``clusters`` lists index groups of equal weights (ascending);
-    ``self_saturated`` records, per cluster, whether the eigenspace is
-    closed under diamond products of orthogonal pairs.  For self-saturated
-    multi-dimensional clusters the basis rows are replaced by the canonical
-    self-saturated basis.
+    ``clusters`` lists the runs of consecutive indices with equal weights
+    (ascending); ``self_saturated`` records, per cluster, whether the
+    eigenspace is closed under diamond products of orthogonal pairs.  For
+    self-saturated multi-dimensional clusters the basis rows are replaced by
+    the canonical self-saturated basis.
     """
 
     system: AdaptedSystem

@@ -10,15 +10,17 @@ backend, so agreement between the two is meaningful evidence.
 Replay contract: sample i of a run with base seed ``seed`` is drawn from
 ``default_rng([seed, i])``, so any failing sample can be recomputed alone.
 
-The GO oracle and the certificate check run batched.  Samples are drawn one
-chunk of ``CHUNK`` at a time (only the generator calls loop in Python),
-stacked into (S, m, d) arrays, and centred, normalised, projected and
-measured for the whole chunk in numpy; only the residual vector is kept, so
-the working set does not grow with ``samples``.  Each slice of a chunk
-goes through the same operations, in the same order, as a lone sample, so
-``go_sample_residual`` replays any sample of ``go_oracle`` bit for bit, and
-the reports agree with a one-sample-at-a-time loop to rounding level.
-``brackets_property_check`` still loops over samples: see its docstring.
+All three checks run batched.  Samples are drawn one chunk of ``CHUNK`` at
+a time (only the generator calls loop in Python), stacked into (S, m, d)
+arrays, and centred, normalised, projected, solved and measured for the
+whole chunk in numpy; only the residual vector is kept, so the working set
+does not grow with ``samples``.  In the GO oracle and the certificate check
+each slice of a chunk goes through the same operations, in the same order,
+as a lone sample, so ``go_sample_residual`` replays any sample of
+``go_oracle`` bit for bit.  ``brackets_property_check`` solves its
+least-squares steps by batched SVD instead of one ``np.linalg.lstsq`` per
+sample, with the same cutoff.  All three agree with a one-sample-at-a-time
+loop to rounding level.
 """
 
 from __future__ import annotations
@@ -97,10 +99,6 @@ def _report(kind, residuals, extra, samples, seed, tol, notes=""):
 def _ad_rows(sc: StructureConstants, u: np.ndarray) -> np.ndarray:
     """Stack of ad matrices, one per row of u: out[..., l, :, :] @ w = [u_l, w]."""
     return np.einsum("...i,ijk->...kj", u, sc.c)
-
-
-def _weighted_norm(gram: np.ndarray, u: np.ndarray) -> float:
-    return float(np.sqrt(max(np.einsum("la,ab,lb->", u, gram, u), 0.0)))
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -404,28 +402,112 @@ def natred_certificate_check(
 # -- bracket identities behind the classifier --------------------------------
 
 
-def _null_space(mat: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
-    """Orthonormal columns spanning the right null space."""
-    _, svals, vt = np.linalg.svd(mat)
-    if svals.size == 0 or svals[0] == 0.0:
-        return np.eye(mat.shape[1])
-    rank = int(np.sum(svals > rtol * svals[0]))
-    return vt[rank:].T
+def _off_range(lhs: np.ndarray, rhs: np.ndarray, size) -> np.ndarray:
+    """rhs minus its least-squares fit by the columns of lhs, for each slice.
 
-
-def _weighted_lstsq(gram: np.ndarray, columns: np.ndarray, target: np.ndarray) -> float:
-    """Minimal weighted norm of target - columns @ u over u.
-
-    ``columns`` has shape (m, d, k) mapping the unknown u to row blocks;
-    ``target`` is (m, d); rows are weighted by the Gram matrix.
+    ``lhs`` is (S, M, N) and ``rhs`` (S, M).  Singular values up to
+    eps * size times the largest count as zero: with ``size`` the larger
+    dimension of the unpadded problem this is the cutoff of
+    ``np.linalg.lstsq(..., rcond=None)``.  Zero columns of ``lhs`` change
+    neither the fit nor the singular values kept, so callers may pad with
+    them.
     """
-    if columns.shape[2] == 0:
-        return _weighted_norm(gram, target)
-    root = np.linalg.cholesky(gram)
-    lhs = np.einsum("ab,lbk->lak", root.T, columns).reshape(-1, columns.shape[2])
-    rhs = (target @ root).reshape(-1)
-    solution, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-    return float(np.linalg.norm(rhs - lhs @ solution))
+    u, svals, _ = np.linalg.svd(lhs, full_matrices=False)
+    keep = svals > np.finfo(float).eps * size * svals[:, :1]
+    coef = np.einsum("snk,sn->sk", u, rhs) * keep
+    return rhs - np.einsum("snk,sk->sn", u, coef)
+
+
+def _lstsq_residuals(root: np.ndarray, columns: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Minimal weighted norm of target - columns @ u over u, for each slice.
+
+    ``columns`` is (S, m, d, k), mapping the unknown u to row blocks, with
+    k <= m*d; ``target`` is (S, m, d); rows are weighted by the Gram matrix
+    ``root @ root.T``.
+    """
+    lhs = np.einsum("ab,slbk->slak", root.T, columns).reshape(len(columns), -1, columns.shape[3])
+    rhs = (target @ root).reshape(len(target), -1)
+    return np.linalg.norm(_off_range(lhs, rhs, lhs.shape[1]), axis=1)
+
+
+def _draw_in_clusters(seed, indices, rows, pairs, shape):
+    """Draws of the bracket check for samples ``indices``, as (4, S, *shape).
+
+    Sample i is drawn from default_rng([seed, i]): x and y for cluster pair
+    i % len(pairs) (when there are pairs), then x and a raw second element
+    for cluster i % len(rows).  A draw for a cluster fills that cluster's
+    slice of ``rows``, its coefficients over the cluster's eigenvectors,
+    and leaves every other row zero.
+    """
+    draws = np.zeros((4, len(indices), *shape))
+    for j, i in enumerate(indices):
+        rng = np.random.default_rng([seed, i])
+        if pairs:
+            for k, c in enumerate(pairs[i % len(pairs)]):
+                rng.standard_normal(out=draws[k, j, rows[c]])
+        for k in (2, 3):
+            rng.standard_normal(out=draws[k, j, rows[i % len(rows)]])
+    return draws
+
+
+def _pair_residuals(sc, x, y, alpha, beta, include_centralizers):
+    """Identities (i) and (ii) of the bracket check on stacks x, y (S, m, d).
+
+    x and y come from clusters with weights alpha and beta (S,).  Returns
+    the larger least-squares residual of the two identities per slice.
+    """
+    root = np.linalg.cholesky(sc.gram)
+    target = product_bracket(sc, x, y)
+    ads_x, ads_y = _ad_rows(sc, x), _ad_rows(sc, y)
+    shared = -(
+        (alpha / (beta - alpha))[:, None, None, None] * ads_x
+        + (beta / (beta - alpha))[:, None, None, None] * ads_y
+    )
+    worst = _lstsq_residuals(root, shared, target)
+    if include_centralizers:
+        d = sc.dim
+        ads = np.stack([ads_x, ads_y]).reshape(2 * len(x), -1, d)
+        _, svals, vt = np.linalg.svd(ads, full_matrices=False)
+        # right null space at 1e-10 relative, as zero-padded columns;
+        # all of f when ad vanishes
+        null = vt.transpose(0, 2, 1) * (svals <= 1e-10 * svals[:, :1])[:, None, :]
+        null_x, null_y = null.reshape(2, len(x), d, d)
+        columns = -np.concatenate(
+            [np.einsum("slab,sbk->slak", ads_y, null_x),
+             np.einsum("slab,sbk->slak", ads_x, null_y)],
+            axis=3,
+        )
+        worst = np.maximum(worst, _lstsq_residuals(root, columns, target))
+    return worst
+
+
+def _leak_residuals(sc, vectors, x, raw, mask):
+    """Identity (iii) of the bracket check on a stack x (S, m, d).
+
+    ``raw`` (S, m-1, d) holds coefficients over the eigenvectors
+    ``vectors`` of a second element, zero off the rows that ``mask``
+    (S, m-1) marks as x's cluster.  It is projected onto the elements whose
+    paired brackets with x sum to zero, and the complement part of their
+    bracket is measured off the cluster.
+    """
+    d = sc.dim
+    # column (b) of the transposed constraint holds component b of the
+    # paired brackets sum_l [x_l, y_l] as a function of y's coefficients
+    constraint = np.einsum("al,slbc->sacb", vectors, _ad_rows(sc, x)) * mask[..., None, None]
+    constraint = constraint.reshape(len(x), -1, d)
+    # removing the min-norm lstsq correction leaves the part of raw that
+    # meets the constraint; lstsq's cutoff is taken on the unpadded (d, k*d)
+    sizes = d * mask.sum(axis=1)[:, None]
+    kept = _off_range(constraint, raw.reshape(len(x), -1), sizes).reshape(raw.shape)
+    y = vectors.T @ kept
+    norm = np.linalg.norm(y, axis=(1, 2))
+    live = norm > 1e-10
+    y /= np.where(live, norm, 1.0)[:, None, None]
+    rest = product_bracket(sc, x, y)
+    rest -= rest.mean(axis=1, keepdims=True)
+    leak = rest - vectors.T @ ((vectors @ rest) * mask[..., None])
+    quad = np.einsum("sla,ab,slb->s", leak, sc.gram, leak)
+    return np.where(live, np.sqrt(np.maximum(quad, 0.0)), 0.0)
 
 
 def brackets_property_check(
@@ -446,71 +528,39 @@ def brackets_property_check(
     their bracket's complement part inside the cluster.  On non-GO input
     some residual is expected to blow up, documenting necessity.
 
-    Unlike the other two oracles this check runs one sample at a time.
-    Batching it is possible (batched normal equations for the least-squares
-    steps) but waits for the benchmark to stop keeping every report of a
-    timed run: the faster ``lot verify`` would then keep more reports and
-    read as a memory regression.
+    Runs batched like the other two oracles.  Only the draws loop in
+    Python; each draw is lifted through the full eigenbasis with zeros off
+    its cluster, so every sample of a chunk stacks into one (S, m, d) array
+    whatever its cluster sizes.  The brackets, the least-squares steps
+    (batched SVD with ``lstsq``'s default cutoff), the leak norm and the
+    centralizers then run once per chunk.  Residuals agree with a
+    one-sample-at-a-time loop over ``np.linalg.lstsq`` to rounding level.
     """
     _require_samples(samples)
     sc = backend if backend is not None else default_backend()
     eigen = eigendecompose(metric, cluster_tol)
     vectors = eigen.system.vectors
-    gammas = eigen.system.gammas
-    d = sc.dim
-    gram = sc.gram
-    clusters = eigen.clusters
-    pairs = [
-        (a, b) for a in range(len(clusters)) for b in range(len(clusters)) if a < b
-    ]
-
-    def sample_in(rng, cluster):
-        basis = vectors[list(cluster)]
-        x = basis.T @ rng.standard_normal((len(cluster), d))
-        return x / max(np.linalg.norm(x), 1e-300)
+    # clusters are runs of consecutive eigenvectors
+    rows = [slice(cluster[0], cluster[-1] + 1) for cluster in eigen.clusters]
+    members = np.zeros((len(rows), len(vectors)), dtype=bool)
+    for c, cluster in enumerate(rows):
+        members[c, cluster] = True
+    pairs = [(a, b) for a in range(len(rows)) for b in range(len(rows)) if a < b]
+    pair_gammas = eigen.system.gammas[[rows[c].start for pair in pairs for c in pair]]
+    pair_gammas = pair_gammas.reshape(-1, 2)
 
     residuals = np.empty(samples)
-    for i in range(samples):
-        rng = np.random.default_rng([seed, i])
-        worst = 0.0
+    for start in range(0, samples, CHUNK):
+        chunk = range(start, min(start + CHUNK, samples))
+        index = np.arange(chunk.start, chunk.stop)
+        draws = _draw_in_clusters(seed, chunk, rows, pairs, (len(vectors), sc.dim))
+        # lift to (S, m, d) and normalise; a zero draw stays zero
+        lifted = vectors.T @ draws[:3]
+        lifted /= np.maximum(np.linalg.norm(lifted, axis=(2, 3)), 1e-300)[..., None, None]
+        worst = _leak_residuals(sc, vectors, lifted[2], draws[3], members[index % len(rows)])
         if pairs:
-            ca, cb = pairs[i % len(pairs)]
-            x = sample_in(rng, clusters[ca])
-            y = sample_in(rng, clusters[cb])
-            alpha = gammas[clusters[ca][0]]
-            beta = gammas[clusters[cb][0]]
-            target = product_bracket(sc, x, y)
-            shared = -(
-                alpha / (beta - alpha) * _ad_rows(sc, x)
-                + beta / (beta - alpha) * _ad_rows(sc, y)
-            )
-            worst = max(worst, _weighted_lstsq(gram, shared, target))
-            if include_centralizers:
-                ads_x = _ad_rows(sc, x)
-                ads_y = _ad_rows(sc, y)
-                null_x = _null_space(ads_x.reshape(-1, d))
-                null_y = _null_space(ads_y.reshape(-1, d))
-                columns = np.concatenate(
-                    [-np.einsum("lab,bk->lak", ads_y, null_x),
-                     -np.einsum("lab,bk->lak", ads_x, null_y)],
-                    axis=2,
-                )
-                worst = max(worst, _weighted_lstsq(gram, columns, target))
-        cluster = clusters[i % len(clusters)]
-        basis = vectors[list(cluster)]
-        x = sample_in(rng, cluster)
-        raw = rng.standard_normal((len(cluster), d))
-        # constraint: the paired brackets of x and y sum to zero
-        constraint = np.einsum("al,lbc->bac", basis, _ad_rows(sc, x)).reshape(d, -1)
-        flat = raw.reshape(-1)
-        correction, *_ = np.linalg.lstsq(constraint, constraint @ flat, rcond=None)
-        y = basis.T @ (flat - correction).reshape(len(cluster), d)
-        norm = np.linalg.norm(y)
-        if norm > 1e-10:
-            y /= norm
-            rest = product_bracket(sc, x, y)
-            rest = rest - rest.mean(axis=0)
-            leak = rest - (basis.T @ basis) @ rest
-            worst = max(worst, _weighted_norm(gram, leak))
-        residuals[i] = worst
+            alpha, beta = pair_gammas[index % len(pairs)].T
+            pair = _pair_residuals(sc, lifted[0], lifted[1], alpha, beta, include_centralizers)
+            worst = np.maximum(worst, pair)
+        residuals[chunk.start:chunk.stop] = worst
     return _report("bracket_properties", residuals, (), samples, seed, tol)

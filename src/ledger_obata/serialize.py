@@ -25,7 +25,12 @@ def _format_float(x: float) -> str:
 
 
 def dumps_numeric(obj: Any, indent: int = 0) -> str:
-    """Serialize dicts/lists/numbers/strings, floats at 17 significant digits."""
+    """Serialize dicts/lists/numbers/strings, floats at 17 significant digits.
+
+    A list of scalars prints on one line whatever its length.  A list that
+    holds dicts or lists prints on one line when that line has at most 72
+    characters, and one item per line otherwise.
+    """
     pad = " " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -40,7 +45,8 @@ def dumps_numeric(obj: Any, indent: int = 0) -> str:
         if not seq:
             return "[]"
         inner = ", ".join(dumps_numeric(v, indent + 2) for v in seq)
-        if len(inner) <= 72 and "\n" not in inner:
+        scalars = not any(isinstance(v, (dict, list, tuple, np.ndarray)) for v in seq)
+        if scalars or (len(inner) <= 72 and "\n" not in inner):
             return "[" + inner + "]"
         items = [f"{pad}  {dumps_numeric(v, indent + 2)}" for v in seq]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"

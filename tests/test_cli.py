@@ -504,6 +504,25 @@ def test_readme_flag_tables_match_the_parser():
     assert readme_flag_tables() == declared_flags()
 
 
+def readme_sample_output() -> dict[str, list[str]]:
+    """Each "$ lot ..." command of the README's sample output, with its lines."""
+    text = README.read_text().split("Sample output:", 1)[1]
+    block = text.split("```", 2)[1].strip("\n")
+    samples: dict[str, list[str]] = {}
+    for chunk in block.split("\n\n"):
+        command, *lines = chunk.splitlines()
+        samples[command.removeprefix("$ lot ")] = lines
+    return samples
+
+
+def test_readme_sample_output_matches_the_cli(capsys):
+    samples = readme_sample_output()
+    assert sorted(samples) == ["generate --z 1,2,3 --rho 1.0 --lambda 0.25", "trees --m 3"]
+    for command, lines in samples.items():
+        assert cli.main(command.split()) == 0
+        assert capsys.readouterr().out.splitlines() == lines
+
+
 @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
 def test_flags_of_other_subcommands_are_usage_errors(capsys, command):
     foreign = set().union(*COMMAND_FLAGS.values()) - COMMAND_FLAGS[command]
@@ -547,25 +566,30 @@ def test_unread_flag_exits_1_from_the_console(argv):
 
 
 @pytest.mark.parametrize(
-    "nodes, codes",
+    "nodes, code, message",
     [
-        ("1,1.0000001,2", (0,)),
-        ("1,1.000000001,1.000000002,3", (0, 1)),
-        ("1,1.0000000000000002,2", (1,)),
+        ("1,1.0000001,2", 0, ""),
+        # roots within 6e-10 of the nodes: z / (z - t) cancels about seven digits
+        (
+            "1,1.000000001,1.000000002,3",
+            1,
+            "error: nodes are ill-conditioned: the closest gap, z_3 - z_2 = 1e-09, "
+            "leaves the family an adaptedness error of",
+        ),
+        ("1,1.0000000000000002,2", 1, "no double lies strictly between the nodes"),
     ],
     ids=["close", "three-close", "adjacent-doubles"],
 )
-def test_generate_on_close_nodes_ends(nodes, codes):
+def test_generate_on_close_nodes_ends(nodes, code, message):
     # a subprocess, so that a hang fails at the timeout instead of stalling the suite
     env = dict(os.environ)
     path = [str(ROOT / "src"), env.get("PYTHONPATH")]
     env["PYTHONPATH"] = os.pathsep.join(p for p in path if p)
     argv = [sys.executable, "-m", "ledger_obata.cli", "generate", "--z", nodes]
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode in codes
+    assert proc.returncode == code
     assert "Traceback" not in proc.stderr
-    if codes == (1,):
-        assert "no double lies strictly between the nodes" in proc.stderr
+    assert message in proc.stderr
 
 
 PINNED_FORM = {"m": 3, "repr": "form", "a": [[2.0, 1.0], [1.0, 3.0]]}

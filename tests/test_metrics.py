@@ -279,3 +279,39 @@ def test_dumps_numeric_17_digits_parse_back():
     assert parsed["values"] == values
     with pytest.raises(InputError):
         dumps_numeric({"bad": float("nan")})
+
+
+NESTED_REPORT = {
+    "m": 4,
+    "ok": True,
+    "notes": "",
+    "empty": [],
+    "weights": np.array([0.5, 1.0 / 3.0, 2.0 ** -40, 7.0]),
+    "T": [[1.0 / 3.0 + k, -np.pi, 1e-300, 2.5] for k in range(4)],
+    "oracle": {"failures": list(range(1000)), "verdict": False, "tags": ["a", "b"]},
+    "splits": [{"path": "root", "first": [[1, 2], [3]], "edges": []}],
+}
+
+
+def test_dumps_numeric_parses_back_to_the_report():
+    parsed = json.loads(dumps_numeric(NESTED_REPORT))
+    assert parsed == json.loads(json.dumps(NESTED_REPORT, default=list))
+
+
+def test_dumps_numeric_prints_a_list_of_scalars_on_one_line():
+    lines = dumps_numeric({"failures": list(range(1000))}).splitlines()
+    assert lines[1] == '  "failures": [' + ", ".join(map(str, range(1000))) + "]"
+    assert len(lines) == 3
+
+
+def test_dumps_numeric_prints_long_nested_lists_one_item_per_line():
+    rows = [[1.0 / 3.0, 2.0 / 3.0, np.pi, np.e, 0.1] for _ in range(3)]
+    row_text = "[" + ", ".join(format(v, ".17g") for v in rows[0]) + "]"
+    assert len(row_text) > 72
+    lines = ["[", f"  {row_text},", f"  {row_text},", f"  {row_text}", "]"]
+    assert dumps_numeric(rows).splitlines() == lines
+    records = [{"k": 1}, {"k": 2}]
+    assert dumps_numeric(records).splitlines() == [
+        "[", "  {", '    "k": 1', "  },", "  {", '    "k": 2', "  }", "]"
+    ]
+    assert dumps_numeric([[1, 2], [3]]) == "[[1, 2], [3]]"

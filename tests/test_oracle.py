@@ -17,8 +17,10 @@ from ledger_obata.metrics import (
     MetricForm,
     MetricT,
     T_to_form,
+    eigendecompose,
     power_of_two_scale,
     standard_metric,
+    zero_sum_basis,
 )
 from ledger_obata.liealg import product_bracket
 from ledger_obata.oracle import (
@@ -301,6 +303,144 @@ def test_bracket_properties_on_go_and_dense_metrics(backend):
     dense = dense_nonreductive_metric(rng, 4)
     report = brackets_property_check(dense, backend, samples=30, seed=6)
     assert not report.verdict
+
+
+def _ad_rows(sc, u):
+    return np.einsum("...i,ijk->...kj", u, sc.c)
+
+
+def _weighted_norm(gram, u):
+    return float(np.sqrt(max(np.einsum("la,ab,lb->", u, gram, u), 0.0)))
+
+
+def _null_space(mat, rtol=1e-10):
+    _, svals, vt = np.linalg.svd(mat)
+    if svals.size == 0 or svals[0] == 0.0:
+        return np.eye(mat.shape[1])
+    rank = int(np.sum(svals > rtol * svals[0]))
+    return vt[rank:].T
+
+
+def _weighted_lstsq(gram, columns, target):
+    if columns.shape[2] == 0:
+        return _weighted_norm(gram, target)
+    root = np.linalg.cholesky(gram)
+    lhs = np.einsum("ab,lbk->lak", root.T, columns).reshape(-1, columns.shape[2])
+    rhs = (target @ root).reshape(-1)
+    solution, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
+    return float(np.linalg.norm(rhs - lhs @ solution))
+
+
+def bracket_residuals_by_loop(metric, sc, samples, seed, include_centralizers):
+    """The bracket check's residuals, one sample at a time with np.linalg.lstsq."""
+    eigen = eigendecompose(metric)
+    vectors, gammas, clusters = eigen.system.vectors, eigen.system.gammas, eigen.clusters
+    d, gram = sc.dim, sc.gram
+    pairs = [(a, b) for a in range(len(clusters)) for b in range(len(clusters)) if a < b]
+
+    def sample_in(rng, cluster):
+        x = vectors[list(cluster)].T @ rng.standard_normal((len(cluster), d))
+        return x / max(np.linalg.norm(x), 1e-300)
+
+    residuals = np.empty(samples)
+    for i in range(samples):
+        rng = np.random.default_rng([seed, i])
+        worst = 0.0
+        if pairs:
+            ca, cb = pairs[i % len(pairs)]
+            x = sample_in(rng, clusters[ca])
+            y = sample_in(rng, clusters[cb])
+            alpha, beta = gammas[clusters[ca][0]], gammas[clusters[cb][0]]
+            target = product_bracket(sc, x, y)
+            ads_x, ads_y = _ad_rows(sc, x), _ad_rows(sc, y)
+            shared = -(alpha / (beta - alpha) * ads_x + beta / (beta - alpha) * ads_y)
+            worst = max(worst, _weighted_lstsq(gram, shared, target))
+            if include_centralizers:
+                null_x = _null_space(ads_x.reshape(-1, d))
+                null_y = _null_space(ads_y.reshape(-1, d))
+                columns = np.concatenate(
+                    [-np.einsum("lab,bk->lak", ads_y, null_x),
+                     -np.einsum("lab,bk->lak", ads_x, null_y)],
+                    axis=2,
+                )
+                worst = max(worst, _weighted_lstsq(gram, columns, target))
+        cluster = clusters[i % len(clusters)]
+        basis = vectors[list(cluster)]
+        x = sample_in(rng, cluster)
+        raw = rng.standard_normal((len(cluster), d))
+        constraint = np.einsum("al,lbc->bac", basis, _ad_rows(sc, x)).reshape(d, -1)
+        flat = raw.reshape(-1)
+        correction, *_ = np.linalg.lstsq(constraint, constraint @ flat, rcond=None)
+        y = basis.T @ (flat - correction).reshape(len(cluster), d)
+        norm = np.linalg.norm(y)
+        if norm > 1e-10:
+            y /= norm
+            rest = product_bracket(sc, x, y)
+            rest = rest - rest.mean(axis=0)
+            worst = max(worst, _weighted_norm(gram, rest - (basis.T @ basis) @ rest))
+        residuals[i] = worst
+    return residuals
+
+
+def generic_eigenspace_metric(gammas):
+    """Metric with weights ``gammas`` on a randomly rotated zero-sum basis."""
+    rotation = np.linalg.qr(np.random.default_rng(4).normal(size=(len(gammas),) * 2))[0]
+    basis = rotation.T @ zero_sum_basis(len(gammas) + 1)
+    t = basis.T @ np.diag(gammas) @ basis
+    return MetricT((t + t.T) / 2)
+
+
+def invariant_form_metric(alphas):
+    alphas = np.asarray(alphas, dtype=float)
+    return MetricT(np.diag(alphas) - np.outer(alphas, alphas) / alphas.sum())
+
+
+BRACKET_METRICS = {
+    # equal weights give a two-dimensional eigenvalue cluster
+    "go-repeated-cluster": (invariant_form_metric([1.0, 1.0, 1.0, 2.0, 3.0]), 1e-8),
+    # one cluster, so no cluster pairs
+    "standard-m5": (standard_metric(5), 1e-8),
+    # a tolerance inside the residual range makes failures a proper subset
+    "dense-m5": (dense_nonreductive_metric(np.random.default_rng(8), 5), 0.1),
+    # a generic eigenplane: identity (iii) fails and sets part of the residuals
+    "dense-repeated-cluster": (generic_eigenspace_metric([1.0, 1.0, 2.0, 3.0]), 0.3),
+}
+
+
+@pytest.mark.parametrize("centralizers", [False, True], ids=["plain", "centralizers"])
+@pytest.mark.parametrize("samples", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+@pytest.mark.parametrize("name", sorted(BRACKET_METRICS))
+def test_brackets_property_check_chunks_match_sample_loop(backend, name, samples, centralizers):
+    metric, tol = BRACKET_METRICS[name]
+    report = brackets_property_check(
+        metric, backend, samples=samples, seed=17, tol=tol, include_centralizers=centralizers
+    )
+    residuals = bracket_residuals_by_loop(metric, backend, samples, 17, centralizers)
+    assert report.samples == samples
+    assert report.failures == tuple(int(i) for i in np.nonzero(residuals >= tol)[0])
+    assert abs(report.max_residual - residuals.max()) <= 1e-12
+    assert abs(report.residual_min - residuals.min()) <= 1e-12
+    assert abs(report.residual_median - np.median(residuals)) <= 1e-12
+    assert report.verdict == bool(residuals.max() < tol)
+    if name.startswith("dense") and samples > CHUNK:
+        assert 0 < len(report.failures) < samples
+
+
+@pytest.mark.parametrize("centralizers", [False, True], ids=["plain", "centralizers"])
+def test_brackets_property_check_working_set_does_not_grow_with_samples(backend, centralizers):
+    metric = dense_nonreductive_metric(np.random.default_rng(3), 6)
+    brackets_property_check(metric, backend, samples=CHUNK, seed=1)
+    tracemalloc.start()
+    try:
+        report = brackets_property_check(
+            metric, backend, samples=3200, seed=1, include_centralizers=centralizers
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.samples == 3200
+    # the draws of all 3200 samples alone would take 1.5 MB
+    assert peak < 1024 * 1024
 
 
 def test_oracle_report_round_trip(backend):
