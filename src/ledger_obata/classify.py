@@ -31,7 +31,7 @@ from .coeff import (
     ADAPTED_TOL,
     AdaptedSystem,
     adaptedness_error,
-    cluster_indices,
+    _cluster_labels,
     is_super_adapted,
 )
 from .errors import InputError, ParameterError
@@ -244,15 +244,12 @@ class GoVerdict(enum.Enum):
 class GoCertificate:
     """Witness for the geodesic-orbit property.
 
-    ``system`` is the canonical adapted system; ``coef_on_first`` and
-    ``coef_on_second`` hold the projections of b^i <> b^j onto b^i and b^j;
-    ``constants`` holds the per-direction values C_i with
-    (1 - gamma_i/gamma_j) * coef_on_second[i, j] = C_i for every j != i.
+    ``system`` is the canonical adapted system; ``constants`` holds the
+    per-direction values C_i with (1 - gamma_i/gamma_j) (b^i <> b^j) . b^j
+    = C_i for every j outside the cluster of i.
     """
 
     system: AdaptedSystem
-    coef_on_first: np.ndarray
-    coef_on_second: np.ndarray
     constants: np.ndarray
 
 
@@ -280,22 +277,21 @@ def classify_go(
     reductive classifier and the numeric oracle.
     """
     eigen = eigendecompose(metric, cluster_tol)
-    system = eigen.system
-    n = system.vectors.shape[0]
-    multi = [cl for cl in eigen.clusters if len(cl) > 1]
+    gammas = eigen.system.gammas
+    n = len(gammas)
+    label = _cluster_labels(eigen.clusters, n)
+    repeated = np.bincount(label)[label] > 1
+
+    def no(reason: str) -> GoResult:
+        return GoResult(GoVerdict.NO, reason=reason, eigen=eigen)
 
     for cl, saturated in zip(eigen.clusters, eigen.self_saturated):
         if not saturated:
-            gamma = system.gammas[cl[0]]
-            return GoResult(
-                GoVerdict.NO,
-                reason=f"eigenspace of weight {gamma:.12g} is not self-saturated",
-                eigen=eigen,
-            )
+            return no(f"eigenspace of weight {gammas[cl[0]]:.12g} is not self-saturated")
 
-    ok, check = is_super_adapted(system, tol, cluster_tol)
+    ok, check = is_super_adapted(eigen.system, tol, cluster_tol)
     if not ok:
-        if multi:
+        if repeated.any():
             return GoResult(
                 GoVerdict.INDETERMINATE,
                 reason=(
@@ -304,50 +300,30 @@ def classify_go(
                 ),
                 eigen=eigen,
             )
-        return GoResult(
-            GoVerdict.NO,
-            reason=f"span test failed at pair {check.worst_pair}",
-            eigen=eigen,
-        )
+        return no(f"span test failed at pair {check.worst_pair}")
 
-    label = np.empty(n, dtype=int)
-    for ci, cl in enumerate(eigen.clusters):
-        label[list(cl)] = ci
-    cluster_size = {ci: len(cl) for ci, cl in enumerate(eigen.clusters)}
-    gammas = system.gammas
+    # compatibility values; a repeated direction needs all of them to vanish
+    # across clusters, and a simple direction needs its row to be constant
+    values = (1.0 - gammas[:, None] / gammas) * check.on_second
+    across = label[:, None] != label
+    bad = across & (np.abs(values) > tol) & repeated[:, None]
+    spread = values.max(axis=1, where=across, initial=-np.inf) - values.min(
+        axis=1, where=across, initial=np.inf
+    )
+    failing = np.flatnonzero(bad.any(axis=1) | (~repeated & (spread > tol)))
+    if failing.size:
+        i = int(failing[0])
+        if repeated[i]:
+            return no(
+                f"direction {i} sits in a repeated eigenvalue but has "
+                f"nonzero compatibility value {values[i, np.argmax(bad[i])]:.3e}"
+            )
+        return no(f"compatibility values for direction {i} spread by {spread[i]:.3e}")
+    # a simple direction's values are its row off the diagonal, summed in order
+    off_diagonal = values[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    constants = np.where(repeated, 0.0, off_diagonal.sum(axis=1) / max(n - 1, 1))
 
-    constants = np.zeros(n)
-    for i in range(n):
-        values = [
-            (1.0 - gammas[i] / gammas[j]) * check.on_second[i, j]
-            for j in range(n)
-            if label[j] != label[i]
-        ]
-        if cluster_size[label[i]] > 1:
-            bad = [v for v in values if abs(v) > tol]
-            if bad:
-                return GoResult(
-                    GoVerdict.NO,
-                    reason=(
-                        f"direction {i} sits in a repeated eigenvalue but has "
-                        f"nonzero compatibility value {bad[0]:.3e}"
-                    ),
-                    eigen=eigen,
-                )
-            constants[i] = 0.0
-        elif values:
-            spread = max(values) - min(values)
-            if spread > tol:
-                return GoResult(
-                    GoVerdict.NO,
-                    reason=f"compatibility values for direction {i} spread by {spread:.3e}",
-                    eigen=eigen,
-                )
-            constants[i] = float(np.mean(values))
-        else:
-            constants[i] = 0.0
-
-    cert = GoCertificate(system, check.on_first, check.on_second, constants)
+    cert = GoCertificate(eigen.system, constants)
     return GoResult(GoVerdict.YES, certificate=cert, eigen=eigen)
 
 
@@ -429,6 +405,8 @@ def super_adapted_family(z: np.ndarray) -> SuperAdaptedFamily:
     m = z.size
     if m < 2:
         raise ParameterError("need at least two nodes")
+    if not np.all(np.isfinite(z)):
+        raise ParameterError("nodes must be finite")
     if np.any(z <= 0):
         raise ParameterError("nodes must be positive")
     if np.any(np.diff(z) <= 0):
@@ -445,12 +423,15 @@ def go_family(
 ) -> tuple[MetricT, SuperAdaptedFamily, np.ndarray]:
     """Geodesic-orbit metric with weights gamma_i = t_i / (rho + lam * t_i).
 
-    ``rho`` must be nonzero and every denominator positive so the weights
-    are positive.  Nodes so close that the family misses ``ADAPTED_TOL``
-    are a ParameterError: the roots then lie so near the nodes that
-    z / (z - t) loses its digits to cancellation.  Returns the metric, the
-    underlying family and the weights.
+    ``rho`` and ``lam`` must be finite, ``rho`` nonzero and every
+    denominator positive so the weights are positive.  Nodes so close that
+    the family misses ``ADAPTED_TOL`` are a ParameterError: the roots then
+    lie so near the nodes that z / (z - t) loses its digits to cancellation.
+    Returns the metric, the underlying family and the weights.
     """
+    for name, value in (("rho", rho), ("lambda", lam)):
+        if not np.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")
     if rho == 0:
         raise ParameterError("rho must be nonzero")
     fam = super_adapted_family(z)

@@ -329,10 +329,13 @@ def _validate(args) -> None:
     """Check the numeric flags that the parsed subcommand has."""
     given = vars(args)
     for name in ("tol", "cluster_tol", "split_tol"):
-        if name in given and given[name] <= 0:
-            raise InputError(f"--{name.replace('_', '-')} must be positive")
+        # NaN fails every comparison, so ask for what is allowed
+        if name in given and not (np.isfinite(given[name]) and given[name] > 0):
+            raise InputError(f"--{name.replace('_', '-')} must be finite and positive")
     if given.get("samples", 1) < 1:
         raise InputError("--samples must be at least 1")
+    if given.get("seed", 0) < 0:
+        raise InputError("--seed must be at least 0")
 
 
 @functools.lru_cache(maxsize=None)

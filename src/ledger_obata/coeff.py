@@ -100,14 +100,45 @@ def cluster_indices(values: np.ndarray, cluster_tol: float = 1e-8) -> list[list[
     return clusters
 
 
+def diamond_tensor(vectors: np.ndarray) -> np.ndarray:
+    """c[i, j, k] = (b^i <> b^j) . b^k for the rows b^i of ``vectors``.
+
+    With orthonormal rows, c[i, j] holds the coordinates of the projection
+    of b^i <> b^j onto their span.
+    """
+    v = np.asarray(vectors, dtype=float)
+    return (v[:, None] * v[None]) @ v.T
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Norm of each slice x[i], bit for bit np.linalg.norm's: a (1, n) @ (n, 1)
+    matmul takes the dot routine of the norm of one flattened slice."""
+    flat = x.reshape(len(x), np.prod(x.shape[1:], dtype=int))  # also when x is empty
+    return np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None]))[:, 0, 0]
+
+
+def _off_span(basis: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Norm of each row of ``vectors`` off the span of the orthonormal rows of ``basis``."""
+    return _norms(vectors - (vectors @ basis.T) @ basis)
+
+
+def _cluster_labels(clusters, n: int) -> np.ndarray:
+    """Cluster number of each of the ``n`` indices that ``clusters`` groups."""
+    label = np.empty(n, dtype=int)
+    for ci, cl in enumerate(clusters):
+        label[list(cl)] = ci
+    return label
+
+
 @dataclass(frozen=True)
 class SuperAdaptedCheck:
     """Projection coefficients of all pairwise diamond products.
 
     on_first[i, j]  = (b^i <> b^j) . b^i
     on_second[i, j] = (b^i <> b^j) . b^j
-    ``max_residual`` is the largest off-span component over pairs with
-    distinct weights; ``worst_pair`` names the pair attaining it.
+    both zero for i = j.  ``max_residual`` is the largest off-span component
+    over pairs with distinct weights; ``worst_pair`` names the first pair in
+    row-major order attaining it, and is None when every residual is 0.
     """
 
     on_first: np.ndarray
@@ -129,28 +160,16 @@ def is_super_adapted(
     """
     v = system.vectors
     n = v.shape[0]
-    clusters = cluster_indices(system.gammas, cluster_tol)
-    label = np.empty(n, dtype=int)
-    for ci, cl in enumerate(clusters):
-        label[cl] = ci
-    on_first = np.zeros((n, n))
-    on_second = np.zeros((n, n))
-    max_res = 0.0
-    worst = None
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            prod = v[i] * v[j]
-            ci = float(prod @ v[i])
-            cj = float(prod @ v[j])
-            on_first[i, j] = ci
-            on_second[i, j] = cj
-            if label[i] != label[j]:
-                res = float(np.linalg.norm(prod - ci * v[i] - cj * v[j]))
-                if res > max_res:
-                    max_res = res
-                    worst = (i, j)
+    label = _cluster_labels(cluster_indices(system.gammas, cluster_tol), n)
+    c = diamond_tensor(v)
+    off = ~np.eye(n, dtype=bool)
+    on_first = np.where(off, np.diagonal(c, axis1=0, axis2=2).T, 0.0)
+    on_second = np.where(off, np.diagonal(c, axis1=1, axis2=2), 0.0)
+    rest = v[:, None] * v[None] - on_first[..., None] * v[:, None] - on_second[..., None] * v[None]
+    residuals = _norms(rest.reshape(n * n, -1)).reshape(n, n)
+    residuals[label[:, None] == label] = 0.0
+    max_res = float(residuals.max(initial=0.0))
+    worst = divmod(int(np.argmax(residuals)), n) if max_res > 0.0 else None
     return max_res <= tol, SuperAdaptedCheck(on_first, on_second, max_res, worst)
 
 
@@ -162,13 +181,6 @@ def _orthonormal_basis(spanning: np.ndarray) -> np.ndarray:
         return np.zeros((0, a.shape[1]))
     rank = int(np.sum(s > RANK_RTOL * s[0]))
     return vt[:rank]
-
-
-def _project_onto(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Project x onto the span of orthonormal ``rows``."""
-    if rows.shape[0] == 0:
-        return np.zeros_like(x)
-    return rows.T @ (rows @ x)
 
 
 def canonical_sign(v: np.ndarray, tol: float | None = None) -> np.ndarray:
@@ -198,17 +210,18 @@ def is_self_saturated(
     products.  Returns (verdict, witness pair or None).
     """
     basis = _orthonormal_basis(spanning)
-    k = basis.shape[0]
-    for i in range(k):
-        for j in range(i + 1, k):
-            prod = basis[i] * basis[j]
-            if np.linalg.norm(prod - _project_onto(basis, prod)) > tol:
-                return False, (basis[i], basis[j])
-            diff = basis[i] * basis[i] - basis[j] * basis[j]
-            if np.linalg.norm(diff - _project_onto(basis, diff)) > tol:
-                root2 = np.sqrt(2.0)
-                return False, ((basis[i] + basis[j]) / root2, (basis[i] - basis[j]) / root2)
-    return True, None
+    i, j = np.triu_indices(len(basis), 1)
+    u, w = basis[i], basis[j]
+    # the product and the square difference of each pair, interleaved
+    stack = np.stack([u * w, u * u - w * w], axis=1).reshape(-1, basis.shape[1])
+    failed = np.flatnonzero(_off_span(basis, stack) > tol)
+    if failed.size == 0:
+        return True, None
+    pair, kind = divmod(int(failed[0]), 2)
+    u, w = u[pair], w[pair]
+    if kind:
+        u, w = (u + w) / np.sqrt(2.0), (u - w) / np.sqrt(2.0)
+    return False, (u, w)
 
 
 def sparsest_unit_vector(basis: np.ndarray) -> np.ndarray:
@@ -281,18 +294,16 @@ def subalgebra_partition(spanning: np.ndarray, tol: float = 1e-8) -> list[tuple[
     """
     basis = _orthonormal_basis(spanning)
     n = basis.shape[1]
-    ones = np.ones(n) / np.sqrt(n)
-    if np.linalg.norm(ones - _project_onto(basis, ones)) > tol:
+    if _off_span(basis, np.ones((1, n)) / np.sqrt(n))[0] > tol:
         raise ClosureError("subspace does not contain the all-ones vector")
-    k = basis.shape[0]
-    for i in range(k):
-        for j in range(i, k):
-            prod = basis[i] * basis[j]
-            if np.linalg.norm(prod - _project_onto(basis, prod)) > tol:
-                raise ClosureError(
-                    "subspace is not closed under the diamond product",
-                    (basis[i], basis[j]),
-                )
+    i, j = np.triu_indices(basis.shape[0])
+    failed = np.flatnonzero(_off_span(basis, basis[i] * basis[j]) > tol)
+    if failed.size:
+        pair = failed[0]
+        raise ClosureError(
+            "subspace is not closed under the diamond product",
+            (basis[i[pair]], basis[j[pair]]),
+        )
 
     rows = basis.T
     atom = np.full(n, -1)
@@ -300,9 +311,8 @@ def subalgebra_partition(spanning: np.ndarray, tol: float = 1e-8) -> list[tuple[
         if atom[x] < 0:
             atom[(atom < 0) & (np.linalg.norm(rows - rows[x], axis=1) <= tol)] = x
     indicators = (atom == np.unique(atom)[:, None]).astype(float)
-    ind_basis = _orthonormal_basis(indicators)
-    if len(indicators) != k or any(
-        np.linalg.norm(row - _project_onto(ind_basis, row)) > tol for row in basis
+    if len(indicators) != basis.shape[0] or np.any(
+        _off_span(_orthonormal_basis(indicators), basis) > tol
     ):
         raise ClosureError("indicator vectors do not span the subspace")
     return [tuple(int(x) for x in np.flatnonzero(row)) for row in indicators]

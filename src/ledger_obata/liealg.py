@@ -32,12 +32,13 @@ def killing_gram(c: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StructureConstants:
-    """Validated structure-constant table of a compact (semi)simple algebra.
+    """Validated structure-constant table of a compact simple algebra.
 
     ``c[i, j, k]`` is the coefficient of E_k in [E_i, E_j].  The Gram
     matrix of minus the Killing form is computed on construction and must
     be symmetric positive definite; antisymmetry and the Jacobi identity
-    are enforced at 1e-12.
+    are enforced at 1e-12.  Simplicity is checked on the commutant of
+    {ad E_i}, which must be one-dimensional.
     """
 
     dim: int
@@ -69,6 +70,18 @@ class StructureConstants:
         if eigs[0] <= JACOBI_TOL:
             raise StructureConstantError(
                 "minus Killing form is not positive definite (not compact semisimple)"
+            )
+        # compact semisimple is simple exactly when only the scalars commute
+        # with every ad E_i: (ad_i X - X ad_i)[a, c] at [i, a, c, (b, e) of X]
+        eye = np.eye(self.dim)
+        ads = np.transpose(c, (0, 2, 1))
+        commutator = np.einsum("iab,ce->iacbe", ads, eye) - np.einsum("ab,iec->iacbe", eye, ads)
+        svals = np.linalg.svd(commutator.reshape(self.dim**3, -1), compute_uv=False)
+        commutant = int(np.sum(svals <= 1e-10 * svals[0]))
+        if commutant != 1:
+            raise StructureConstantError(
+                f"algebra is not simple: {commutant} independent matrices "
+                "commute with every ad E_i"
             )
         c = c.copy()
         c.setflags(write=False)

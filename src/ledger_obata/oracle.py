@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import GoCertificate, NatRedCase, NatRedResult
+from .coeff import _cluster_labels, _norms
 from .errors import InputError, ParameterError
 from .liealg import StructureConstants, default_backend, product_bracket
 from .metrics import MetricForm, MetricT, eigendecompose, power_of_two_scale
@@ -101,16 +102,6 @@ def _ad_rows(sc: StructureConstants, u: np.ndarray) -> np.ndarray:
     return np.einsum("...i,ijk->...kj", u, sc.c)
 
 
-def _norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each (m, d) slice of x, bit for bit np.linalg.norm's.
-
-    A (1, n) @ (n, 1) matmul takes the same dot routine as the norm of one
-    flattened slice, so a replay of one sample sees the same digits.
-    """
-    flat = x.reshape(len(x), -1)
-    return np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None]))[:, 0, 0]
-
-
 def _sample_tangents(seed: int, indices: range, m: int, d: int) -> np.ndarray:
     """Unit complement elements for samples ``indices``, stacked to (S, m, d).
 
@@ -130,9 +121,12 @@ def _sample_tangents(seed: int, indices: range, m: int, d: int) -> np.ndarray:
     return x / norm[:, None, None]
 
 
-def _require_samples(samples: int) -> None:
+def _require_draws(samples: int, seed: int) -> None:
+    """Reject fewer than one sample, and a seed ``default_rng([seed, i])`` refuses."""
     if samples < 1:
         raise ParameterError(f"samples must be at least 1, got {samples}")
+    if seed < 0:
+        raise ParameterError(f"seed must be at least 0, got {seed}")
 
 
 def _go_residuals(
@@ -217,7 +211,7 @@ def go_oracle(
     divided by its ``power_of_two_scale`` and do not change when it is
     scaled.  Sample i is drawn from default_rng([seed, i]).
     """
-    _require_samples(samples)
+    _require_draws(samples, seed)
     sc = backend if backend is not None else default_backend()
     scaled = MetricT(metric.matrix / power_of_two_scale(metric.matrix))
     residuals = np.empty(samples)
@@ -333,7 +327,7 @@ def natred_certificate_check(
     the certified weights are both divided by the form's
     ``power_of_two_scale`` first, so every residual is scale-free.
     """
-    _require_samples(samples)
+    _require_draws(samples, seed)
     if result.case is NatRedCase.NOT_NR:
         raise ParameterError("nothing to verify: classification is not naturally reductive")
     sc = backend if backend is not None else default_backend()
@@ -528,6 +522,12 @@ def brackets_property_check(
     their bracket's complement part inside the cluster.  On non-GO input
     some residual is expected to blow up, documenting necessity.
 
+    Identity (i) tests the weights only where a cluster has dimension two
+    or more.  Between one-dimensional clusters over so(3), x = b^i (x) X
+    and y = b^j (x) Y, the correction's parts along X and Y absorb both
+    weights, and the residual is |[X, Y]| times the distance of b^i <> b^j
+    from span(b^i, b^j): swapping alpha and beta changes nothing.
+
     Runs batched like the other two oracles.  Only the draws loop in
     Python; each draw is lifted through the full eigenbasis with zeros off
     its cluster, so every sample of a chunk stacks into one (S, m, d) array
@@ -536,15 +536,13 @@ def brackets_property_check(
     centralizers then run once per chunk.  Residuals agree with a
     one-sample-at-a-time loop over ``np.linalg.lstsq`` to rounding level.
     """
-    _require_samples(samples)
+    _require_draws(samples, seed)
     sc = backend if backend is not None else default_backend()
     eigen = eigendecompose(metric, cluster_tol)
     vectors = eigen.system.vectors
     # clusters are runs of consecutive eigenvectors
     rows = [slice(cluster[0], cluster[-1] + 1) for cluster in eigen.clusters]
-    members = np.zeros((len(rows), len(vectors)), dtype=bool)
-    for c, cluster in enumerate(rows):
-        members[c, cluster] = True
+    members = _cluster_labels(eigen.clusters, len(vectors)) == np.arange(len(rows))[:, None]
     pairs = [(a, b) for a in range(len(rows)) for b in range(len(rows)) if a < b]
     pair_gammas = eigen.system.gammas[[rows[c].start for pair in pairs for c in pair]]
     pair_gammas = pair_gammas.reshape(-1, 2)

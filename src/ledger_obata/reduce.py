@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .classify import NatRedResult, classify_natred, natred_report
+from .coeff import _orthonormal_basis, diamond_tensor, project_zero_sum
 from .liealg import StructureConstants, default_backend
 from .metrics import EigenData, MetricT, T_to_form, eigendecompose
 from .trees import Partition, PartitionPair
@@ -292,19 +293,12 @@ def holonomy_generators(
     eigen = eigendecompose(metric, cluster_tol)
     vectors = eigen.system.vectors
     gammas = eigen.system.gammas
-    n = vectors.shape[0]
-    d = sc.dim
-    ads = [sc.ad(np.eye(d)[p]) for p in range(d)]
-    ops: list[np.ndarray] = []
-    for p in range(d):
-        ops.append(2.0 * np.kron(np.eye(n), ads[p]))
-    # coupling[k, i, j] = (b^k <> b^i) . b^j
-    coupling = (vectors[:, None, :] * vectors[None, :, :]) @ vectors.T
-    for k in range(n):
+    ads = np.transpose(sc.c, (0, 2, 1))  # ad E_p at [p]
+    ops = [2.0 * np.kron(np.eye(len(vectors)), ad) for ad in ads]
+    coupling = diamond_tensor(vectors)  # (b^k <> b^i) . b^j at [k, i, j]
+    for k in range(len(vectors)):
         weight = (gammas[None, :] + gammas[:, None] - gammas[k]) / gammas[None, :]
-        mat = coupling[k] * weight
-        for p in range(d):
-            ops.append(np.kron(mat.T, ads[p]))
+        ops.extend(np.kron((coupling[k] * weight).T, ad) for ad in ads)
     return ops, eigen
 
 
@@ -319,13 +313,8 @@ def splitting_subspaces(
     """
 
     def span(partition: Partition) -> np.ndarray:
-        rows = np.zeros((len(partition), m))
-        for pi, part in enumerate(partition):
-            rows[pi, [label - 1 for label in part]] = 1.0
-        rows = rows - rows.mean(axis=1, keepdims=True)
-        _, svals, vt = np.linalg.svd(rows)
-        rank = int(np.sum(svals > 1e-12 * svals[0]))
-        return vt[:rank]
+        indicators = _part_ids(partition, m) == np.arange(len(partition))[:, None]
+        return _orthonormal_basis(project_zero_sum(indicators))
 
     return span(pair.first), span(pair.second)
 

@@ -265,6 +265,12 @@ def test_family_and_go_family_parameter_errors():
         go_family(np.array([1.0, 2.0, 3.0]), rho=0.0, lam=1.0)
     with pytest.raises(ParameterError):
         go_family(np.array([1.0, 2.0, 3.0]), rho=-1.0, lam=0.0)
+    with pytest.raises(ParameterError, match="rho must be finite, got nan"):
+        go_family(np.array([1.0, 2.0, 3.0]), rho=float("nan"), lam=0.0)
+    with pytest.raises(ParameterError, match="lambda must be finite, got -inf"):
+        go_family(np.array([1.0, 2.0, 3.0]), rho=1.0, lam=-float("inf"))
+    with pytest.raises(ParameterError, match="nodes must be finite"):
+        super_adapted_family(np.array([1.0, np.nan, 3.0]))
 
 
 def test_go_family_weight_formula():

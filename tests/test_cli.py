@@ -671,3 +671,38 @@ def test_verify_checks_the_classifier_certificate_at_any_scale(tmp_path, capsys,
     assert report["natred_certificate_source"] == "classifier"
     assert report["natred_certificate"]["verdict"] is True
     assert report["ok"] is True
+
+
+DENSE_FORM = {"m": 4, "repr": "form", "a": [[2.0, 0.3, 0.1], [0.3, 1.5, 0.2], [0.1, 0.2, 1.0]]}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classify", "--tol", "nan"], "--tol must be finite and positive"),
+        (["classify", "--tol", "inf"], "--tol must be finite and positive"),
+        (["classify", "--tol=-1e-8"], "--tol must be finite and positive"),
+        (["classify", "--cluster-tol", "inf"], "--cluster-tol must be finite and positive"),
+        (["decompose", "--split-tol", "nan"], "--split-tol must be finite and positive"),
+        (["verify", "--tol", "nan"], "--tol must be finite and positive"),
+        (["verify", "--seed", "-1"], "--seed must be at least 0"),
+        (["classify", "--seed", "-1"], "--seed must be at least 0"),
+        (["generate", "--z", "1,2,3", "--rho", "nan"], "rho must be finite, got nan"),
+        (["generate", "--z", "1,2,3", "--lambda", "inf"], "lambda must be finite, got inf"),
+        (["generate", "--z", "1,2,3", "--cluster-tol", "nan"], "--cluster-tol must be"),
+        (["generate", "--z", "1,nan,3"], "nodes must be finite"),
+        (["generate", "--z", "1,2,inf"], "nodes must be finite"),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else "",
+)
+def test_non_finite_tolerance_or_negative_seed_exits_1(tmp_path, capsys, argv, message):
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(DENSE_FORM))
+    if argv[0] != "generate":
+        argv = argv + ["--input", str(path)]
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from ledger_obata import cli
 from ledger_obata.errors import StructureConstantError
 from ledger_obata.liealg import (
     ENV_TABLE,
@@ -155,3 +156,47 @@ def test_product_inner_and_norm():
     expected = sum(float(u[i] @ sc.gram @ v[i]) for i in range(3))
     assert product_inner(sc, u, v) == pytest.approx(expected)
     assert product_norm(sc, u) == pytest.approx(np.sqrt(2.0) * np.linalg.norm(u))
+
+
+def so_n_entries(n):
+    """Structure constants of so(n) on the basis E_ij - E_ji, i < j, as (i, j, k, value)."""
+    basis = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            e = np.zeros((n, n))
+            e[i, j], e[j, i] = 1.0, -1.0
+            basis.append(e)
+    entries = []
+    for a, x in enumerate(basis):
+        for b, y in enumerate(basis):
+            bracket = x @ y - y @ x
+            for k, e in enumerate(basis):
+                # the basis is orthogonal with squared Frobenius norm 2
+                value = float(np.sum(bracket * e)) / 2.0
+                if value:
+                    entries.append([a, b, k, value])
+    return len(basis), entries
+
+
+def test_simplicity_check_accepts_so5_and_rejects_so4():
+    dim, entries = so_n_entries(5)
+    assert from_entries(dim, entries).dim == 10
+    # so(4) = so(3) + so(3): compact semisimple, with a two-dimensional commutant
+    dim, entries = so_n_entries(4)
+    with pytest.raises(StructureConstantError, match="algebra is not simple: 2 independent"):
+        from_entries(dim, entries, name="so4")
+
+
+def test_so4_table_from_the_environment_is_a_typed_error(tmp_path, monkeypatch, capsys):
+    dim, entries = so_n_entries(4)
+    table = tmp_path / "so4.json"
+    table.write_text(json.dumps({"dim": dim, "c": entries, "name": "so4"}))
+    metric = tmp_path / "form.json"
+    metric.write_text(json.dumps({"m": 3, "repr": "form", "a": [[2.0, 1.0], [1.0, 3.0]]}))
+    monkeypatch.setenv(ENV_TABLE, str(table))
+    code = cli.main(["verify", "--input", str(metric), "--samples", "5"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: algebra is not simple: 2 independent matrices")
+    assert "Traceback" not in err

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ledger_obata import oracle
 from ledger_obata.classify import (
     NatRedCase,
     NatRedResult,
@@ -167,6 +168,19 @@ def test_natred_certificate_check_needs_a_sample(backend, samples):
 def test_brackets_property_check_needs_a_sample(backend, samples):
     with pytest.raises(ParameterError, match="samples must be at least 1"):
         brackets_property_check(standard_metric(4), backend, samples=samples)
+
+
+def test_oracles_reject_a_negative_seed(backend):
+    form = MetricForm(np.diag([1.0, 2.0, 3.0]))
+    calls = [
+        lambda: go_oracle(standard_metric(4), backend, seed=-1),
+        lambda: assess_geodesic_orbit(standard_metric(4), backend, seed=-1),
+        lambda: natred_certificate_check(form, classify_natred(form), backend, seed=-1),
+        lambda: brackets_property_check(standard_metric(4), backend, seed=-1),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError, match="seed must be at least 0, got -1"):
+            call()
 
 
 def test_assess_geodesic_orbit_verdicts(backend):
@@ -424,6 +438,33 @@ def test_brackets_property_check_chunks_match_sample_loop(backend, name, samples
     assert report.verdict == bool(residuals.max() < tol)
     if name.startswith("dense") and samples > CHUNK:
         assert 0 < len(report.failures) < samples
+
+
+@pytest.mark.parametrize(
+    "name, symmetric", [("dense-m5", True), ("dense-repeated-cluster", False)]
+)
+def test_identity_i_ignores_a_weight_swap_only_between_one_dimensional_clusters(
+    backend, monkeypatch, name, symmetric
+):
+    # both clusters of every pair of dense-m5 are one-dimensional; the
+    # generic eigenplane of dense-repeated-cluster is not
+    metric, _ = BRACKET_METRICS[name]
+    pair_residuals = oracle._pair_residuals
+    seen = []
+
+    def both_ways(sc, x, y, alpha, beta, include_centralizers):
+        out = pair_residuals(sc, x, y, alpha, beta, include_centralizers)
+        seen.append((out, pair_residuals(sc, x, y, beta, alpha, include_centralizers)))
+        return out
+
+    monkeypatch.setattr(oracle, "_pair_residuals", both_ways)
+    brackets_property_check(metric, backend, samples=131, seed=17)
+    straight, swapped = (np.concatenate(side) for side in zip(*seen))
+    gap = float(np.max(np.abs(straight - swapped)))
+    if symmetric:
+        assert gap <= 1e-12
+    else:
+        assert gap > 1e-3
 
 
 @pytest.mark.parametrize("centralizers", [False, True], ids=["plain", "centralizers"])

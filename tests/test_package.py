@@ -35,7 +35,8 @@ def test_ci_workflow_runs_both_suites_on_two_pythons():
     assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
     assert 0 < job["timeout-minutes"] <= 30
     commands = "\n".join(step.get("run", "") for step in job["steps"])
-    assert "pip install numpy pytest hypothesis" in commands
+    # without PyYAML this test would skip in CI
+    assert "pip install numpy pytest hypothesis pyyaml" in commands
     assert "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q " \
         "--continue-on-collection-errors --durations=10" in commands
     assert "python -m pytest -q perfbench/selftest.py" in commands
