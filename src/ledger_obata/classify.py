@@ -177,11 +177,27 @@ def classify_natred(form: MetricForm, tol: float = 1e-8) -> NatRedResult:
     return NatRedResult(case=NatRedCase.NOT_NR)
 
 
+def _integer(value) -> int:
+    number = float(value)
+    if isinstance(value, bool) or not number.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(number)
+
+
+def _parsed(data: dict, key: str, parse):
+    """``parse(data[key])``, None when the key is absent or null."""
+    try:
+        return None if data.get(key) is None else parse(data[key])
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed {key!r}: {exc}")
+
+
 def natred_from_dict(data: dict) -> NatRedResult:
     """Parse a naturally-reductive certificate back from its JSON form.
 
-    Coherence of the parameters with a particular metric is not checked
-    here; certificate verification does that against the backend algebra.
+    A malformed field is an InputError.  Coherence of the parameters with
+    a particular metric is not checked here; certificate verification does
+    that against the backend algebra.
     """
     if not isinstance(data, dict):
         raise InputError("certificate must be a JSON object")
@@ -190,27 +206,13 @@ def natred_from_dict(data: dict) -> NatRedResult:
     except (KeyError, ValueError, TypeError):
         allowed = ", ".join(c.value for c in NatRedCase)
         raise InputError(f"certificate needs a 'case' among: {allowed}")
-    betas = None
-    if data.get("betas") is not None:
-        try:
-            betas = {int(k): float(v) for k, v in data["betas"].items()}
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed 'betas': {exc}")
-    alphas = None
-    if data.get("alphas") is not None:
-        try:
-            alphas = np.array(data["alphas"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"malformed 'alphas': {exc}")
-    ideal_index = data.get("ideal_index")
-    alpha_sum = data.get("alpha_sum")
     return NatRedResult(
         case=case,
         normal=bool(data.get("normal", False)),
-        betas=betas,
-        ideal_index=None if ideal_index is None else int(ideal_index),
-        alphas=alphas,
-        alpha_sum=None if alpha_sum is None else float(alpha_sum),
+        betas=_parsed(data, "betas", lambda b: {int(k): float(v) for k, v in b.items()}),
+        ideal_index=_parsed(data, "ideal_index", _integer),
+        alphas=_parsed(data, "alphas", lambda a: np.array(a, dtype=float)),
+        alpha_sum=_parsed(data, "alpha_sum", float),
     )
 
 

@@ -9,6 +9,7 @@ part.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass, field
@@ -99,8 +100,9 @@ class StructureConstants:
         return np.einsum("i,ijk->kj", x, self.c)
 
 
+@functools.cache
 def so3() -> StructureConstants:
-    """so(3) in the cyclic basis: [E1,E2]=E3, [E2,E3]=E1, [E3,E1]=E2."""
+    """so(3) in the cyclic basis: [E1,E2]=E3, [E2,E3]=E1, [E3,E1]=E2; built once."""
     c = np.zeros((3, 3, 3))
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         c[i, j, k] = 1.0
@@ -132,7 +134,8 @@ def load_structure_constants(path: str) -> StructureConstants:
 
 
 def default_backend() -> StructureConstants:
-    """so(3) unless the LOT_STRUCTURE_CONSTANTS env var points elsewhere."""
+    """so(3) unless the LOT_STRUCTURE_CONSTANTS env var names a table file,
+    which is read again on every call."""
     path = os.environ.get(ENV_TABLE)
     if path:
         return load_structure_constants(path)

@@ -21,7 +21,7 @@ from .classify import NatRedResult, classify_natred, natred_report
 from .coeff import _orthonormal_basis, diamond_tensor, project_zero_sum
 from .liealg import StructureConstants, default_backend
 from .metrics import EigenData, MetricT, T_to_form, eigendecompose
-from .trees import Partition, PartitionPair
+from .trees import Partition, PartitionPair, _canon
 
 SPLIT_RTOL = 1e-9
 
@@ -211,14 +211,12 @@ def _cut_pair(c: int, component: list[int], m: int) -> PartitionPair:
     apart.
     """
     inside = set(component)
-    rest = [x for x in range(m) if x != c and x not in inside]
-
-    def canon(parts: list[list[int]]) -> Partition:
-        return tuple(sorted(tuple(sorted(x + 1 for x in part)) for part in parts))
-
+    # partitions take 1-based labels
+    cut, block = c + 1, [x + 1 for x in component]
+    rest = [x + 1 for x in range(m) if x != c and x not in inside]
     return PartitionPair(
-        canon([[x] for x in component] + [[c, *rest]]),
-        canon([[c, *component]] + [[x] for x in rest]),
+        _canon([[x] for x in block] + [[cut, *rest]]),
+        _canon([[cut, *block]] + [[x] for x in rest]),
     )
 
 

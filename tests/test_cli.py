@@ -621,6 +621,36 @@ def test_certificate_that_does_not_fit_m_exits_1(tmp_path, capsys, certificate):
     assert captured.err.startswith("error: certificate does not fit m = 3: ")
 
 
+IDEAL = {"case": "ideal", "betas": {"2": 1.0, "3": 1.0}}
+INVARIANT = {"case": "invariant_form", "alphas": [1.25, 1.5, -5.0]}
+
+
+@pytest.mark.parametrize(
+    "certificate, message",
+    [
+        ({**IDEAL, "ideal_index": "x"}, "'ideal_index': could not convert string to float: 'x'"),
+        ({**IDEAL, "ideal_index": [1]}, "'ideal_index': float() argument must be"),
+        ({**IDEAL, "ideal_index": 1.5}, "'ideal_index': 1.5 is not an integer"),
+        ({**IDEAL, "ideal_index": True}, "'ideal_index': True is not an integer"),
+        ({**IDEAL, "ideal_index": 1e400}, "'ideal_index': inf is not an integer"),
+        ({**INVARIANT, "alpha_sum": "x"}, "'alpha_sum': could not convert string to float: 'x'"),
+        ({**INVARIANT, "alpha_sum": [1]}, "'alpha_sum': float() argument must be"),
+        ({"case": "diagonal", "betas": {"1": 10**400, "2": 1.0}}, "'betas': int too large"),
+    ],
+    ids=["index-text", "index-list", "index-fraction", "index-bool", "index-inf",
+         "sum-text", "sum-list", "beta-huge"],
+)
+def test_malformed_certificate_field_exits_1(tmp_path, capsys, certificate, message):
+    path = tmp_path / "claimed.json"
+    path.write_text(json.dumps({**PINNED_FORM, "natred_certificate": certificate}))
+    code = cli.main(["verify", "--input", str(path), "--samples", "5"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: malformed {message}")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "certificate",
     [

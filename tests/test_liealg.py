@@ -124,6 +124,26 @@ def test_default_backend_env_override(tmp_path, monkeypatch):
     assert default_backend().name == "custom"
 
 
+def test_default_so3_is_built_once(monkeypatch):
+    monkeypatch.delenv(ENV_TABLE, raising=False)
+    assert default_backend() is default_backend()
+    assert so3() is default_backend()
+
+
+def test_table_named_after_a_cached_call_is_still_loaded(tmp_path, monkeypatch):
+    monkeypatch.delenv(ENV_TABLE, raising=False)
+    builtin = default_backend()
+    path = tmp_path / "custom.json"
+    path.write_text(json.dumps({"dim": 3, "c": SO3_ENTRIES, "name": "custom"}))
+    monkeypatch.setenv(ENV_TABLE, str(path))
+    assert default_backend().name == "custom"
+    # the named file is read on every call
+    path.write_text(json.dumps({"dim": 3, "c": SO3_ENTRIES, "name": "edited"}))
+    assert default_backend().name == "edited"
+    monkeypatch.delenv(ENV_TABLE)
+    assert default_backend() is builtin
+
+
 def test_product_bracket_matches_rowwise_loops():
     sc = so3()
     rng = np.random.default_rng(21)

@@ -1,5 +1,6 @@
 """Tests for the package's public namespace."""
 
+import re
 import types
 from pathlib import Path
 
@@ -7,7 +8,8 @@ import pytest
 
 import ledger_obata
 
-WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tier1.yml"
+ROOT = Path(__file__).resolve().parent.parent
+WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
 
 
 def test_all_lists_public_names_and_no_modules():
@@ -40,3 +42,20 @@ def test_ci_workflow_runs_both_suites_on_two_pythons():
     assert "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q " \
         "--continue-on-collection-errors --durations=10" in commands
     assert "python -m pytest -q perfbench/selftest.py" in commands
+
+
+def requirement_names(requirements):
+    return {re.split(r"[<>=!~;\[ ]", req, maxsplit=1)[0].lower() for req in requirements}
+
+
+def test_test_extra_lists_every_package_the_workflow_installs():
+    yaml = pytest.importorskip("yaml")
+    tomllib = pytest.importorskip("tomllib")
+    steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tests"]["steps"]
+    (install,) = [s["run"] for s in steps if s.get("name") == "Install test dependencies"]
+    installed = set(install.split("pip install", 1)[1].split())
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    # numpy is the one runtime dependency; everything else is for the tests
+    assert requirement_names(project["dependencies"]) == {"numpy"}
+    missing = installed - {"numpy"} - requirement_names(project["optional-dependencies"]["test"])
+    assert not missing
