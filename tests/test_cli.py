@@ -368,6 +368,71 @@ def test_verify_with_centralizer_identity(tmp_path, capsys):
     assert report["ok"] is True
 
 
+def all_but(samples, passing):
+    """The failures list of a report where every sample but ``passing`` failed."""
+    return [i for i in range(samples) if i not in passing]
+
+
+# forms on the first m - 1 copies: an invariant form (alpha_sum -4), a dense
+# form, and the invariant form with a relative perturbation of about 1e-6
+INVARIANT_M4 = [[1.25, 0.375, 0.5625], [0.375, 2.0625, 0.84375], [0.5625, 0.84375, 3.515625]]
+DENSE_M5 = [
+    [3.0, 0.7, -0.4, 0.2], [0.7, 2.5, 0.3, -0.6], [-0.4, 0.3, 2.0, 0.5], [0.2, -0.6, 0.5, 1.8]
+]
+PERTURBED_M4 = [
+    [1.25, 0.375002, 0.5625], [0.375002, 2.0625, 0.843748], [0.5625, 0.843748, 3.515625]
+]
+
+# `lot verify` at its defaults (200 samples, seed 42): the GO assessment, and
+# per oracle (samples, seed, failures, verdict, max_residual, residual_min,
+# residual_median); the marginal GO report is its third round
+PINNED_VERIFY = {
+    "invariant-m4": (INVARIANT_M4, "confirmed", {
+        "go_oracle": (200, 42, [], True,
+                      5.491213086639866e-13, 3.4090095584694237e-16, 3.823948289741593e-14),
+        "natred_certificate": (200, 42, [], True,
+                               8.326672684688674e-17, 0.0, 1.0408340855860843e-17),
+        "bracket_properties": (200, 42, [], True,
+                               4.672346497649204e-14, 1.4218533350158188e-16,
+                               3.924777085342157e-16),
+    }),
+    "dense-m5": (DENSE_M5, "refuted", {
+        "go_oracle": (200, 42, list(range(200)), False,
+                      0.06513592173480831, 0.004717668246049872, 0.03667781968199321),
+        "bracket_properties": (200, 42, list(range(200)), False,
+                               0.6224182428473862, 0.0015893533071569545,
+                               0.11802585791961723),
+    }),
+    "perturbed-m4": (PERTURBED_M4, "marginal", {
+        "go_oracle": (800, 42 + 2 * 7919, all_but(800, [14, 586]), False,
+                      3.1179692377261595e-07, 5.4286278891261466e-09, 1.6952731873188657e-07),
+        "bracket_properties": (200, 42, all_but(200, [194]), False,
+                               1.9512556064812742e-07, 4.2827287867770164e-09,
+                               1.733297427447741e-07),
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_VERIFY))
+def test_verify_reports_are_pinned(tmp_path, capsys, name):
+    form, assessment, pinned = PINNED_VERIFY[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"m": len(form) + 1, "repr": "form", "a": form}))
+    code, report = run_json(capsys, ["verify", "--input", str(path)])
+    assert code == 0
+    assert report["ok"] is True
+    assert report["go_oracle_assessment"] == assessment
+    oracles = {"go_oracle", "natred_certificate", "bracket_properties"}
+    assert oracles & set(report) == set(pinned)
+    for key, (samples, seed, failures, verdict, *residuals) in pinned.items():
+        got = report[key]
+        assert (got["samples"], got["seed"], got["failures"], got["verdict"]) == (
+            samples, seed, failures, verdict
+        )
+        for field, value in zip(("max_residual", "residual_min", "residual_median"), residuals):
+            assert got[field] == pytest.approx(value, rel=1e-12, abs=0.0), (key, field)
+
+
 def test_trees_text_and_json(tmp_path, capsys):
     code = cli.main(["trees", "--m", "3"])
     assert code == 0

@@ -1,6 +1,9 @@
 """Tests for the brute-force numeric verification oracles."""
 
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -128,6 +131,125 @@ def test_go_oracle_chunks_replay_sample_by_sample(backend, samples):
     assert report.failures == tuple(i for i, r in enumerate(residuals) if r >= report.tol)
     if samples > CHUNK:
         assert 0 < len(report.failures) < samples
+
+
+# seeds of 1 to 4 entropy words (and 42 + 2 * 7919, the third GO round's)
+SEEDS = [0, 1, 42, 42 + 2 * 7919, 2**32 - 1, 2**32, 2**64 + 3, 10**30]
+INDICES = [0, 1, CHUNK - 1, CHUNK, 2**32 - 1]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_seeded_generators_match_default_rng(seed):
+    # one call for all indices, as in a chunk, and one call per index, as in a redraw
+    batches = [INDICES] + [[i] for i in INDICES]
+    m, d = 6, 3
+    for batch in batches:
+        for i, rng in zip(batch, oracle._seeded_generators(seed, batch)):
+            reference = np.random.default_rng([seed, i])
+            assert rng.bit_generator.state == reference.bit_generator.state
+            assert np.array_equal(rng.standard_normal((m, d)), reference.standard_normal((m, d)))
+            assert np.array_equal(
+                rng.standard_normal((2, m, d)), reference.standard_normal((2, m, d))
+            )
+
+
+def test_sample_indices_must_fit_one_entropy_word(backend, monkeypatch):
+    # index 2**32 would take two words; the limit is checked before any draw
+    oracle._require_draws(2**32, 0)
+    with pytest.raises(ParameterError, match="samples must be at most 2[*][*]32"):
+        oracle._require_draws(2**32 + 1, 0)
+
+    def no_draws(seed, indices):
+        raise AssertionError("drew samples")
+
+    monkeypatch.setattr(oracle, "_seeded_generators", no_draws)
+    form = MetricForm(np.diag([1.0, 2.0, 3.0]))
+    calls = [
+        lambda samples: go_oracle(standard_metric(4), backend, samples=samples),
+        lambda samples: natred_certificate_check(
+            form, classify_natred(form), backend, samples=samples
+        ),
+        lambda samples: brackets_property_check(standard_metric(4), backend, samples=samples),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError, match="samples must be at most"):
+            call(2**32 + 1)
+
+
+def test_go_oracle_redraws_a_sample_that_centres_to_zero(backend, monkeypatch):
+    metric = dense_nonreductive_metric(np.random.default_rng(8), 5)
+    scaled = MetricT(metric.matrix / power_of_two_scale(metric.matrix))
+    seed, samples, flat = 21, CHUNK + 9, CHUNK + 4
+    seeded = oracle._seeded_generators
+    go_residuals = oracle._go_residuals
+    flattened, measured = [], []
+
+    class FlatFirstDraw:
+        """A generator whose first draw is made the same on every copy."""
+
+        def __init__(self, rng):
+            self.rng = rng
+            self.first = True
+
+        def standard_normal(self, size=None, out=None):
+            draw = self.rng.standard_normal(size, out=out)
+            if self.first:
+                draw[:] = draw[0]
+                flattened.append(draw.copy())
+                self.first = False
+            return draw
+
+    def flat_at_sample(seed, indices):
+        for i, rng in zip(indices, seeded(seed, indices)):
+            yield FlatFirstDraw(rng) if i == flat else rng
+
+    def measuring(*args):
+        out = go_residuals(*args)
+        measured.append(out[0])
+        return out
+
+    monkeypatch.setattr(oracle, "_seeded_generators", flat_at_sample)
+    monkeypatch.setattr(oracle, "_go_residuals", measuring)
+    go_oracle(metric, backend, samples=samples, seed=seed)
+    residuals = np.concatenate(measured)
+
+    # the chunk's draw and the skipped first draw of the reseeded stream
+    assert len(flattened) == 2
+    assert np.array_equal(flattened[0], flattened[1])
+    for i in range(samples):
+        rng = np.random.default_rng([seed, i])
+        x = rng.standard_normal((5, 3))
+        if i == flat:
+            x = rng.standard_normal((5, 3))
+        x -= x.mean(axis=0)
+        x /= np.linalg.norm(x)
+        assert residuals[i] == go_sample_residual(scaled, x, backend)[0]
+
+
+def test_oracles_in_two_threads_match_serial_runs(backend):
+    # the generators of one call must not share state with another call
+    go_metric = dense_nonreductive_metric(np.random.default_rng(8), 5)
+    bracket_metric, _ = BRACKET_METRICS["dense-repeated-cluster"]
+    calls = [
+        lambda: go_oracle(go_metric, backend, samples=1500, seed=31, tol=0.01),
+        lambda: brackets_property_check(bracket_metric, backend, samples=1500, seed=32, tol=0.1),
+    ]
+    serial = [call() for call in calls]
+    start = threading.Barrier(len(calls))
+
+    def run(call):
+        start.wait(timeout=60)
+        return call()
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            with ThreadPoolExecutor(len(calls)) as pool:
+                futures = [pool.submit(run, call) for call in calls]
+                assert [future.result(timeout=60) for future in futures] == serial
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_go_oracle_working_set_does_not_grow_with_samples(backend):

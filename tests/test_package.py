@@ -34,7 +34,15 @@ def test_star_import_binds_exactly_all():
 def test_ci_workflow_runs_both_suites_on_two_pythons():
     yaml = pytest.importorskip("yaml")
     job = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tests"]
-    assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
+    matrix = job["strategy"]["matrix"]
+    assert matrix["python-version"] == ["3.10", "3.11"]
+    # a third leg runs on the numpy floor that pyproject.toml declares
+    (floor,) = re.findall(r'"numpy>=([0-9.]+)"', (ROOT / "pyproject.toml").read_text())
+    assert matrix["numpy"] == ["latest"]
+    assert matrix["include"] == [{"python-version": "3.10", "numpy": f"{floor}.*"}]
+    (pin,) = [step for step in job["steps"] if step.get("name") == "Install the numpy floor"]
+    assert pin["if"] == "matrix.numpy != 'latest'"
+    assert pin["run"] == 'python -m pip install "numpy==${{ matrix.numpy }}"'
     assert 0 < job["timeout-minutes"] <= 30
     commands = "\n".join(step.get("run", "") for step in job["steps"])
     # without PyYAML this test would skip in CI
