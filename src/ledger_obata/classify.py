@@ -391,9 +391,13 @@ def _bisect_root(z: np.ndarray, lo: float, hi: float) -> float:
     t = 0.5 * (a + b)
     if not lo < t < hi:  # a and b are adjacent doubles, one of them an end
         t = b if a == lo else a
-    # Newton polish; derivative of phi is sum z_k / (z_k - t)^2 > 0 on the gap
+    # Newton polish; derivative of phi is sum z_k / (z_k - t)^2 > 0 on the gap,
+    # and the polish stops where that sum leaves the range of doubles
     for _ in range(3):
-        deriv = float(np.sum(z / (z - t) ** 2))
+        with np.errstate(all="ignore"):
+            deriv = float(np.sum(z / (z - t) ** 2))
+        if not 0.0 < deriv < np.inf:
+            break
         step = _phi(z, t) / deriv
         t_new = t - step
         if lo < t_new < hi:
@@ -446,14 +450,16 @@ def go_family(
             f"{gaps[i]:.3g}, leaves the family an adaptedness error of {error:.3g} "
             f"({ADAPTED_TOL:g} allowed)"
         )
-    denom = rho + lam * fam.roots
-    if np.any(denom <= 0):
-        bad = int(np.argmin(denom))
-        raise ParameterError(
-            f"rho + lam * t_{bad + 1} = {denom[bad]:.6g} must be positive"
-        )
-    gammas = fam.roots / denom
-    if np.any(gammas <= 0):
-        raise ParameterError("weights must come out positive")
+    # an overflow gives an infinite denominator or weight, which fails a check
+    with np.errstate(over="ignore"):
+        denom = rho + lam * fam.roots
+        if np.any(denom <= 0):
+            bad = int(np.argmin(denom))
+            raise ParameterError(
+                f"rho + lam * t_{bad + 1} = {denom[bad]:.6g} must be positive"
+            )
+        gammas = fam.roots / denom
+    if not np.all((gammas > 0) & (gammas < np.inf)):
+        raise ParameterError("weights must come out positive and finite")
     metric = metric_from_system(fam.system(gammas))
     return metric, fam, gammas

@@ -9,28 +9,37 @@ backend, so agreement between the two is meaningful evidence.
 
 Replay contract: sample i of a run with base seed ``seed`` is drawn from
 ``default_rng([seed, i])``, so any failing sample can be recomputed alone.
-The oracles do not build that generator once per sample, which costs about
-25 µs: ``_seeded_generators`` runs SeedSequence's hashing for a whole chunk
-in one numpy pass and hands each sample's PCG64 state to one generator in
-turn.  Seeding and a first (6, 3) draw then take about 8 µs per sample, and
-the draws are the same bits.
+Each sample makes one draw, ``rng.standard_normal(out=row)`` in
+``_normals``; a Generator keeps no normals between calls, so that row holds
+the same bits as the separate draws it replaces.  The generators are not
+built one per sample (about 20-26 µs each): ``_seeded_generators`` runs
+SeedSequence's hashing for a whole chunk in one numpy pass and hands each
+sample's PCG64 state to one generator in turn.  Seeding and a (6, 3) draw
+then take 7-11 µs per sample (2-vCPU shared Xeon VM, numpy 2).
 
-All three checks run batched.  Samples are drawn one chunk of ``CHUNK`` at
-a time (only the draws loop in Python), stacked into (S, m, d)
-arrays, and centred, normalised, projected, solved and measured for the
-whole chunk in numpy; only the residual vector is kept, so the working set
-does not grow with ``samples``.  In the GO oracle and the certificate check
-each slice of a chunk goes through the same operations, in the same order,
-as a lone sample, so ``go_sample_residual`` replays any sample of
-``go_oracle`` bit for bit.  ``brackets_property_check`` solves its
-least-squares steps by batched SVD instead of one ``np.linalg.lstsq`` per
-sample, with the same cutoff.  All three agree with a one-sample-at-a-time
-loop to rounding level.
+One driver, ``_sampled``, runs all three checks: it draws one chunk of
+``CHUNK`` samples at a time and keeps only the residual vector, so the
+working set does not grow with ``samples``.  Each check states the shape of
+a sample's draw and measures a whole chunk in numpy:
+- ``go_oracle`` draws (m, d), a tangent element to centre and normalise; a
+  draw that centres to zero is replaced by the next draw of its stream;
+- ``natred_certificate_check`` draws (2, m, d), the elements x and y;
+- ``brackets_property_check`` draws x and y over the eigenvectors of a
+  cluster pair, then x and a raw second element over one cluster, and
+  gathers the four from the one row with zeros off each cluster's rows.
+
+In the GO oracle and the certificate check each slice of a chunk goes
+through the same operations, in the same order, as a lone sample, so
+``go_sample_residual`` replays any sample of ``go_oracle`` bit for bit.
+``brackets_property_check`` solves its least-squares steps by batched SVD
+instead of one ``np.linalg.lstsq`` per sample, with the same cutoff.  All
+three agree with a one-sample-at-a-time loop to rounding level.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -70,46 +79,17 @@ class OracleReport:
 
     kind: str
     samples: int
-    max_residual: float
-    verdict: bool
-    tol: float
     seed: int
-    failures: tuple[int, ...]
+    tol: float
+    verdict: bool
+    max_residual: float
     residual_min: float
     residual_median: float
+    failures: tuple[int, ...]
     notes: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "samples": self.samples,
-            "seed": self.seed,
-            "tol": self.tol,
-            "verdict": self.verdict,
-            "max_residual": self.max_residual,
-            "residual_min": self.residual_min,
-            "residual_median": self.residual_median,
-            "failures": list(self.failures),
-            "notes": self.notes,
-        }
-
-
-def _report(kind, residuals, extra, samples, seed, tol, notes=""):
-    residuals = np.asarray(residuals, dtype=float)
-    worst = float(max(residuals.max() if residuals.size else 0.0, *extra, 0.0))
-    failures = tuple(int(i) for i in np.nonzero(residuals >= tol)[0])
-    return OracleReport(
-        kind=kind,
-        samples=int(residuals.size),
-        max_residual=worst,
-        verdict=bool(worst < tol),
-        tol=tol,
-        seed=seed,
-        failures=failures,
-        residual_min=float(residuals.min()) if residuals.size else 0.0,
-        residual_median=float(np.median(residuals)) if residuals.size else 0.0,
-        notes=notes,
-    )
+        return {**asdict(self), "failures": list(self.failures)}
 
 
 def _ad_rows(sc: StructureConstants, u: np.ndarray) -> np.ndarray:
@@ -194,30 +174,16 @@ def _seeded_generators(seed: int, indices):
         yield rng
 
 
-def _sample_tangents(seed: int, indices: range, m: int, d: int) -> np.ndarray:
-    """Unit complement elements for samples ``indices``, stacked to (S, m, d).
+def _normals(seed: int, indices: range, shape: tuple[int, ...]) -> np.ndarray:
+    """Standard normal draws of samples ``indices``, stacked to (S, *shape).
 
-    Sample i is drawn from default_rng([seed, i]) and centred; a draw whose
-    centred norm is below 1e-12 is replaced by the next draw of the same
-    stream.  ``_seeded_generators`` seeds the whole chunk in one numpy pass
-    (about 8 µs per sample with its draw, against 25 µs for building
-    default_rng([seed, i])); a redraw seeds sample i alone the same way and
-    skips its first draw, so sample i's stream has one code path.
+    Row j is default_rng([seed, indices[j]]).standard_normal(shape), made by
+    one call per sample into the row.
     """
-    x = np.empty((len(indices), m, d))
-    for j, rng in enumerate(_seeded_generators(seed, indices)):
-        rng.standard_normal(out=x[j])
-    x -= x.mean(axis=1, keepdims=True)
-    norm = _norms(x)
-    for j in np.flatnonzero(norm < 1e-12):
-        # continue sample j's stream past the draw that centred to zero
-        (rng,) = _seeded_generators(seed, [indices[j]])
-        rng.standard_normal((m, d))
-        while norm[j] < 1e-12:
-            rng.standard_normal(out=x[j])
-            x[j] -= x[j].mean(axis=0)
-            norm[j] = np.linalg.norm(x[j])
-    return x / norm[:, None, None]
+    draws = np.empty((len(indices), *shape))
+    for row, rng in zip(draws, _seeded_generators(seed, indices)):
+        rng.standard_normal(out=row)
+    return draws
 
 
 def _require_draws(samples: int, seed: int) -> None:
@@ -233,6 +199,52 @@ def _require_draws(samples: int, seed: int) -> None:
         raise ParameterError(f"samples must be at most 2**32, got {samples}")
     if seed < 0:
         raise ParameterError(f"seed must be at least 0, got {seed}")
+
+
+def _sampled(kind, samples, seed, tol, shape, measure, extra=(), notes="") -> OracleReport:
+    """Measure ``samples`` seeded samples one chunk of ``CHUNK`` at a time.
+
+    ``measure(chunk, draws)`` turns a range of sample indices and their
+    ``_normals`` of shape ``shape`` into one residual per sample.  Only the
+    residual vector outlives a chunk.  ``extra`` holds residuals of checks
+    that draw nothing; they count towards the worst residual only.
+    """
+    _require_draws(samples, seed)
+    residuals = np.empty(samples)
+    for start in range(0, samples, CHUNK):
+        chunk = range(start, min(start + CHUNK, samples))
+        residuals[start : chunk.stop] = measure(chunk, _normals(seed, chunk, shape))
+    worst = float(max(residuals.max(), *extra, 0.0))
+    return OracleReport(
+        kind=kind,
+        samples=int(samples),
+        max_residual=worst,
+        verdict=bool(worst < tol),
+        tol=tol,
+        seed=seed,
+        failures=tuple(int(i) for i in np.flatnonzero(residuals >= tol)),
+        residual_min=float(residuals.min()),
+        residual_median=float(np.median(residuals)),
+        notes=notes,
+    )
+
+
+def _unit_tangents(seed: int, indices: range, x: np.ndarray) -> np.ndarray:
+    """Centre and normalise the draws x (S, m, d) of samples ``indices``.
+
+    A draw whose centred norm is below 1e-12 is replaced by the next draw of
+    its stream: sample i is seeded alone, the same way, past its first draw.
+    """
+    x -= x.mean(axis=1, keepdims=True)
+    norm = _norms(x)
+    for j in np.flatnonzero(norm < 1e-12):
+        (rng,) = _seeded_generators(seed, [indices[j]])
+        rng.standard_normal(x.shape[1:])
+        while norm[j] < 1e-12:
+            rng.standard_normal(out=x[j])
+            x[j] -= x[j].mean(axis=0)
+            norm[j] = np.linalg.norm(x[j])
+    return x / norm[:, None, None]
 
 
 def _go_residuals(
@@ -317,15 +329,13 @@ def go_oracle(
     divided by its ``power_of_two_scale`` and do not change when it is
     scaled.  Sample i is drawn from default_rng([seed, i]).
     """
-    _require_draws(samples, seed)
     sc = backend if backend is not None else default_backend()
     scaled = MetricT(metric.matrix / power_of_two_scale(metric.matrix))
-    residuals = np.empty(samples)
-    for start in range(0, samples, CHUNK):
-        chunk = range(start, min(start + CHUNK, samples))
-        x = _sample_tangents(seed, chunk, metric.m, sc.dim)
-        residuals[chunk.start:chunk.stop] = _go_residuals(scaled, x, sc)[0]
-    return _report("geodesic_orbit", residuals, (), samples, seed, tol)
+
+    def measure(chunk: range, draws: np.ndarray) -> np.ndarray:
+        return _go_residuals(scaled, _unit_tangents(seed, chunk, draws), sc)[0]
+
+    return _sampled("geodesic_orbit", samples, seed, tol, (metric.m, sc.dim), measure)
 
 
 def assess_geodesic_orbit(
@@ -347,13 +357,8 @@ def assess_geodesic_orbit(
     sc = backend if backend is not None else default_backend()
     report = None
     for round_index in range(max(rounds, 1)):
-        report = go_oracle(
-            metric,
-            sc,
-            samples << round_index,
-            seed + 7919 * round_index,
-            confirm_tol,
-        )
+        round_seed = seed + 7919 * round_index
+        report = go_oracle(metric, sc, samples << round_index, round_seed, confirm_tol)
         if report.max_residual < confirm_tol:
             return "confirmed", report
         if report.max_residual > refute_tol:
@@ -364,14 +369,18 @@ def assess_geodesic_orbit(
 # -- naturally reductive certificate verification ----------------------------
 
 
-def _certified_weights(result: NatRedResult, m: int) -> tuple[np.ndarray, int | None]:
-    """Copy weights of the certified product and the dropped copy, if any.
+def _certified_form(
+    result: NatRedResult, m: int, scale: float
+) -> tuple[np.ndarray, float | None, int | None, np.ndarray]:
+    """The certified copy weights, their sum, the dropped copy and their form.
 
     Parameters that cannot describe a metric on m copies are an InputError:
     invariant_form needs m ``alphas`` and a nonzero ``alpha_sum``; diagonal
     drops copy m and ideal drops ``ideal_index`` in 1..m-1, and both need
     ``betas`` keyed by copies in 1..m that cover every copy but the dropped
-    one.  Every weight must be finite.
+    one.  Every weight must be finite, and so must the weights divided by
+    ``scale`` and the form on the first m-1 copies that they rebuild; the
+    weights, their sum and the form are returned divided by ``scale``.
     """
 
     def unfit(what: str) -> InputError:
@@ -396,21 +405,22 @@ def _certified_weights(result: NatRedResult, m: int) -> tuple[np.ndarray, int | 
             weights[copy - 1] = beta
     if not (np.all(np.isfinite(weights)) and np.isfinite(result.alpha_sum or 0.0)):
         raise unfit("weights must be finite")
-    return weights, dropped
 
-
-def _reconstructed_form(
-    weights: np.ndarray, dropped: int | None, alpha_sum: float | None
-) -> np.ndarray:
-    """The form on the first m-1 copies that the certified weights describe."""
-    m = weights.size
-    if dropped is None:
-        head = weights[:-1]
-        return np.diag(head) - np.outer(head, head) / alpha_sum
-    # sum over copies i of w_i (e_i - e_k)(e_i - e_k)^T with e_m := 0
-    e = np.eye(m, m - 1)
-    v = e - e[dropped - 1]
-    return (v.T * weights) @ v
+    # overflow here is reported below, before any sample is drawn
+    with np.errstate(all="ignore"):
+        weights = weights / scale
+        alpha_sum = None if result.alpha_sum is None else result.alpha_sum / scale
+        if dropped is None:
+            head = weights[:-1]
+            rebuilt = np.diag(head) - np.outer(head, head) / alpha_sum
+        else:
+            # sum over copies i of w_i (e_i - e_k)(e_i - e_k)^T with e_m := 0
+            e = np.eye(m, m - 1)
+            v = e - e[dropped - 1]
+            rebuilt = (v.T * weights) @ v
+    if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(rebuilt))):
+        raise unfit("the form its weights describe overflows")
+    return weights, alpha_sum, dropped, rebuilt
 
 
 def natred_certificate_check(
@@ -433,29 +443,21 @@ def natred_certificate_check(
     the certified weights are both divided by the form's
     ``power_of_two_scale`` first, so every residual is scale-free.
     """
-    _require_draws(samples, seed)
     if result.case is NatRedCase.NOT_NR:
         raise ParameterError("nothing to verify: classification is not naturally reductive")
     sc = backend if backend is not None else default_backend()
     m = form.m
-    d = sc.dim
-    gram = sc.gram
     notes = []
 
     scale = power_of_two_scale(form.a)
     a = form.a / scale
-    weights, dropped = _certified_weights(result, m)
-    weights = weights / scale
-    alpha_sum = None if result.alpha_sum is None else result.alpha_sum / scale
-    rebuilt = _reconstructed_form(weights, dropped, alpha_sum)
+    weights, alpha_sum, dropped, rebuilt = _certified_form(result, m, scale)
     recon_residual = float(np.max(np.abs(a - rebuilt))) / float(np.max(np.abs(a)))
     if recon_residual >= tol:
         notes.append(f"certificate does not reconstruct the form ({recon_residual:.3e})")
 
     if dropped is not None:
-        mask = np.ones(m, dtype=bool)
-        mask[dropped - 1] = False
-        kept = weights[mask]
+        kept = np.delete(weights, dropped - 1)
         pd_margin = float(kept.min() / max(kept.max(), 1e-300)) if kept.size else -1.0
 
         def project(u: np.ndarray) -> np.ndarray:
@@ -474,30 +476,17 @@ def natred_certificate_check(
         pd_residual = max(abs(pd_margin), 10.0 * tol)
         notes.append("certified product is not positive definite on the complement")
 
-    residuals = np.empty(samples)
-    for start in range(0, samples, CHUNK):
-        chunk = range(start, min(start + CHUNK, samples))
+    def measure(chunk: range, draws: np.ndarray) -> np.ndarray:
         # x and y are the first and second (m, d) draws of each sample
-        draws = np.empty((len(chunk), 2, m, d))
-        for j, rng in enumerate(_seeded_generators(seed, chunk)):
-            rng.standard_normal(out=draws[j])
-        x = project(draws[:, 0])
-        y = project(draws[:, 1])
+        x, y = project(draws[:, 0]), project(draws[:, 1])
         x /= np.maximum(_norms(x), 1e-300)[:, None, None]
         y /= np.maximum(_norms(y), 1e-300)[:, None, None]
         braid = project(product_bracket(sc, x, y))
-        residuals[chunk.start:chunk.stop] = np.abs(
-            np.einsum("l,sla,ab,slb->s", weights, braid, gram, x)
-        )
-    return _report(
-        "naturally_reductive_certificate",
-        residuals,
-        (recon_residual, pd_residual),
-        samples,
-        seed,
-        tol,
-        notes="; ".join(notes),
-    )
+        return np.abs(np.einsum("l,sla,ab,slb->s", weights, braid, sc.gram, x))
+
+    kind = "naturally_reductive_certificate"
+    extra = (recon_residual, pd_residual)
+    return _sampled(kind, samples, seed, tol, (2, m, sc.dim), measure, extra, "; ".join(notes))
 
 
 # -- bracket identities behind the classifier --------------------------------
@@ -531,23 +520,35 @@ def _lstsq_residuals(root: np.ndarray, columns: np.ndarray, target: np.ndarray) 
     return np.linalg.norm(_off_range(lhs, rhs, lhs.shape[1]), axis=1)
 
 
-def _draw_in_clusters(seed, indices, rows, pairs, shape):
-    """Draws of the bracket check for samples ``indices``, as (4, S, *shape).
+def _cluster_gather(members: np.ndarray, pairs: np.ndarray, d: int):
+    """The draw length of a bracket-check sample and the gather of its parts.
 
-    Sample i is drawn from default_rng([seed, i]): x and y for cluster pair
-    i % len(pairs) (when there are pairs), then x and a raw second element
-    for cluster i % len(rows).  A draw for a cluster fills that cluster's
-    slice of ``rows``, its coefficients over the cluster's eigenvectors,
-    and leaves every other row zero.
+    ``members`` (R, n) marks the eigenvectors of each cluster, runs of
+    consecutive rows, and ``pairs`` (P, 2) lists the cluster pairs.  Sample
+    i makes one draw: x and y for the pair i % P (when there are pairs),
+    then x and a raw second element for the cluster i % R, each a
+    (size, d) block of coefficients over its cluster's eigenvectors.
+    ``gather(index, draws)`` lays the draws (S, length) of samples
+    ``index`` out as (4, S, n, d), zero off each part's cluster rows.
     """
-    draws = np.zeros((4, len(indices), *shape))
-    for j, (i, rng) in enumerate(zip(indices, _seeded_generators(seed, indices))):
-        if pairs:
-            for k, c in enumerate(pairs[i % len(pairs)]):
-                rng.standard_normal(out=draws[k, j, rows[c]])
-        for k in (2, 3):
-            rng.standard_normal(out=draws[k, j, rows[i % len(rows)]])
-    return draws
+    count, n = members.shape
+    # row ``count`` is no cluster: the pair parts of a sample when P = 0
+    members = np.vstack([members, np.zeros(n, dtype=bool)])
+    sizes = d * members.sum(axis=1)
+    # the place of coefficient (q, k) in a block over the cluster of row q
+    first = members.argmax(axis=1)[members.argmax(axis=0)]
+    within = (np.arange(n) - first)[:, None] * d + np.arange(d)
+    length = int(sizes[pairs].sum(axis=1).max(initial=0) + 2 * sizes.max())
+
+    def gather(index: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        pair = pairs[index % len(pairs)].T if len(pairs) else np.full((2, len(index)), count)
+        owner = np.vstack([pair, index % count, index % count])
+        start = np.cumsum(sizes[owner], axis=0) - sizes[owner]
+        # every place stays below ``length``, off the cluster rows too
+        taken = draws[np.arange(len(index))[:, None, None], start[..., None, None] + within]
+        return np.where(members[owner][..., None], taken, 0.0)
+
+    return length, gather
 
 
 def _pair_residuals(sc, x, y, alpha, beta, include_centralizers):
@@ -634,37 +635,34 @@ def brackets_property_check(
     weights, and the residual is |[X, Y]| times the distance of b^i <> b^j
     from span(b^i, b^j): swapping alpha and beta changes nothing.
 
-    Runs batched like the other two oracles.  Only the draws loop in
-    Python; each draw is lifted through the full eigenbasis with zeros off
-    its cluster, so every sample of a chunk stacks into one (S, m, d) array
-    whatever its cluster sizes.  The brackets, the least-squares steps
+    Runs batched like the other two oracles.  ``_cluster_gather`` splits
+    each sample's one draw into its four parts, and each part is lifted
+    through the full eigenbasis with zeros off its cluster, so every sample
+    of a chunk stacks into one (S, m, d) array whatever its cluster sizes.  The brackets, the least-squares steps
     (batched SVD with ``lstsq``'s default cutoff), the leak norm and the
     centralizers then run once per chunk.  Residuals agree with a
     one-sample-at-a-time loop over ``np.linalg.lstsq`` to rounding level.
     """
-    _require_draws(samples, seed)
     sc = backend if backend is not None else default_backend()
     eigen = eigendecompose(metric, cluster_tol)
     vectors = eigen.system.vectors
-    # clusters are runs of consecutive eigenvectors
-    rows = [slice(cluster[0], cluster[-1] + 1) for cluster in eigen.clusters]
-    members = _cluster_labels(eigen.clusters, len(vectors)) == np.arange(len(rows))[:, None]
-    pairs = [(a, b) for a in range(len(rows)) for b in range(len(rows)) if a < b]
-    pair_gammas = eigen.system.gammas[[rows[c].start for pair in pairs for c in pair]]
-    pair_gammas = pair_gammas.reshape(-1, 2)
+    count = len(eigen.clusters)
+    members = _cluster_labels(eigen.clusters, len(vectors)) == np.arange(count)[:, None]
+    pairs = np.array(list(itertools.combinations(range(count), 2)), dtype=int).reshape(-1, 2)
+    pair_gammas = eigen.system.gammas[[cluster[0] for cluster in eigen.clusters]][pairs]
+    length, gather = _cluster_gather(members, pairs, sc.dim)
 
-    residuals = np.empty(samples)
-    for start in range(0, samples, CHUNK):
-        chunk = range(start, min(start + CHUNK, samples))
+    def measure(chunk: range, flat: np.ndarray) -> np.ndarray:
         index = np.arange(chunk.start, chunk.stop)
-        draws = _draw_in_clusters(seed, chunk, rows, pairs, (len(vectors), sc.dim))
+        draws = gather(index, flat)
         # lift to (S, m, d) and normalise; a zero draw stays zero
         lifted = vectors.T @ draws[:3]
         lifted /= np.maximum(np.linalg.norm(lifted, axis=(2, 3)), 1e-300)[..., None, None]
-        worst = _leak_residuals(sc, vectors, lifted[2], draws[3], members[index % len(rows)])
-        if pairs:
+        worst = _leak_residuals(sc, vectors, lifted[2], draws[3], members[index % count])
+        if len(pairs):
             alpha, beta = pair_gammas[index % len(pairs)].T
             pair = _pair_residuals(sc, lifted[0], lifted[1], alpha, beta, include_centralizers)
             worst = np.maximum(worst, pair)
-        residuals[chunk.start:chunk.stop] = worst
-    return _report("bracket_properties", residuals, (), samples, seed, tol)
+        return worst
+
+    return _sampled("bracket_properties", samples, seed, tol, (length,), measure)

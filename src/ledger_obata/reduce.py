@@ -61,17 +61,19 @@ def factor_metric(metric: MetricT, partition: Partition) -> MetricT:
     compressed matrix keeps zero row sums and positive definiteness on the
     zero-sum subspace automatically.
     """
-    m = metric.m
-    x = np.zeros((m, len(partition)))
-    for pi, part in enumerate(partition):
-        for label in part:
-            x[label - 1, pi] = 1.0
+    x = (_part_ids(partition, metric.m)[:, None] == np.arange(len(partition))).astype(float)
     return MetricT(x.T @ metric.matrix @ x)
 
 
-def _coupling_floor(t: np.ndarray, tol_split: float) -> float:
-    """Couplings at or below this magnitude count as absent."""
-    return tol_split * float(np.max(np.abs(t)))
+def _coupled(t: np.ndarray, tol_split: float) -> np.ndarray:
+    """Couplings of distinct copies: |t_ij| above ``tol_split`` times the largest |t|.
+
+    ``check_split`` and the coupling graph of ``decompose`` both read this
+    matrix, so a cut that one finds the other certifies.
+    """
+    coupled = np.abs(t) > tol_split * float(np.max(np.abs(t)))
+    np.fill_diagonal(coupled, False)
+    return coupled
 
 
 def _summand(t: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -94,8 +96,7 @@ def check_split(
     """
     t = metric.matrix
     m = metric.m
-    coupled = np.abs(t) > _coupling_floor(t, tol_split)
-    np.fill_diagonal(coupled, False)
+    coupled = _coupled(t, tol_split)
     ids1 = _part_ids(pair.first, m)
     ids2 = _part_ids(pair.second, m)
     same1 = ids1[:, None] == ids1[None, :]
@@ -155,10 +156,7 @@ class Decomposition:
 
 def _coupling_graph(metric: MetricT, tol_split: float) -> list[list[int]]:
     """Neighbour lists of the copies, joined where ``check_split`` sees a coupling."""
-    t = metric.matrix
-    adjacent = np.abs(t) > _coupling_floor(t, tol_split)
-    np.fill_diagonal(adjacent, False)
-    return [np.flatnonzero(row).tolist() for row in adjacent]
+    return [np.flatnonzero(row).tolist() for row in _coupled(metric.matrix, tol_split)]
 
 
 def _cut(neighbours: list[list[int]]) -> tuple[int, list[int]] | None:

@@ -13,9 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ledger_obata import cli
-from ledger_obata.classify import GoResult, GoVerdict, go_family
-from ledger_obata.metrics import eigendecompose, standard_metric
+from ledger_obata import cli, oracle
+from ledger_obata.classify import GoResult, GoVerdict, go_family, natred_from_dict
+from ledger_obata.errors import InputError, ParameterError
+from ledger_obata.metrics import T_to_form, eigendecompose, standard_metric
 from ledger_obata.oracle import assess_geodesic_orbit
 from ledger_obata.serialize import metric_to_dict, read_metric, write_metric
 from ledger_obata.trees import PartitionPair
@@ -657,6 +658,32 @@ def test_generate_on_close_nodes_ends(nodes, code, message):
     assert message in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, nodes, rho, lam",
+    [
+        (["--z", "1,2,1e308"], [1.0, 2.0, 1e308], 1.0, 0.0),
+        (["--z", "1,2,3", "--rho", "1e-320"], [1.0, 2.0, 3.0], 1e-320, 0.0),
+        (["--z", "1,2,3", "--lambda", "1e308"], [1.0, 2.0, 3.0], 1.0, 1e308),
+        (["--z", "1e-320,2e-320,3e-320"], [1e-320, 2e-320, 3e-320], 1.0, 0.0),
+    ],
+    ids=["wide-nodes", "tiny-rho", "huge-lambda", "subnormal-nodes"],
+)
+def test_generate_out_of_range_ends_in_a_parameter_error(argv, nodes, rho, lam):
+    # in process, where a numpy warning is an error of the suite
+    with pytest.raises(ParameterError):
+        go_family(np.array(nodes), rho, lam)
+    env = dict(os.environ)
+    path = [str(ROOT / "src"), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in path if p)
+    argv = [sys.executable, "-m", "ledger_obata.cli", "generate", *argv]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr
+
+
 PINNED_FORM = {"m": 3, "repr": "form", "a": [[2.0, 1.0], [1.0, 3.0]]}
 
 
@@ -684,6 +711,29 @@ def test_certificate_that_does_not_fit_m_exits_1(tmp_path, capsys, certificate):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: certificate does not fit m = 3: ")
+
+
+def test_certificate_whose_form_overflows_exits_1(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "claimed.json"
+    certificate = {"case": "invariant_form", "alphas": [1e308] * 3, "alpha_sum": 1e-308}
+    t = [[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]]
+    path.write_text(json.dumps({"m": 3, "repr": "T", "T": t, "natred_certificate": certificate}))
+    # a numpy warning is an error of the suite, so none is raised either
+    code = cli.main(["verify", "--input", str(path), "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: certificate does not fit m = 3: ")
+    assert "overflows" in err
+
+    # the certificate check raises before it draws a sample
+    def no_draws(seed, indices):
+        raise AssertionError("drew samples")
+
+    monkeypatch.setattr(oracle, "_seeded_generators", no_draws)
+    form, claimed = T_to_form(read_metric(str(path))), natred_from_dict(certificate)
+    with pytest.raises(InputError, match="certificate does not fit m = 3: "):
+        oracle.natred_certificate_check(form, claimed, samples=5)
 
 
 IDEAL = {"case": "ideal", "betas": {"2": 1.0, "3": 1.0}}

@@ -153,6 +153,22 @@ def test_seeded_generators_match_default_rng(seed):
             )
 
 
+@pytest.mark.parametrize("shape", [(6, 3), (2, 6, 3), (7,)], ids=["go", "certificate", "flat"])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_normals_match_default_rng(seed, shape):
+    # a chunk, indices that cross a chunk boundary, and one index alone; (7,)
+    # is not a multiple of d = 3
+    size = int(np.prod(shape))
+    for batch in [INDICES, range(CHUNK - 3, CHUNK + 2), [2**32 - 1]]:
+        draws = oracle._normals(seed, batch, shape)
+        assert draws.shape == (len(batch), *shape)
+        for i, row in zip(batch, draws):
+            # one draw per sample holds the bits of a run of smaller draws
+            reference = np.random.default_rng([seed, i])
+            pieces = [reference.standard_normal(3), reference.standard_normal(size - 3)]
+            assert np.concatenate(pieces).tobytes() == row.tobytes()
+
+
 def test_sample_indices_must_fit_one_entropy_word(backend, monkeypatch):
     # index 2**32 would take two words; the limit is checked before any draw
     oracle._require_draws(2**32, 0)
@@ -560,6 +576,40 @@ def test_brackets_property_check_chunks_match_sample_loop(backend, name, samples
     assert report.verdict == bool(residuals.max() < tol)
     if name.startswith("dense") and samples > CHUNK:
         assert 0 < len(report.failures) < samples
+
+
+def test_bracket_draws_gather_the_four_draws_of_each_sample(backend, monkeypatch):
+    metric, _ = BRACKET_METRICS["dense-repeated-cluster"]
+    clusters = eigendecompose(metric).clusters
+    assert sorted(len(cluster) for cluster in clusters) == [1, 1, 2]
+    pairs = [(a, b) for a in range(len(clusters)) for b in range(len(clusters)) if a < b]
+    n, d = metric.m - 1, backend.dim
+    cluster_gather = oracle._cluster_gather
+    gathered = []
+
+    def recording(*args):
+        length, gather = cluster_gather(*args)
+
+        def recorded(index, draws):
+            gathered.append(gather(index, draws))
+            return gathered[-1]
+
+        return length, recorded
+
+    monkeypatch.setattr(oracle, "_cluster_gather", recording)
+    samples, seed = 2 * CHUNK + 3, 17
+    brackets_property_check(metric, backend, samples=samples, seed=seed)
+    draws = np.concatenate(gathered, axis=1)
+    assert draws.shape == (4, samples, n, d)
+    for i in range(samples):
+        # x_a, y_b for the pair (a, b), then x_c and raw_c for the cluster c
+        rng = np.random.default_rng([seed, i])
+        owners = (*pairs[i % len(pairs)], i % len(clusters), i % len(clusters))
+        expected = np.zeros((4, n, d))
+        for k, owner in enumerate(owners):
+            cluster = list(clusters[owner])
+            expected[k, cluster] = rng.standard_normal((len(cluster), d))
+        assert draws[:, i].tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize(

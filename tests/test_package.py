@@ -52,6 +52,23 @@ def test_ci_workflow_runs_both_suites_on_two_pythons():
     assert "python -m pytest -q perfbench/selftest.py" in commands
 
 
+def test_ci_workflow_runs_the_installed_lot_outside_the_checkout():
+    yaml = pytest.importorskip("yaml")
+    steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tests"]["steps"]
+    names = [step.get("name") for step in steps]
+    install = steps[names.index("Install the package")]
+    run = steps[names.index("Run the installed lot outside the checkout")]
+    assert install["run"] == "python -m pip install ."
+    # after both suites, which must keep importing from src/
+    assert names.index("Benchmark self-test") < names.index("Install the package")
+    assert names.index("Install the package") < names.index(run["name"])
+    assert run["working-directory"] == "${{ runner.temp }}"
+    assert run["run"].split("\n")[:2] == [
+        "lot generate --z 1,2,3 --output g.json --format json",
+        "lot verify --input g.json --format json",
+    ]
+
+
 def requirement_names(requirements):
     return {re.split(r"[<>=!~;\[ ]", req, maxsplit=1)[0].lower() for req in requirements}
 
