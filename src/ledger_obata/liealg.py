@@ -149,12 +149,18 @@ def default_backend() -> StructureConstants:
 
 
 def product_bracket(sc: StructureConstants, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise bracket of two (m, dim) coefficient arrays, or of two stacks of them."""
+    """Row-wise bracket of two (m, dim) coefficient arrays, or of two stacks of them.
+
+    One matmul: the products u_i v_j of each row, flattened to dim*dim
+    entries, against the table reshaped to (dim*dim, dim).
+    """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
         raise ValueError(f"shape mismatch {u.shape} vs {v.shape}")
-    return np.einsum("...i,...j,ijk->...k", u, v, sc.c)
+    d = sc.dim
+    outer = (u[..., :, None] * v[..., None, :]).reshape(*u.shape[:-1], d * d)
+    return outer @ sc.c.reshape(d * d, d)
 
 
 def split_diagonal(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

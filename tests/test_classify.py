@@ -1,11 +1,14 @@
 """Tests for the naturally-reductive and geodesic-orbit classifiers."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from ledger_obata.classify import (
     GoVerdict,
     NatRedCase,
+    _bisect_root,
     classify_go,
     classify_natred,
     go_family,
@@ -324,3 +327,18 @@ def test_classification_at_extreme_scales():
         assert result.case is NatRedCase.IDEAL
         assert result.ideal_index == 2
         assert result.betas[4] == pytest.approx(scale * 0.7, rel=1e-12)
+
+
+@pytest.mark.parametrize("far", [1e200, 1e308])
+def test_bisect_root_crosses_a_gap_of_hundreds_of_decades(far):
+    # far more halvings than a gap of a few decades takes; phi on the gap
+    # (2, far) is 1/(1-t) + 2/(2-t) + 1 to within t/far, with root 3 + sqrt(3)
+    z = np.array([1.0, 2.0, far])
+    root = _bisect_root(z, 2.0, far)
+    assert root == pytest.approx(3 + np.sqrt(3), rel=1e-12, abs=0.0)
+
+    def phi(t):
+        return sum(Fraction(v) / (Fraction(v) - Fraction(t)) for v in z)
+
+    # exact arithmetic: the sign of phi changes within 1e-12 of the root
+    assert phi(root * (1 - 1e-12)) < 0 < phi(root * (1 + 1e-12))

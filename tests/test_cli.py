@@ -390,26 +390,26 @@ PERTURBED_M4 = [
 PINNED_VERIFY = {
     "invariant-m4": (INVARIANT_M4, "confirmed", {
         "go_oracle": (200, 42, [], True,
-                      5.491213086639866e-13, 3.4090095584694237e-16, 3.823948289741593e-14),
+                      5.490868325422329e-13, 3.4343072085675546e-16, 3.813577505631296e-14),
         "natred_certificate": (200, 42, [], True,
-                               8.326672684688674e-17, 0.0, 1.0408340855860843e-17),
+                               1.249000902703301e-16, 0.0, 1.0408340855860843e-17),
         "bracket_properties": (200, 42, [], True,
-                               4.672346497649204e-14, 1.4218533350158188e-16,
-                               3.924777085342157e-16),
+                               1.8237320096796304e-13, 1.3159935154973152e-16,
+                               4.0240935614894207e-16),
     }),
     "dense-m5": (DENSE_M5, "refuted", {
         "go_oracle": (200, 42, list(range(200)), False,
-                      0.06513592173480831, 0.004717668246049872, 0.03667781968199321),
+                      0.06513592173480831, 0.0047176682460498744, 0.03667781968199321),
         "bracket_properties": (200, 42, list(range(200)), False,
-                               0.6224182428473862, 0.0015893533071569545,
+                               0.6224182428473861, 0.0015893533071569545,
                                0.11802585791961723),
     }),
     "perturbed-m4": (PERTURBED_M4, "marginal", {
         "go_oracle": (800, 42 + 2 * 7919, all_but(800, [14, 586]), False,
-                      3.1179692377261595e-07, 5.4286278891261466e-09, 1.6952731873188657e-07),
+                      3.1179692377260716e-07, 5.428627883732457e-09, 1.6952731872859743e-07),
         "bracket_properties": (200, 42, all_but(200, [194]), False,
-                               1.9512556064812742e-07, 4.2827287867770164e-09,
-                               1.733297427447741e-07),
+                               1.9512556066188736e-07, 4.282728786964884e-09,
+                               1.7332974273829818e-07),
     }),
 }
 
@@ -661,12 +661,11 @@ def test_generate_on_close_nodes_ends(nodes, code, message):
 @pytest.mark.parametrize(
     "argv, nodes, rho, lam",
     [
-        (["--z", "1,2,1e308"], [1.0, 2.0, 1e308], 1.0, 0.0),
         (["--z", "1,2,3", "--rho", "1e-320"], [1.0, 2.0, 3.0], 1e-320, 0.0),
         (["--z", "1,2,3", "--lambda", "1e308"], [1.0, 2.0, 3.0], 1.0, 1e308),
         (["--z", "1e-320,2e-320,3e-320"], [1e-320, 2e-320, 3e-320], 1.0, 0.0),
     ],
-    ids=["wide-nodes", "tiny-rho", "huge-lambda", "subnormal-nodes"],
+    ids=["tiny-rho", "huge-lambda", "subnormal-nodes"],
 )
 def test_generate_out_of_range_ends_in_a_parameter_error(argv, nodes, rho, lam):
     # in process, where a numpy warning is an error of the suite
@@ -682,6 +681,15 @@ def test_generate_out_of_range_ends_in_a_parameter_error(argv, nodes, rho, lam):
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
     assert "Warning" not in proc.stderr
+
+
+def test_generate_on_nodes_three_hundred_decades_apart(capsys):
+    # the bisection of the gap (2, 1e308) runs until it reaches the root;
+    # there phi is 1/(1-t) + 2/(2-t) + 1 to within t/1e308, with roots 3 -+ sqrt(3)
+    code, report = run_json(capsys, ["generate", "--z", "1,2,1e308"])
+    assert code == 0
+    assert report["roots"] == pytest.approx([3 - np.sqrt(3), 3 + np.sqrt(3)], rel=1e-12)
+    assert report["go_verdict"] == "yes"
 
 
 PINNED_FORM = {"m": 3, "repr": "form", "a": [[2.0, 1.0], [1.0, 3.0]]}
@@ -734,6 +742,26 @@ def test_certificate_whose_form_overflows_exits_1(tmp_path, capsys, monkeypatch)
     form, claimed = T_to_form(read_metric(str(path))), natred_from_dict(certificate)
     with pytest.raises(InputError, match="certificate does not fit m = 3: "):
         oracle.natred_certificate_check(form, claimed, samples=5)
+
+
+def test_certificate_whose_projection_overflows_exits_1(tmp_path, capsys):
+    # the form its weights rebuild is finite, but alphas / alpha_sum is not
+    path = tmp_path / "claimed.json"
+    certificate = {"case": "invariant_form", "alphas": [1, 1, 1e300], "alpha_sum": 1e-10}
+    t = [[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]]
+    path.write_text(json.dumps({"m": 3, "repr": "T", "T": t, "natred_certificate": certificate}))
+    # in process a numpy warning is an error of the suite; in a subprocess it
+    # would reach stderr
+    code = cli.main(["verify", "--input", str(path), "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "error: certificate does not fit m = 3: its weights over 'alpha_sum' overflow\n"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in [str(ROOT / "src"), env.get("PYTHONPATH")] if p)
+    argv = [sys.executable, "-m", "ledger_obata.cli", "verify", "--input", str(path)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", err)
 
 
 IDEAL = {"case": "ideal", "betas": {"2": 1.0, "3": 1.0}}

@@ -26,7 +26,7 @@ from ledger_obata.metrics import (
     standard_metric,
     zero_sum_basis,
 )
-from ledger_obata.liealg import product_bracket
+from ledger_obata.liealg import StructureConstants, product_bracket, so3
 from ledger_obata.oracle import (
     CHUNK,
     assess_geodesic_orbit,
@@ -677,3 +677,196 @@ def test_oracle_report_round_trip(backend):
         "failures",
         "notes",
     }
+
+
+# -- the einsum kernels that the matmul kernels replaced ----------------------
+#
+# Kept as the reference, the way tests/test_diamond_products.py keeps the pair
+# loops.  Each is the earlier multi-operand einsum form of a kernel; the
+# matmul forms reorder the sums, so they agree to rounding level, not bitwise.
+
+# a change of basis whose table has no zero but the [E'_a, E'_a] entries
+SKEW = np.array([[1.0, 0.5, -0.25], [0.25, 1.0, 0.5], [-0.5, 0.25, 1.0]])
+
+
+def skewed_so3():
+    """so(3) in the basis E'_a = sum_i SKEW[a, i] E_i: dense c, non-diagonal Gram."""
+    c = np.einsum("ai,bj,ijk,kc->abc", SKEW, SKEW, so3().c, np.linalg.inv(SKEW))
+    return StructureConstants(dim=3, c=c, name="so3-skewed")
+
+
+TABLES = {"so3": so3, "so3-skewed": skewed_so3}
+
+
+def product_bracket_by_einsum(sc, u, v):
+    return np.einsum("...i,...j,ijk->...k", u, v, sc.c)
+
+
+def go_residuals_by_einsum(metric, x, sc, shift=None):
+    d, gram = sc.dim, sc.gram
+    ax = metric.matrix @ x
+    base = product_bracket_by_einsum(sc, x, ax)
+    base -= base.mean(axis=1, keepdims=True)
+    coef = -_ad_rows(sc, ax)
+    coef -= coef.mean(axis=1, keepdims=True)
+    if shift is None:
+        lhs = np.einsum("slab,ac,slcd->sbd", coef, gram, coef)
+        rhs = -np.einsum("slab,ac,slc->sb", coef, gram, base)
+        trace = np.trace(lhs, axis1=1, axis2=2)
+        ridge = oracle.RIDGE * trace / d
+        solvable = trace > 0.0
+        shift = np.zeros((len(x), d))
+        shift[solvable] = np.linalg.solve(
+            lhs[solvable] + ridge[solvable, None, None] * np.eye(d),
+            rhs[solvable, :, None],
+        )[..., 0]
+    rest = base + np.einsum("slab,sb->sla", coef, shift)
+    quad = np.einsum("sla,ab,slb->s", rest, gram, rest)
+    return np.sqrt(np.maximum(quad, 0.0)), shift
+
+
+def off_range_by_einsum(lhs, rhs, size):
+    u, svals, _ = np.linalg.svd(lhs, full_matrices=False)
+    keep = svals > np.finfo(float).eps * size * svals[:, :1]
+    coef = np.einsum("snk,sn->sk", u, rhs) * keep
+    return rhs - np.einsum("snk,sk->sn", u, coef)
+
+
+def lstsq_residuals_by_einsum(root, columns, target):
+    lhs = np.einsum("ab,slbk->slak", root.T, columns).reshape(len(columns), -1, columns.shape[3])
+    rhs = (target @ root).reshape(len(target), -1)
+    return np.linalg.norm(off_range_by_einsum(lhs, rhs, lhs.shape[1]), axis=1)
+
+
+def pair_residuals_by_einsum(sc, x, y, alpha, beta, include_centralizers):
+    root = np.linalg.cholesky(sc.gram)
+    target = product_bracket_by_einsum(sc, x, y)
+    ads_x, ads_y = _ad_rows(sc, x), _ad_rows(sc, y)
+    shared = -(
+        (alpha / (beta - alpha))[:, None, None, None] * ads_x
+        + (beta / (beta - alpha))[:, None, None, None] * ads_y
+    )
+    worst = lstsq_residuals_by_einsum(root, shared, target)
+    if include_centralizers:
+        d = sc.dim
+        ads = np.stack([ads_x, ads_y]).reshape(2 * len(x), -1, d)
+        _, svals, vt = np.linalg.svd(ads, full_matrices=False)
+        null = vt.transpose(0, 2, 1) * (svals <= 1e-10 * svals[:, :1])[:, None, :]
+        null_x, null_y = null.reshape(2, len(x), d, d)
+        columns = -np.concatenate(
+            [np.einsum("slab,sbk->slak", ads_y, null_x),
+             np.einsum("slab,sbk->slak", ads_x, null_y)],
+            axis=3,
+        )
+        worst = np.maximum(worst, lstsq_residuals_by_einsum(root, columns, target))
+    return worst
+
+
+def leak_residuals_by_einsum(sc, vectors, x, raw, mask):
+    d = sc.dim
+    constraint = np.einsum("al,slbc->sacb", vectors, _ad_rows(sc, x)) * mask[..., None, None]
+    constraint = constraint.reshape(len(x), -1, d)
+    sizes = d * mask.sum(axis=1)[:, None]
+    kept = off_range_by_einsum(constraint, raw.reshape(len(x), -1), sizes).reshape(raw.shape)
+    y = vectors.T @ kept
+    norm = np.linalg.norm(y, axis=(1, 2))
+    live = norm > 1e-10
+    y /= np.where(live, norm, 1.0)[:, None, None]
+    rest = product_bracket_by_einsum(sc, x, y)
+    rest -= rest.mean(axis=1, keepdims=True)
+    leak = rest - vectors.T @ ((vectors @ rest) * mask[..., None])
+    quad = np.einsum("sla,ab,slb->s", leak, sc.gram, leak)
+    return np.where(live, np.sqrt(np.maximum(quad, 0.0)), 0.0)
+
+
+def unit_stack(rng, count, m, d):
+    x = rng.standard_normal((count, m, d))
+    x -= x.mean(axis=1, keepdims=True)
+    return x / np.linalg.norm(x, axis=(1, 2))[:, None, None]
+
+
+@pytest.mark.parametrize("m", [3, 5, 7])
+@pytest.mark.parametrize("table", sorted(TABLES))
+def test_matmul_kernels_match_the_einsum_kernels(table, m):
+    sc = TABLES[table]()
+    rng = np.random.default_rng([m, len(table)])
+    count, d = CHUNK + 3, sc.dim
+    x, y = unit_stack(rng, count, m, d), unit_stack(rng, count, m, d)
+
+    assert np.max(np.abs(product_bracket(sc, x, y) - product_bracket_by_einsum(sc, x, y))) <= 1e-12
+    assert np.max(np.abs(oracle._ad_rows(sc, x) - _ad_rows(sc, x))) <= 1e-12
+
+    metric = dense_nonreductive_metric(rng, m)
+    scaled = MetricT(metric.matrix / power_of_two_scale(metric.matrix))
+    got, shifts = oracle._go_residuals(scaled, x, sc)
+    want, want_shifts = go_residuals_by_einsum(scaled, x, sc)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.max(np.abs(shifts - want_shifts)) <= 1e-12
+    given = rng.standard_normal((count, d))
+    got = oracle._go_residuals(scaled, x, sc, given)[0]
+    assert np.max(np.abs(got - go_residuals_by_einsum(scaled, x, sc, given)[0])) <= 1e-12
+    # a GO metric leaves residuals at rounding level in both forms
+    got = oracle._go_residuals(standard_metric(m), x, sc)[0]
+    assert np.max(got) <= 1e-12
+
+    # certificate_residuals_by_loop measures each sample with the einsum
+    # "i,ia,ab,ib->"; a certificate inconsistent with its form gives O(1) residuals
+    form = T_to_form(metric)
+    alphas = rng.uniform(0.5, 2.0, size=m)
+    claimed = NatRedResult(case=NatRedCase.INVARIANT_FORM, alphas=alphas, alpha_sum=0.5)
+    report = natred_certificate_check(form, claimed, sc, samples=count, seed=m)
+    want = certificate_residuals_by_loop(form, claimed, sc, count, m)
+    assert abs(report.residual_median - np.median(want)) <= 1e-12
+    assert abs(report.residual_min - np.min(want)) <= 1e-12
+    assert np.median(want) > 1e-3
+
+    alpha, beta = rng.uniform(0.5, 1.0, size=count), rng.uniform(1.5, 3.0, size=count)
+    # generic x and y centralize nothing, so their centralizer columns are
+    # all padding; rank-one b (x) X centralizes X
+    rank_one = [rng.standard_normal((count, m, 1)) * rng.standard_normal((count, 1, d))
+                for _ in range(2)]
+    for u, v in [(x, y), rank_one]:
+        for centralizers in (False, True):
+            got = oracle._pair_residuals(sc, u, v, alpha, beta, centralizers)
+            want = pair_residuals_by_einsum(sc, u, v, alpha, beta, centralizers)
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    # eigenvectors of a generic metric, and clusters of one to m-1 of them
+    vectors = eigendecompose(metric).system.vectors
+    mask = rng.random((count, m - 1)) < 0.5
+    mask[np.arange(count), rng.integers(0, m - 1, size=count)] = True
+    raw = rng.standard_normal((count, m - 1, d)) * mask[..., None]
+    got = oracle._leak_residuals(sc, vectors, x, raw, mask)
+    assert np.max(np.abs(got - leak_residuals_by_einsum(sc, vectors, x, raw, mask))) <= 1e-12
+
+
+def test_off_range_matches_the_einsum_kernel_with_padded_columns():
+    rng = np.random.default_rng(29)
+    lhs = rng.standard_normal((CHUNK, 12, 6))
+    lhs[:, :, 4:] = 0.0  # zero columns, as the callers pad with
+    lhs[: CHUNK // 2, :, 3] = lhs[: CHUNK // 2, :, 0]  # rank-deficient slices
+    rhs = rng.standard_normal((CHUNK, 12))
+    got = oracle._off_range(lhs, rhs, 12)
+    assert np.max(np.abs(got - off_range_by_einsum(lhs, rhs, 12))) <= 1e-12
+    root = np.linalg.cholesky(skewed_so3().gram)
+    columns = rng.standard_normal((CHUNK, 4, 3, 5))
+    target = rng.standard_normal((CHUNK, 4, 3))
+    got = oracle._lstsq_residuals(root, columns, target)
+    assert np.max(np.abs(got - lstsq_residuals_by_einsum(root, columns, target))) <= 1e-12
+
+
+def test_oracles_confirm_the_standard_metric_in_a_skewed_basis():
+    sc = skewed_so3()
+    # every entry but those of [E'_a, E'_a], and every entry of the Gram matrix
+    assert np.count_nonzero(np.abs(sc.c) > 1e-12) == 18
+    assert np.count_nonzero(np.abs(sc.gram) > 1e-12) == 9
+    metric = standard_metric(5)
+    word, report = assess_geodesic_orbit(metric, sc)
+    assert (word, report.samples) == ("confirmed", 200)
+    form = T_to_form(metric)
+    certificate = natred_certificate_check(form, classify_natred(form), sc)
+    assert certificate.verdict, certificate.notes
+    assert brackets_property_check(metric, sc, include_centralizers=True).verdict
+    # and a dense metric stays refuted
+    dense = dense_nonreductive_metric(np.random.default_rng(8), 5)
+    assert assess_geodesic_orbit(dense, sc)[0] == "refuted"

@@ -1,12 +1,18 @@
 """Tests for the package's public namespace."""
 
+import json
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ledger_obata
+from ledger_obata.liealg import ENV_TABLE, load_structure_constants
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
@@ -84,3 +90,38 @@ def test_test_extra_lists_every_package_the_workflow_installs():
     assert requirement_names(project["dependencies"]) == {"numpy"}
     missing = installed - {"numpy"} - requirement_names(project["optional-dependencies"]["test"])
     assert not missing
+
+
+def test_ci_workflow_verifies_under_a_skewed_table(tmp_path):
+    yaml = pytest.importorskip("yaml")
+    steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tests"]["steps"]
+    names = [step.get("name") for step in steps]
+    step = steps[names.index("Verify under a skewed so(3) table")]
+    # g.json is the metric that the installed lot generated one step before
+    position = names.index(step["name"])
+    assert names.index("Run the installed lot outside the checkout") == position - 1
+    assert step["working-directory"] == "${{ runner.temp }}"
+    lines = step["run"].splitlines()
+    assert lines[0] == "python - > skewed.json <<'PY'"
+    assert lines[lines.index("PY") + 1:] == [
+        "LOT_STRUCTURE_CONSTANTS=skewed.json lot verify --input g.json --format json"
+    ]
+
+    # run the step here, with the sources of this checkout in place of the installed lot
+    script = "\n".join(lines[1:lines.index("PY")])
+    argv = [sys.executable, "-c", script]
+    table = subprocess.run(argv, capture_output=True, text=True, check=True)
+    (tmp_path / "skewed.json").write_text(table.stdout)
+    sc = load_structure_constants(str(tmp_path / "skewed.json"))
+    assert np.count_nonzero(np.abs(sc.c) > 1e-12) == 18
+    assert np.count_nonzero(np.abs(sc.gram) > 1e-12) == 9
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in [str(ROOT / "src"), env.get("PYTHONPATH")] if p)
+    lot = [sys.executable, "-m", "ledger_obata.cli"]
+    generate = ["generate", "--z", "1,2,3", "--output", "g.json", "--format", "json"]
+    subprocess.run(lot + generate, cwd=tmp_path, env=env, capture_output=True, check=True)
+    env[ENV_TABLE] = "skewed.json"
+    verify = ["verify", "--input", "g.json", "--format", "json"]
+    proc = subprocess.run(lot + verify, cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["go_oracle_assessment"] == "confirmed"
