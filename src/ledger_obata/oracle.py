@@ -10,12 +10,11 @@ backend, so agreement between the two is meaningful evidence.
 Replay contract: sample i of a run with base seed ``seed`` is drawn from
 ``default_rng([seed, i])``, so any failing sample can be recomputed alone.
 Each sample makes one draw, ``rng.standard_normal(out=row)`` in
-``_normals``; a Generator keeps no normals between calls, so that row holds
-the same bits as the separate draws it replaces.  The generators are not
-built one per sample (about 20-26 µs each): ``_seeded_generators`` runs
-SeedSequence's hashing for a whole chunk in one numpy pass and hands each
-sample's PCG64 state to one generator in turn.  Seeding and a (6, 3) draw
-then take 7-11 µs per sample (2-vCPU shared Xeon VM, numpy 2).
+``_normals``.  The generators are not built one per sample (about 20-26 µs
+each): ``_seeded_generators`` runs SeedSequence's hashing for a whole chunk
+in one numpy pass and hands each sample's PCG64 state to one generator in
+turn.  Seeding and a (6, 3) draw then take 7-11 µs per sample (2-vCPU
+shared Xeon VM, numpy 2).
 
 One driver, ``_sampled``, runs all three checks: it draws one chunk of
 ``CHUNK`` samples at a time and keeps only the residual vector, so the
@@ -35,19 +34,17 @@ through the same operations, in the same order, as a lone sample, so
 instead of one ``np.linalg.lstsq`` per sample, with the same cutoff.  All
 three agree with a one-sample-at-a-time loop to rounding level.
 
-Kernels are 2-D or batched matmuls against the structure constants
-reshaped to (d*d, d) or (d, d*d); no einsum of three or more operands runs
-per chunk.  ``product_bracket`` multiplies the flattened products u_i v_j
-by the first, ``_ad_rows`` multiplies u by the second, and the GO normal
-matrix is Y^T Y against a (d^2, d^2) table built per call (see
-``_go_residuals``).  A batched matmul multiplies slice by slice, so a
-slice's digits do not depend on the chunk it sits in.  At m = 5 over so(3)
-the GO kernel takes 2.2-3.4 µs per sample, against 6.7-9.4 µs for the
-multi-operand einsums it replaced, and ``product_bracket`` 0.35-0.47 µs
-against 1.6-1.7 µs (best of 300 calls on one 64-sample chunk, four runs
-alternating with the einsum forms, 2-vCPU shared Xeon VM, numpy 2).
-Seeding and drawing, 4.8-7.9 µs per sample, and the bracket check's
-batched SVD now cost more than the GO kernel.
+The backend enters only through ``liealg``: brackets, ad matrices and
+minus-Killing norms come from ``product_bracket``, ``ad_rows`` and
+``killing_norms``, each a matmul against the reshaped table.  The other
+kernels are 2-D or batched matmuls too, and the GO normal matrix is Y^T Y
+against a (d^2, d^2) table built per call (see ``_go_residuals``).  A
+batched matmul multiplies slice by slice, so a slice's digits do not
+depend on the chunk it sits in.  At m = 5 over so(3) the GO kernel takes
+2.2-3.4 µs per sample and ``product_bracket`` 0.35-0.47 µs (best of 300
+calls on one 64-sample chunk, 2-vCPU shared Xeon VM, numpy 2).  Seeding
+and drawing, 4.8-7.9 µs per sample, and the bracket check's batched SVD
+cost more than the GO kernel.
 """
 
 from __future__ import annotations
@@ -61,7 +58,7 @@ import numpy as np
 from .classify import GoCertificate, NatRedCase, NatRedResult
 from .coeff import _cluster_labels, _norms
 from .errors import InputError, ParameterError
-from .liealg import StructureConstants, default_backend, product_bracket
+from .liealg import StructureConstants, ad_rows, default_backend, killing_norms, product_bracket
 from .metrics import MetricForm, MetricT, eigendecompose, power_of_two_scale
 
 RIDGE = 1e-14
@@ -108,16 +105,6 @@ class OracleReport:
         data = {f.name: getattr(self, f.name) for f in fields(self)}
         data["failures"] = list(self.failures)
         return data
-
-
-def _ad_rows(sc: StructureConstants, u: np.ndarray) -> np.ndarray:
-    """Stack of ad matrices, one per row of u: out[..., l, :, :] @ w = [u_l, w].
-
-    One matmul against the table reshaped to (dim, dim*dim); the result is
-    a view with the last two axes swapped.
-    """
-    d = sc.dim
-    return (u @ sc.c.reshape(d, d * d)).reshape(*u.shape[:-1], d, d).swapaxes(-1, -2)
 
 
 def _words(n: int) -> list[int]:
@@ -292,9 +279,9 @@ def _go_residuals(
     The normal matrix sum_l ad(y_l)^T G ad(y_l) is then Y^T Y, flattened,
     times the (d^2, d^2) table of ad(E_i)^T G ad(E_j); the right-hand side
     is Y^T (base G), flattened, times the ad(E_i) stacked to (d^2, d); and
-    [shift, y_l] is y_l times ad(shift)^T, read off the table reshaped to
-    (d, d^2).  Every product is a matmul with the slices as its batch axis,
-    so each slice is computed on its own and its digits do not depend on S.
+    [shift, y_l] is y_l times ad(shift)^T.  Every product is a matmul with
+    the slices as its batch axis, so each slice is computed on its own and
+    its digits do not depend on S.
     """
     count, m, d = x.shape
     gram = sc.gram
@@ -304,7 +291,7 @@ def _go_residuals(
     base = (np.eye(m) - 1.0 / m) @ product_bracket(sc, x, a @ x)
     y = (a - a.mean(axis=0)) @ x
     if shift is None:
-        ads = _ad_rows(sc, np.eye(d))
+        ads = ad_rows(sc, np.eye(d))
         normal = ((ads.swapaxes(1, 2) @ gram)[:, None] @ ads).reshape(d * d, d * d)
         # a contiguous Y^T multiplies by gemm, several times faster than the view
         yt = np.ascontiguousarray(y.swapaxes(1, 2))
@@ -317,9 +304,8 @@ def _go_residuals(
         ridged = lhs + (RIDGE * trace / d)[:, None, None] * eye
         system = np.where(solvable[:, None, None], ridged, eye)
         shift = np.where(solvable[:, None], np.linalg.solve(system, rhs[..., None])[..., 0], 0.0)
-    rest = base + y @ (shift @ sc.c.reshape(d, d * d)).reshape(count, d, d)
-    quad = ((rest @ gram) * rest).sum(axis=(1, 2))
-    return np.sqrt(np.maximum(quad, 0.0)), shift
+    rest = base + y @ ad_rows(sc, shift).swapaxes(1, 2)
+    return killing_norms(sc, rest), shift
 
 
 def go_sample_residual(
@@ -519,16 +505,23 @@ def natred_certificate_check(
         notes.append("certified product is not positive definite on the complement")
 
     def measure(chunk: range, draws: np.ndarray) -> np.ndarray:
-        # x and y are the first and second (m, d) draws of each sample
-        x, y = project(draws[:, 0]), project(draws[:, 1])
-        x /= np.maximum(_norms(x), 1e-300)[:, None, None]
-        y /= np.maximum(_norms(y), 1e-300)[:, None, None]
-        braid = project(product_bracket(sc, x, y))
-        return np.abs(((braid @ sc.gram) * x).sum(axis=2) @ weights)
+        # weights far from the form they should rebuild can project a draw,
+        # or the identity, past the largest double; such a sample has no
+        # residual, and reading its norm as inf would zero it
+        with np.errstate(over="raise"):
+            # x and y are the first and second (m, d) draws of each sample
+            x, y = project(draws[:, 0]), project(draws[:, 1])
+            x /= np.maximum(_norms(x), 1e-300)[:, None, None]
+            y /= np.maximum(_norms(y), 1e-300)[:, None, None]
+            braid = project(product_bracket(sc, x, y))
+            return np.abs(((braid @ sc.gram) * x).sum(axis=2) @ weights)
 
     kind = "naturally_reductive_certificate"
     extra = (recon_residual, pd_residual)
-    return _sampled(kind, samples, seed, tol, (2, m, sc.dim), measure, extra, "; ".join(notes))
+    try:
+        return _sampled(kind, samples, seed, tol, (2, m, sc.dim), measure, extra, "; ".join(notes))
+    except FloatingPointError:
+        raise InputError(f"certificate does not fit m = {m}: its samples overflow") from None
 
 
 # -- bracket identities behind the classifier --------------------------------
@@ -601,7 +594,7 @@ def _pair_residuals(sc, x, y, alpha, beta, include_centralizers):
     """
     root = np.linalg.cholesky(sc.gram)
     target = product_bracket(sc, x, y)
-    ads_x, ads_y = _ad_rows(sc, x), _ad_rows(sc, y)
+    ads_x, ads_y = ad_rows(sc, x), ad_rows(sc, y)
     shared = -(
         (alpha / (beta - alpha))[:, None, None, None] * ads_x
         + (beta / (beta - alpha))[:, None, None, None] * ads_y
@@ -632,9 +625,9 @@ def _leak_residuals(sc, vectors, x, raw, mask):
     d = sc.dim
     # column (b) of the transposed constraint holds component b of the
     # paired brackets sum_l [x_l, y_l] as a function of y's coefficients:
-    # entry (a, c, b) is sum_i (vectors @ x)[a, i] c[i, c, b]
-    constraint = ((vectors @ x) @ sc.c.reshape(d, d * d)).reshape(*mask.shape, d, d)
-    constraint = (constraint * mask[..., None, None]).reshape(len(x), -1, d)
+    # block a is ad((vectors @ x)[a]) transposed
+    constraint = ad_rows(sc, vectors @ x).swapaxes(-1, -2) * mask[..., None, None]
+    constraint = constraint.reshape(len(x), -1, d)
     # removing the min-norm lstsq correction leaves the part of raw that
     # meets the constraint; lstsq's cutoff is taken on the unpadded (d, k*d)
     sizes = d * mask.sum(axis=1)[:, None]
@@ -646,8 +639,7 @@ def _leak_residuals(sc, vectors, x, raw, mask):
     rest = product_bracket(sc, x, y)
     rest -= rest.mean(axis=1, keepdims=True)
     leak = rest - vectors.T @ ((vectors @ rest) * mask[..., None])
-    quad = ((leak @ sc.gram) * leak).sum(axis=(1, 2))
-    return np.where(live, np.sqrt(np.maximum(quad, 0.0)), 0.0)
+    return np.where(live, killing_norms(sc, leak), 0.0)
 
 
 def brackets_property_check(

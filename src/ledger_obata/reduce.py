@@ -19,7 +19,7 @@ import numpy as np
 
 from .classify import NatRedResult, classify_natred, natred_report
 from .coeff import _orthonormal_basis, diamond_tensor, project_zero_sum
-from .liealg import StructureConstants, default_backend
+from .liealg import StructureConstants, ad_rows, default_backend
 from .metrics import EigenData, MetricT, T_to_form, eigendecompose
 from .trees import Partition, PartitionPair, _canon
 
@@ -289,7 +289,7 @@ def holonomy_generators(
     eigen = eigendecompose(metric, cluster_tol)
     vectors = eigen.system.vectors
     gammas = eigen.system.gammas
-    ads = np.transpose(sc.c, (0, 2, 1))  # ad E_p at [p]
+    ads = ad_rows(sc, np.eye(sc.dim))  # ad E_p at [p]
     ops = [2.0 * np.kron(np.eye(len(vectors)), ad) for ad in ads]
     coupling = diamond_tensor(vectors)  # (b^k <> b^i) . b^j at [k, i, j]
     for k in range(len(vectors)):

@@ -7,7 +7,7 @@ arrays each call and never share state.
 import numpy as np
 import pytest
 
-from ledger_obata.liealg import so3
+from ledger_obata.liealg import StructureConstants, so3
 from ledger_obata.metrics import MetricForm, MetricT, form_to_T
 from ledger_obata.trees import PartitionPair
 
@@ -102,6 +102,36 @@ def random_nodes(rng: np.random.Generator, m: int, min_gap: float = 0.05) -> np.
     while np.min(np.diff(z)) < min_gap:
         z = np.sort(rng.uniform(0.5, 4.0, size=m))
     return z
+
+
+# a change of basis whose table has no zero but the [E'_a, E'_a] entries
+SKEW = np.array([[1.0, 0.5, -0.25], [0.25, 1.0, 0.5], [-0.5, 0.25, 1.0]])
+
+
+def skewed_so3() -> StructureConstants:
+    """so(3) in the basis E'_a = sum_i SKEW[a, i] E_i: dense c, non-diagonal Gram."""
+    c = np.einsum("ai,bj,ijk,kc->abc", SKEW, SKEW, so3().c, np.linalg.inv(SKEW))
+    return StructureConstants(c=c, name="so3-skewed")
+
+
+def so_n_entries(n):
+    """Structure constants of so(n) on the basis E_ij - E_ji, i < j, as (i, j, k, value)."""
+    basis = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            e = np.zeros((n, n))
+            e[i, j], e[j, i] = 1.0, -1.0
+            basis.append(e)
+    entries = []
+    for a, x in enumerate(basis):
+        for b, y in enumerate(basis):
+            bracket = x @ y - y @ x
+            for k, e in enumerate(basis):
+                # the basis is orthogonal with squared Frobenius norm 2
+                value = float(np.sum(bracket * e)) / 2.0
+                if value:
+                    entries.append([a, b, k, value])
+    return len(basis), entries
 
 
 @pytest.fixture(scope="session")

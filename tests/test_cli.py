@@ -764,6 +764,29 @@ def test_certificate_whose_projection_overflows_exits_1(tmp_path, capsys):
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", err)
 
 
+@pytest.mark.parametrize(
+    "alphas, alpha_sum",
+    [([1, 1, 1e200], 1e-10), ([1, 1, 1e150], 1e-10), ([1, 1, 1e300], 1.0)],
+    ids=["1e200", "1e150", "1e300"],
+)
+def test_certificate_whose_samples_overflow_exits_1(tmp_path, capsys, alphas, alpha_sum):
+    # alphas / alpha_sum is finite, but the draws it projects, or the
+    # identity on them, pass the largest double; no sample may read as 0
+    path = tmp_path / "claimed.json"
+    certificate = {"case": "invariant_form", "alphas": alphas, "alpha_sum": alpha_sum}
+    t = [[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]]
+    path.write_text(json.dumps({"m": 3, "repr": "T", "T": t, "natred_certificate": certificate}))
+    code = cli.main(["verify", "--input", str(path), "--format", "json"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == "error: certificate does not fit m = 3: its samples overflow\n"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in [str(ROOT / "src"), env.get("PYTHONPATH")] if p)
+    argv = [sys.executable, "-m", "ledger_obata.cli", "verify", "--input", str(path)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", err)
+
+
 IDEAL = {"case": "ideal", "betas": {"2": 1.0, "3": 1.0}}
 INVARIANT = {"case": "invariant_form", "alphas": [1.25, 1.5, -5.0]}
 

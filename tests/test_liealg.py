@@ -1,6 +1,8 @@
 """Tests for the structure-constant backend and product-algebra helpers."""
 
 import json
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,16 +12,18 @@ from ledger_obata.errors import StructureConstantError
 from ledger_obata.liealg import (
     ENV_TABLE,
     StructureConstants,
+    ad_rows,
     default_backend,
     from_entries,
+    jacobi_tensor,
     killing_gram,
+    killing_norms,
     load_structure_constants,
     product_bracket,
-    product_inner,
-    product_norm,
     so3,
-    split_diagonal,
 )
+
+from conftest import skewed_so3, so_n_entries
 
 SO3_ENTRIES = [
     [0, 1, 2, 1.0],
@@ -31,21 +35,56 @@ SO3_ENTRIES = [
 ]
 
 
+# -- einsum references for the operations that liealg implements as matmuls --
+
+
+def bracket(sc, x, y):
+    return np.einsum("...i,...j,ijk->...k", x, y, sc.c)
+
+
+def ad(sc, x):
+    return np.einsum("...i,ijk->...kj", x, sc.c)
+
+
+def killing_gram_by_einsum(sc):
+    return -np.einsum("iqp,jpq->ij", sc.c, sc.c)
+
+
+def jacobi_by_einsum(sc):
+    c = sc.c
+    return (
+        np.einsum("ijl,lkm->ijkm", c, c)
+        + np.einsum("jkl,lim->ijkm", c, c)
+        + np.einsum("kil,ljm->ijkm", c, c)
+    )
+
+
+def killing_norms_by_einsum(sc, x):
+    return np.sqrt(np.maximum(np.einsum("...la,ab,...lb->...", x, sc.gram, x), 0.0))
+
+
+def deformed_table():
+    """so(3) with [E1, E2] given an E1 part: antisymmetric, but the Jacobi identity fails."""
+    c = np.array(so3().c)
+    c[0, 1, 0], c[1, 0, 0] = 0.3, -0.3
+    return c
+
+
 def test_so3_table_is_valid_and_killing_gram_is_2I():
     sc = so3()
     assert sc.dim == 3
     assert sc.name == "so3"
     assert np.allclose(sc.gram, 2.0 * np.eye(3), atol=1e-14)
-    assert np.array_equal(killing_gram(sc.c), sc.gram)
-    # independent antisymmetry and Jacobi checks with explicit loops
+    assert np.array_equal(killing_gram(sc), sc.gram)
+    # independent antisymmetry and Jacobi checks on random elements
     rng = np.random.default_rng(5)
     for _ in range(20):
         x, y, z = rng.normal(size=(3, 3))
-        assert np.allclose(sc.bracket(x, y), -sc.bracket(y, x), atol=1e-14)
+        assert np.allclose(bracket(sc, x, y), -bracket(sc, y, x), atol=1e-14)
         cyc = (
-            sc.bracket(sc.bracket(x, y), z)
-            + sc.bracket(sc.bracket(y, z), x)
-            + sc.bracket(sc.bracket(z, x), y)
+            bracket(sc, bracket(sc, x, y), z)
+            + bracket(sc, bracket(sc, y, z), x)
+            + bracket(sc, bracket(sc, z, x), y)
         )
         assert np.max(np.abs(cyc)) < 1e-12
 
@@ -55,10 +94,10 @@ def test_ad_matrix_matches_bracket():
     rng = np.random.default_rng(9)
     for _ in range(10):
         x, y = rng.normal(size=(2, 3))
-        assert np.allclose(sc.ad(x) @ y, sc.bracket(x, y), atol=1e-14)
+        assert np.allclose(ad_rows(sc, x) @ y, bracket(sc, x, y), atol=1e-14)
     # ad is skew w.r.t. the metric gram: gram ad + ad^T gram = 0
-    x = rng.normal(size=3)
-    skew = sc.gram @ sc.ad(x) + sc.ad(x).T @ sc.gram
+    adx = ad_rows(sc, rng.normal(size=3))
+    skew = sc.gram @ adx + adx.T @ sc.gram
     assert np.max(np.abs(skew)) < 1e-12
 
 
@@ -75,27 +114,27 @@ def test_invalid_tables_are_rejected():
     missing_pair = base.copy()
     missing_pair[1, 0, 2] = 0.0
     with pytest.raises(StructureConstantError, match="antisymmetric"):
-        StructureConstants(dim=3, c=missing_pair)
+        StructureConstants(c=missing_pair)
 
-    deformed = base.copy()
-    deformed[0, 1, 0] = 0.3
-    deformed[1, 0, 0] = -0.3
     with pytest.raises(StructureConstantError, match="Jacobi"):
-        StructureConstants(dim=3, c=deformed)
+        StructureConstants(c=deformed_table())
 
     heisenberg = np.zeros((3, 3, 3))
     heisenberg[0, 1, 2] = 1.0
     heisenberg[1, 0, 2] = -1.0
     with pytest.raises(StructureConstantError, match="positive definite"):
-        StructureConstants(dim=3, c=heisenberg)
+        StructureConstants(c=heisenberg)
 
-    with pytest.raises(StructureConstantError, match="shape"):
-        StructureConstants(dim=4, c=base)
+    non_finite = base.copy()
+    non_finite[0, 1, 2] = np.nan
+    with pytest.raises(StructureConstantError, match="finite"):
+        StructureConstants(c=non_finite)
 
-    with pytest.raises(StructureConstantError, match="Gram"):
-        StructureConstants(dim=3, c=base, gram=np.eye(3))
-    # the correct stored gram is accepted
-    StructureConstants(dim=3, c=base, gram=2.0 * np.eye(3))
+    # the dimension is read off the table, which must be (d, d, d) with d >= 1
+    for table in (base[0], base[:, :, :2], base[None], np.zeros((0, 0, 0)), np.float64(1.0)):
+        message = f"table shape {np.shape(table)} is not (d, d, d) with d >= 1"
+        with pytest.raises(StructureConstantError, match=re.escape(message)):
+            StructureConstants(c=table)
 
 
 def test_load_structure_constants_round_trip(tmp_path):
@@ -149,53 +188,10 @@ def test_product_bracket_matches_rowwise_loops():
     rng = np.random.default_rng(21)
     u = rng.normal(size=(4, 3))
     v = rng.normal(size=(4, 3))
-    expected = np.array([sc.bracket(u[i], v[i]) for i in range(4)])
+    expected = np.array([bracket(sc, u[i], v[i]) for i in range(4)])
     assert np.allclose(product_bracket(sc, u, v), expected, atol=1e-14)
     with pytest.raises(ValueError):
         product_bracket(sc, u, v[:2])
-
-
-def test_split_diagonal_reconstructs():
-    rng = np.random.default_rng(33)
-    u = rng.normal(size=(5, 3))
-    w, rest = split_diagonal(u)
-    assert np.allclose(w[None, :] + rest, u, atol=1e-14)
-    assert np.max(np.abs(rest.sum(axis=0))) < 1e-12
-    # a row-constant element is purely diagonal
-    const = np.tile(rng.normal(size=3), (5, 1))
-    w2, rest2 = split_diagonal(const)
-    assert np.allclose(w2, const[0], atol=1e-14)
-    assert np.max(np.abs(rest2)) < 1e-14
-
-
-def test_product_inner_and_norm():
-    sc = so3()
-    rng = np.random.default_rng(40)
-    u = rng.normal(size=(3, 3))
-    v = rng.normal(size=(3, 3))
-    expected = sum(float(u[i] @ sc.gram @ v[i]) for i in range(3))
-    assert product_inner(sc, u, v) == pytest.approx(expected)
-    assert product_norm(sc, u) == pytest.approx(np.sqrt(2.0) * np.linalg.norm(u))
-
-
-def so_n_entries(n):
-    """Structure constants of so(n) on the basis E_ij - E_ji, i < j, as (i, j, k, value)."""
-    basis = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros((n, n))
-            e[i, j], e[j, i] = 1.0, -1.0
-            basis.append(e)
-    entries = []
-    for a, x in enumerate(basis):
-        for b, y in enumerate(basis):
-            bracket = x @ y - y @ x
-            for k, e in enumerate(basis):
-                # the basis is orthogonal with squared Frobenius norm 2
-                value = float(np.sum(bracket * e)) / 2.0
-                if value:
-                    entries.append([a, b, k, value])
-    return len(basis), entries
 
 
 def test_simplicity_check_accepts_so5_and_rejects_so4():
@@ -220,3 +216,70 @@ def test_so4_table_from_the_environment_is_a_typed_error(tmp_path, monkeypatch, 
     assert out == ""
     assert err.startswith("error: algebra is not simple: 2 independent matrices")
     assert "Traceback" not in err
+
+
+def unified_tables():
+    """so(3), a skewed so(3), so(5) and a table that breaks the Jacobi identity."""
+    dim, entries = so_n_entries(5)
+    return {
+        "so3": so3().c,
+        "so3-skewed": skewed_so3().c,
+        "so5": from_entries(dim, entries).c,
+        "deformed": deformed_table(),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(unified_tables()))
+def test_operations_match_their_einsum_references(name):
+    c = unified_tables()[name]
+    # the operations read only the table, so a table that fails validation
+    # is measured through a stand-in that carries c, dim and gram
+    sc = SimpleNamespace(c=c, dim=len(c))
+    sc.gram = killing_gram(sc)
+    rng = np.random.default_rng(len(name))
+    x, y = rng.standard_normal((2, 7, 4, sc.dim))
+
+    def assert_close(value, reference, scale=None):
+        scale = np.max(np.abs(reference)) if scale is None else scale
+        assert np.max(np.abs(value - reference)) <= 1e-15 * scale
+
+    assert_close(ad_rows(sc, x), ad(sc, x))
+    assert_close(product_bracket(sc, x, y), bracket(sc, x, y))
+    assert_close(sc.gram, killing_gram_by_einsum(sc))
+    assert_close(killing_norms(sc, x), killing_norms_by_einsum(sc, x))
+    # relative to the largest double bracket, since on a Lie algebra the sum is 0
+    jacobi = jacobi_by_einsum(sc)
+    assert_close(jacobi_tensor(sc), jacobi, np.max(np.abs(c)) ** 2 * sc.dim)
+    assert (np.max(np.abs(jacobi)) > 1e-12) == (name == "deformed")
+    if name != "deformed":
+        assert np.array_equal(StructureConstants(c=c).gram, sc.gram)
+
+
+MALFORMED_TABLES = {
+    "short entry": '{"dim": 3, "c": [[0, 1]]}',
+    "non-numeric value": '{"dim": 3, "c": [[0, 1, 2, "x"]]}',
+    "non-finite value": '{"dim": 3, "c": [[0, 1, 2, NaN]]}',
+    "not JSON": "{nope",
+    "not an object": "[1, 2]",
+    "non-numeric dim": '{"dim": "x", "c": []}',
+    "zero dim": '{"dim": 0, "c": []}',
+    "negative dim": '{"dim": -2, "c": []}',
+    # 10**27 entries: numpy refuses the shape before it allocates anything
+    "oversized dim": '{"dim": 1000000000, "c": []}',
+    "entries not a list": '{"dim": 3, "c": 5}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TABLES))
+def test_malformed_table_file_is_a_typed_error(case, tmp_path, monkeypatch, capsys):
+    table = tmp_path / "table.json"
+    table.write_text(MALFORMED_TABLES[case])
+    with pytest.raises(StructureConstantError):
+        load_structure_constants(str(table))
+    metric = tmp_path / "form.json"
+    metric.write_text(json.dumps({"m": 3, "repr": "form", "a": [[2.0, 1.0], [1.0, 3.0]]}))
+    monkeypatch.setenv(ENV_TABLE, str(table))
+    code = cli.main(["verify", "--input", str(metric), "--samples", "5"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -26,7 +26,7 @@ from ledger_obata.metrics import (
     standard_metric,
     zero_sum_basis,
 )
-from ledger_obata.liealg import StructureConstants, product_bracket, so3
+from ledger_obata.liealg import ad_rows, product_bracket, so3
 from ledger_obata.oracle import (
     CHUNK,
     assess_geodesic_orbit,
@@ -37,7 +37,7 @@ from ledger_obata.oracle import (
     natred_certificate_check,
 )
 
-from conftest import dense_nonreductive_metric, random_nodes
+from conftest import dense_nonreductive_metric, random_nodes, skewed_so3
 
 
 def test_go_oracle_confirms_known_go_metrics(backend):
@@ -685,16 +685,6 @@ def test_oracle_report_round_trip(backend):
 # loops.  Each is the earlier multi-operand einsum form of a kernel; the
 # matmul forms reorder the sums, so they agree to rounding level, not bitwise.
 
-# a change of basis whose table has no zero but the [E'_a, E'_a] entries
-SKEW = np.array([[1.0, 0.5, -0.25], [0.25, 1.0, 0.5], [-0.5, 0.25, 1.0]])
-
-
-def skewed_so3():
-    """so(3) in the basis E'_a = sum_i SKEW[a, i] E_i: dense c, non-diagonal Gram."""
-    c = np.einsum("ai,bj,ijk,kc->abc", SKEW, SKEW, so3().c, np.linalg.inv(SKEW))
-    return StructureConstants(dim=3, c=c, name="so3-skewed")
-
-
 TABLES = {"so3": so3, "so3-skewed": skewed_so3}
 
 
@@ -794,7 +784,7 @@ def test_matmul_kernels_match_the_einsum_kernels(table, m):
     x, y = unit_stack(rng, count, m, d), unit_stack(rng, count, m, d)
 
     assert np.max(np.abs(product_bracket(sc, x, y) - product_bracket_by_einsum(sc, x, y))) <= 1e-12
-    assert np.max(np.abs(oracle._ad_rows(sc, x) - _ad_rows(sc, x))) <= 1e-12
+    assert np.max(np.abs(ad_rows(sc, x) - _ad_rows(sc, x))) <= 1e-12
 
     metric = dense_nonreductive_metric(rng, m)
     scaled = MetricT(metric.matrix / power_of_two_scale(metric.matrix))

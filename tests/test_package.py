@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 import ledger_obata
-from ledger_obata.liealg import ENV_TABLE, load_structure_constants
+from ledger_obata.liealg import ENV_TABLE, from_entries, load_structure_constants
+
+from conftest import so_n_entries
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
@@ -92,36 +94,57 @@ def test_test_extra_lists_every_package_the_workflow_installs():
     assert not missing
 
 
-def test_ci_workflow_verifies_under_a_skewed_table(tmp_path):
+def run_table_step(name, after, table, tmp_path):
+    """Run the workflow step ``name`` here: write its table, then verify the GO metric.
+
+    The step must come right after the step ``after``, write ``table``
+    through a heredoc and verify g.json under it; g.json is the metric that
+    the installed lot generated a few steps before.  The sources of this
+    checkout stand in for the installed lot.  Returns the loaded table and
+    the finished verify process.
+    """
     yaml = pytest.importorskip("yaml")
     steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tests"]["steps"]
     names = [step.get("name") for step in steps]
-    step = steps[names.index("Verify under a skewed so(3) table")]
-    # g.json is the metric that the installed lot generated one step before
-    position = names.index(step["name"])
-    assert names.index("Run the installed lot outside the checkout") == position - 1
+    assert names.index(name) == names.index(after) + 1
+    step = steps[names.index(name)]
     assert step["working-directory"] == "${{ runner.temp }}"
     lines = step["run"].splitlines()
-    assert lines[0] == "python - > skewed.json <<'PY'"
+    assert lines[0] == f"python - > {table} <<'PY'"
     assert lines[lines.index("PY") + 1:] == [
-        "LOT_STRUCTURE_CONSTANTS=skewed.json lot verify --input g.json --format json"
+        f"LOT_STRUCTURE_CONSTANTS={table} lot verify --input g.json --format json"
     ]
 
-    # run the step here, with the sources of this checkout in place of the installed lot
     script = "\n".join(lines[1:lines.index("PY")])
     argv = [sys.executable, "-c", script]
-    table = subprocess.run(argv, capture_output=True, text=True, check=True)
-    (tmp_path / "skewed.json").write_text(table.stdout)
-    sc = load_structure_constants(str(tmp_path / "skewed.json"))
-    assert np.count_nonzero(np.abs(sc.c) > 1e-12) == 18
-    assert np.count_nonzero(np.abs(sc.gram) > 1e-12) == 9
+    written = subprocess.run(argv, capture_output=True, text=True, check=True)
+    (tmp_path / table).write_text(written.stdout)
+    sc = load_structure_constants(str(tmp_path / table))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in [str(ROOT / "src"), env.get("PYTHONPATH")] if p)
     lot = [sys.executable, "-m", "ledger_obata.cli"]
     generate = ["generate", "--z", "1,2,3", "--output", "g.json", "--format", "json"]
     subprocess.run(lot + generate, cwd=tmp_path, env=env, capture_output=True, check=True)
-    env[ENV_TABLE] = "skewed.json"
+    env[ENV_TABLE] = table
     verify = ["verify", "--input", "g.json", "--format", "json"]
     proc = subprocess.run(lot + verify, cwd=tmp_path, env=env, capture_output=True, text=True)
+    return sc, proc
+
+
+def test_ci_workflow_verifies_under_a_skewed_table(tmp_path):
+    name, after = "Verify under a skewed so(3) table", "Run the installed lot outside the checkout"
+    sc, proc = run_table_step(name, after, "skewed.json", tmp_path)
+    assert np.count_nonzero(np.abs(sc.c) > 1e-12) == 18
+    assert np.count_nonzero(np.abs(sc.gram) > 1e-12) == 9
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["go_oracle_assessment"] == "confirmed"
+
+
+def test_ci_workflow_verifies_under_so5(tmp_path):
+    name, after = "Verify under so(5)", "Verify under a skewed so(3) table"
+    sc, proc = run_table_step(name, after, "so5.json", tmp_path)
+    dim, entries = so_n_entries(5)
+    assert np.array_equal(sc.c, from_entries(dim, entries).c)
+    assert np.array_equal(sc.gram, 6.0 * np.eye(10))
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout)["go_oracle_assessment"] == "confirmed"

@@ -342,7 +342,7 @@ def test_holonomy_isotropy_blocks(backend):
     d = backend.dim
     assert len(ops) == d + n * d
     for p in range(d):
-        expected = 2.0 * np.kron(np.eye(n), backend.ad(np.eye(d)[p]))
+        expected = 2.0 * np.kron(np.eye(n), np.einsum("i,ijk->kj", np.eye(d)[p], backend.c))
         assert np.array_equal(ops[p], expected)
 
 
@@ -362,7 +362,7 @@ def test_holonomy_tangent_blocks_independent_formula(backend):
     big_a_inv = np.kron(np.diag(1.0 / gammas), np.eye(d))
     for k in range(n):
         for p in range(d):
-            dmat = np.kron(coupling[k].T, backend.ad(np.eye(d)[p]))
+            dmat = np.kron(coupling[k].T, np.einsum("i,ijk->kj", np.eye(d)[p], backend.c))
             expected = dmat + big_a_inv @ dmat @ big_a - gammas[k] * (big_a_inv @ dmat)
             assert np.max(np.abs(ops[d + k * d + p] - expected)) < 1e-12
 
