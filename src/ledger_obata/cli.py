@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from .classify import (
+    GoResult,
     GoVerdict,
     classify_go,
     classify_natred,
@@ -30,9 +31,11 @@ from .liealg import default_backend
 from .metrics import MetricForm, MetricT, T_to_form, power_of_two_scale
 from .oracle import (
     OracleReport,
+    _assess,
+    _bracket_check,
+    _certificate_check,
+    _sampled,
     assess_geodesic_orbit,
-    brackets_property_check,
-    natred_certificate_check,
 )
 from .reduce import decompose_report
 from .serialize import (
@@ -111,11 +114,12 @@ def _load_metric(args) -> tuple[MetricT, dict]:
 
 def _classified(
     args, metric: MetricT
-) -> tuple[dict, GoVerdict, tuple[str, OracleReport] | None]:
+) -> tuple[dict, GoResult, GoVerdict, tuple[str, OracleReport] | None]:
     """Shared classification report with oracle fallback on indeterminate.
 
-    Returns the report, the final geodesic-orbit verdict and the
-    fallback's oracle assessment (None when the classifier decided).
+    Returns the report, the GO classification with its eigen data, the
+    final geodesic-orbit verdict and the fallback's oracle assessment (None
+    when the classifier decided).
     """
     nr = classify_natred(T_to_form(metric), args.tol)
     go = classify_go(metric, args.tol, args.cluster_tol)
@@ -147,12 +151,12 @@ def _classified(
         report["agreement"] = bool(
             nr.is_naturally_reductive == (final is GoVerdict.YES)
         )
-    return report, final, assessment
+    return report, go, final, assessment
 
 
 def cmd_classify(args) -> int:
     metric, _ = _load_metric(args)
-    report, _, _ = _classified(args, metric)
+    report, *_ = _classified(args, metric)
     _emit(args, report)
     return 0
 
@@ -167,20 +171,7 @@ def cmd_decompose(args) -> int:
 def cmd_verify(args) -> int:
     metric, raw = _load_metric(args)
     backend = default_backend()
-    report, final, assessment = _classified(args, metric)
-
-    # the fallback ran the oracle with these arguments already
-    word, oracle_report = assessment or assess_geodesic_orbit(
-        metric, backend, samples=args.samples, seed=args.seed
-    )
-    report["go_oracle"] = oracle_report.to_dict()
-    report["go_oracle_assessment"] = word
-
-    disagreements = []
-    if final is GoVerdict.YES and word == "refuted":
-        disagreements.append("classifier says geodesic orbit, oracle refutes")
-    if final is GoVerdict.NO and word == "confirmed":
-        disagreements.append("classifier denies geodesic orbit, oracle confirms")
+    report, go, final, assessment = _classified(args, metric)
 
     form = T_to_form(metric)
     if raw.get("natred_certificate") is not None:
@@ -192,15 +183,32 @@ def cmd_verify(args) -> int:
         form = MetricForm(form.a / power_of_two_scale(form.a))
         certificate = classify_natred(form, args.tol)
         source = "classifier"
+    # GO round 0 and these checks draw each sample once, in one pass; the
+    # bracket check reads the eigen data that the classifier computed
+    checks = [_bracket_check(go.eigen, backend, args.tol, args.centralizers)]
     if certificate.is_naturally_reductive:
-        cert_report = natred_certificate_check(
-            form,
-            certificate,
-            backend,
-            samples=args.samples,
-            seed=args.seed,
-            tol=args.tol,
+        checks.insert(0, _certificate_check(form, certificate, backend, args.tol))
+    if assessment is None:
+        word, oracle_report, reports = _assess(metric, backend, args.samples, args.seed, checks)
+    else:
+        # the fallback ran the GO rounds with these arguments already
+        (word, oracle_report), reports = assessment, _sampled(checks, args.samples, args.seed)
+    report["go_oracle"] = oracle_report.to_dict()
+    report["go_oracle_assessment"] = word
+
+    disagreements = []
+    if report["agreement"] is False:
+        disagreements.append(
+            f"classifiers split: natred case {report['natred']['case']}, "
+            f"go_final {final.value}"
         )
+    if final is GoVerdict.YES and word == "refuted":
+        disagreements.append("classifier says geodesic orbit, oracle refutes")
+    if final is GoVerdict.NO and word == "confirmed":
+        disagreements.append("classifier denies geodesic orbit, oracle confirms")
+
+    if certificate.is_naturally_reductive:
+        cert_report = reports[0]
         report["natred_certificate"] = cert_report.to_dict()
         report["natred_certificate_source"] = source
         if not cert_report.verdict:
@@ -208,15 +216,7 @@ def cmd_verify(args) -> int:
                 f"naturally-reductive certificate from {source} fails verification"
             )
 
-    bracket_report = brackets_property_check(
-        metric,
-        backend,
-        samples=args.samples,
-        seed=args.seed,
-        tol=args.tol,
-        cluster_tol=args.cluster_tol,
-        include_centralizers=args.centralizers,
-    )
+    bracket_report = reports[-1]
     report["bracket_properties"] = bracket_report.to_dict()
     if final is GoVerdict.YES and not bracket_report.verdict:
         disagreements.append("bracket identities fail although classifier says GO")

@@ -93,7 +93,10 @@ class StructureConstants:
     finite (d, d, d) array with d >= 1, and ``dim`` is d.  The Gram matrix
     ``gram`` of minus the Killing form is computed on construction and must
     be symmetric positive definite; antisymmetry and the Jacobi identity
-    are enforced at 1e-12.  Simplicity is checked on the commutant of
+    are enforced at 1e-12.  Each check is relative, so a table passes or
+    fails whatever the scale of its basis: antisymmetry is measured against
+    max|c|, and the Jacobi identity and the Gram matrix, both quadratic in
+    c, against max|c|^2.  Simplicity is checked on the commutant of
     {ad E_i}, which must be one-dimensional.
     """
 
@@ -112,15 +115,18 @@ class StructureConstants:
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "dim", d)
-        if np.max(np.abs(c + np.transpose(c, (1, 0, 2)))) > JACOBI_TOL:
+        # an all-zero table passes the first three checks and fails the fourth
+        linear = JACOBI_TOL * float(np.max(np.abs(c)))
+        quadratic = linear * float(np.max(np.abs(c)))
+        if np.max(np.abs(c + np.transpose(c, (1, 0, 2)))) > linear:
             raise StructureConstantError("structure constants are not antisymmetric")
-        if np.max(np.abs(jacobi_tensor(self))) > JACOBI_TOL:
+        if np.max(np.abs(jacobi_tensor(self))) > quadratic:
             raise StructureConstantError("Jacobi identity fails")
         gram = killing_gram(self)
-        if np.max(np.abs(gram - gram.T)) > JACOBI_TOL:
+        if np.max(np.abs(gram - gram.T)) > quadratic:
             raise StructureConstantError("Killing Gram matrix is not symmetric")
         eigs = np.linalg.eigvalsh((gram + gram.T) / 2)
-        if eigs[0] <= JACOBI_TOL:
+        if eigs[0] <= quadratic:
             raise StructureConstantError(
                 "minus Killing form is not positive definite (not compact semisimple)"
             )

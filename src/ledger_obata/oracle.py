@@ -13,11 +13,12 @@ Each sample makes one draw, ``rng.standard_normal(out=row)`` in
 ``_normals``.  The generators are not built one per sample (about 20-26 µs
 each): ``_seeded_generators`` runs SeedSequence's hashing for a whole chunk
 in one numpy pass and hands each sample's PCG64 state to one generator in
-turn.  Seeding and a (6, 3) draw then take 7-11 µs per sample (2-vCPU
-shared Xeon VM, numpy 2).
+turn.  Seeding and a (6, 3) draw then take 4.3-6.5 µs per sample (best of
+300 calls on one 64-sample chunk, three runs, 2-vCPU shared Xeon VM, numpy
+2).
 
 One driver, ``_sampled``, runs all three checks: it draws one chunk of
-``CHUNK`` samples at a time and keeps only the residual vector, so the
+``CHUNK`` samples at a time and keeps only the residual vectors, so the
 working set does not grow with ``samples``.  Each check states the shape of
 a sample's draw and measures a whole chunk in numpy:
 - ``go_oracle`` draws (m, d), a tangent element to centre and normalise; a
@@ -26,6 +27,16 @@ a sample's draw and measures a whole chunk in numpy:
 - ``brackets_property_check`` draws x and y over the eigenvectors of a
   cluster pair, then x and a raw second element over one cluster, and
   gathers the four from the one row with zeros off each cluster's rows.
+Checks that share ``(samples, seed)`` share one pass: each sample is seeded
+and drawn once, at the largest shape, and each check reads the prefix of
+the draw that its own shape takes.  ``lot verify`` runs GO round 0, the
+certificate check and the bracket check in one such pass (``_assess``), so
+each of its sample streams is drawn once per run.  For a GO invariant form
+at m = 5 (draws of 15, 30 and 12 normals), seeding and drawing one 64-sample
+chunk takes 4.8 µs per sample against 13.2-23.8 µs for three separate
+draws, and the three checks at 200 samples take 29-30 µs per sample in one
+pass against 41 µs in three (best of 200 and of 30 calls, three runs,
+2-vCPU shared Xeon VM, numpy 2).
 
 In the GO oracle and the certificate check each slice of a chunk goes
 through the same operations, in the same order, as a lone sample, so
@@ -41,16 +52,17 @@ kernels are 2-D or batched matmuls too, and the GO normal matrix is Y^T Y
 against a (d^2, d^2) table built per call (see ``_go_residuals``).  A
 batched matmul multiplies slice by slice, so a slice's digits do not
 depend on the chunk it sits in.  At m = 5 over so(3) the GO kernel takes
-2.2-3.4 µs per sample and ``product_bracket`` 0.35-0.47 µs (best of 300
-calls on one 64-sample chunk, 2-vCPU shared Xeon VM, numpy 2).  Seeding
-and drawing, 4.8-7.9 µs per sample, and the bracket check's batched SVD
-cost more than the GO kernel.
+2.0-3.3 µs per sample (best of 300 calls on one 64-sample chunk, three
+runs, same machine).  Seeding and drawing, and the bracket check's batched
+SVD, cost more than the GO kernel.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -59,7 +71,7 @@ from .classify import GoCertificate, NatRedCase, NatRedResult
 from .coeff import _cluster_labels, _norms
 from .errors import InputError, ParameterError
 from .liealg import StructureConstants, ad_rows, default_backend, killing_norms, product_bracket
-from .metrics import MetricForm, MetricT, eigendecompose, power_of_two_scale
+from .metrics import EigenData, MetricForm, MetricT, eigendecompose, power_of_two_scale
 
 RIDGE = 1e-14
 # samples per batched oracle pass: large enough that numpy's per-call cost is
@@ -213,41 +225,72 @@ def _require_draws(samples: int, seed: int) -> None:
         raise ParameterError(f"seed must be at least 0, got {seed}")
 
 
-def _sampled(kind, samples, seed, tol, shape, measure, extra=(), notes="") -> OracleReport:
-    """Measure ``samples`` seeded samples one chunk of ``CHUNK`` at a time.
+@dataclass(frozen=True)
+class _Check:
+    """One oracle's part of a chunk pass of ``_sampled``.
 
     ``measure(chunk, draws)`` turns a range of sample indices and their
-    ``_normals`` of shape ``shape`` into one residual per sample.  Only the
-    residual vector outlives a chunk.  ``extra`` holds residuals of checks
-    that draw nothing; they count towards the worst residual only.
+    draws, shaped (S, *shape), into one residual per sample.  It reads the
+    draws and does not write them, since other checks of the pass read the
+    same memory.  ``extra`` holds residuals of checks that draw nothing;
+    they count towards the worst residual only.
+    """
+
+    kind: str
+    tol: float
+    shape: tuple[int, ...]
+    measure: Callable[[range, np.ndarray], np.ndarray]
+    extra: tuple[float, ...] = ()
+    notes: str = ""
+
+    def report(self, seed: int, residuals: np.ndarray) -> OracleReport:
+        worst = float(max(residuals.max(), *self.extra, 0.0))
+        return OracleReport(
+            kind=self.kind,
+            samples=len(residuals),
+            max_residual=worst,
+            verdict=bool(worst < self.tol),
+            tol=self.tol,
+            seed=seed,
+            failures=tuple(np.flatnonzero(residuals >= self.tol).tolist()),
+            residual_min=float(residuals.min()),
+            residual_median=float(np.median(residuals)),
+            notes=self.notes,
+        )
+
+
+def _sampled(checks, samples: int, seed: int) -> list[OracleReport]:
+    """Measure ``samples`` seeded samples for each check, one chunk of ``CHUNK`` at a time.
+
+    The checks share one draw per sample: each chunk makes one ``_normals``
+    draw in the shape of the largest check, and each check reads the first
+    ``prod(shape)`` entries of every row, in its shape.  A row is filled in
+    C order, so those entries hold the bits of
+    default_rng([seed, i]).standard_normal(shape), and each report equals
+    that of a pass over its check alone.  Only the residual vectors outlive
+    a chunk.  Returns one report per check, in order.
     """
     _require_draws(samples, seed)
-    residuals = np.empty(samples)
+    sizes = [math.prod(check.shape) for check in checks]
+    largest = checks[int(np.argmax(sizes))].shape
+    residuals = np.empty((len(checks), samples))
     for start in range(0, samples, CHUNK):
         chunk = range(start, min(start + CHUNK, samples))
-        residuals[start : chunk.stop] = measure(chunk, _normals(seed, chunk, shape))
-    worst = float(max(residuals.max(), *extra, 0.0))
-    return OracleReport(
-        kind=kind,
-        samples=int(samples),
-        max_residual=worst,
-        verdict=bool(worst < tol),
-        tol=tol,
-        seed=seed,
-        failures=tuple(np.flatnonzero(residuals >= tol).tolist()),
-        residual_min=float(residuals.min()),
-        residual_median=float(np.median(residuals)),
-        notes=notes,
-    )
+        flat = _normals(seed, chunk, largest).reshape(len(chunk), -1)
+        for check, size, out in zip(checks, sizes, residuals):
+            out[start : chunk.stop] = check.measure(
+                chunk, flat[:, :size].reshape(len(chunk), *check.shape)
+            )
+    return [check.report(seed, out) for check, out in zip(checks, residuals)]
 
 
 def _unit_tangents(seed: int, indices: range, x: np.ndarray) -> np.ndarray:
-    """Centre and normalise the draws x (S, m, d) of samples ``indices``.
+    """Centre and normalise the draws x (S, m, d) of samples ``indices`` into a new array.
 
     A draw whose centred norm is below 1e-12 is replaced by the next draw of
     its stream: sample i is seeded alone, the same way, past its first draw.
     """
-    x -= x.mean(axis=1, keepdims=True)
+    x = x - x.mean(axis=1, keepdims=True)
     norm = _norms(x)
     for j in np.flatnonzero(norm < 1e-12):
         (rng,) = _seeded_generators(seed, [indices[j]])
@@ -353,12 +396,18 @@ def go_oracle(
     scaled.  Sample i is drawn from default_rng([seed, i]).
     """
     sc = backend if backend is not None else default_backend()
+    (report,) = _sampled([_go_check(metric, sc, seed, tol)], samples, seed)
+    return report
+
+
+def _go_check(metric: MetricT, sc: StructureConstants, seed: int, tol: float) -> _Check:
+    """The check of ``go_oracle`` in a pass with base seed ``seed``."""
     scaled = MetricT(metric.matrix / power_of_two_scale(metric.matrix))
 
     def measure(chunk: range, draws: np.ndarray) -> np.ndarray:
         return _go_residuals(scaled, _unit_tangents(seed, chunk, draws), sc)[0]
 
-    return _sampled("geodesic_orbit", samples, seed, tol, (metric.m, sc.dim), measure)
+    return _Check("geodesic_orbit", tol, (metric.m, sc.dim), measure)
 
 
 def assess_geodesic_orbit(
@@ -378,15 +427,39 @@ def assess_geodesic_orbit(
     round before settling on marginal.
     """
     sc = backend if backend is not None else default_backend()
-    report = None
-    for round_index in range(max(rounds, 1)):
+    word, report, _ = _assess(metric, sc, samples, seed, (), confirm_tol, refute_tol, rounds)
+    return word, report
+
+
+def _assess(
+    metric: MetricT,
+    sc: StructureConstants,
+    samples: int,
+    seed: int,
+    shared=(),
+    confirm_tol: float = CONFIRM_TOL,
+    refute_tol: float = REFUTE_TOL,
+    rounds: int = 3,
+) -> tuple[str, OracleReport, list[OracleReport]]:
+    """``assess_geodesic_orbit`` with the checks ``shared`` measured in round 0's pass.
+
+    Round 0 draws once per sample for the GO check and every shared check;
+    rounds 1 and up, with seed ``seed + 7919 * round``, run ``go_oracle``
+    alone.  Returns the word, the last GO report and the shared checks'
+    reports.
+    """
+    round_zero = _go_check(metric, sc, seed, confirm_tol)
+    report, *reports = _sampled([round_zero, *shared], samples, seed)
+    for round_index in range(1, max(rounds, 1)):
+        if report.max_residual < confirm_tol or report.max_residual > refute_tol:
+            break
         round_seed = seed + 7919 * round_index
         report = go_oracle(metric, sc, samples << round_index, round_seed, confirm_tol)
-        if report.max_residual < confirm_tol:
-            return "confirmed", report
-        if report.max_residual > refute_tol:
-            return "refuted", report
-    return "marginal", report
+    if report.max_residual < confirm_tol:
+        return "confirmed", report, reports
+    if report.max_residual > refute_tol:
+        return "refuted", report, reports
+    return "marginal", report, reports
 
 
 # -- naturally reductive certificate verification ----------------------------
@@ -471,12 +544,24 @@ def natred_certificate_check(
     the certified weights are both divided by the form's
     ``power_of_two_scale`` first, so every residual is scale-free.
     """
+    sc = backend if backend is not None else default_backend()
+    (report,) = _sampled([_certificate_check(form, result, sc, tol)], samples, seed)
+    return report
+
+
+def _certificate_check(
+    form: MetricForm, result: NatRedResult, sc: StructureConstants, tol: float
+) -> _Check:
+    """The check of ``natred_certificate_check``, with its two residuals that draw nothing.
+
+    A certificate that cannot describe a metric on m copies is an
+    InputError here, before any sample is drawn, and so is one whose
+    samples overflow, when the pass measures them.
+    """
     if result.case is NatRedCase.NOT_NR:
         raise ParameterError("nothing to verify: classification is not naturally reductive")
-    sc = backend if backend is not None else default_backend()
     m = form.m
     notes = []
-
     scale = power_of_two_scale(form.a)
     a = form.a / scale
     weights, alpha_sum, dropped, rebuilt = _certified_form(result, m, scale)
@@ -508,20 +593,20 @@ def natred_certificate_check(
         # weights far from the form they should rebuild can project a draw,
         # or the identity, past the largest double; such a sample has no
         # residual, and reading its norm as inf would zero it
-        with np.errstate(over="raise"):
-            # x and y are the first and second (m, d) draws of each sample
-            x, y = project(draws[:, 0]), project(draws[:, 1])
-            x /= np.maximum(_norms(x), 1e-300)[:, None, None]
-            y /= np.maximum(_norms(y), 1e-300)[:, None, None]
-            braid = project(product_bracket(sc, x, y))
-            return np.abs(((braid @ sc.gram) * x).sum(axis=2) @ weights)
+        try:
+            with np.errstate(over="raise"):
+                # x and y are the first and second (m, d) draws of each sample
+                x, y = project(draws[:, 0]), project(draws[:, 1])
+                x /= np.maximum(_norms(x), 1e-300)[:, None, None]
+                y /= np.maximum(_norms(y), 1e-300)[:, None, None]
+                braid = project(product_bracket(sc, x, y))
+                return np.abs(((braid @ sc.gram) * x).sum(axis=2) @ weights)
+        except FloatingPointError:
+            raise InputError(f"certificate does not fit m = {m}: its samples overflow") from None
 
     kind = "naturally_reductive_certificate"
     extra = (recon_residual, pd_residual)
-    try:
-        return _sampled(kind, samples, seed, tol, (2, m, sc.dim), measure, extra, "; ".join(notes))
-    except FloatingPointError:
-        raise InputError(f"certificate does not fit m = {m}: its samples overflow") from None
+    return _Check(kind, tol, (2, m, sc.dim), measure, extra, "; ".join(notes))
 
 
 # -- bracket identities behind the classifier --------------------------------
@@ -676,7 +761,15 @@ def brackets_property_check(
     one-sample-at-a-time loop over ``np.linalg.lstsq`` to rounding level.
     """
     sc = backend if backend is not None else default_backend()
-    eigen = eigendecompose(metric, cluster_tol)
+    check = _bracket_check(eigendecompose(metric, cluster_tol), sc, tol, include_centralizers)
+    (report,) = _sampled([check], samples, seed)
+    return report
+
+
+def _bracket_check(
+    eigen: EigenData, sc: StructureConstants, tol: float, include_centralizers: bool
+) -> _Check:
+    """The check of ``brackets_property_check`` on the metric's eigen data ``eigen``."""
     vectors = eigen.system.vectors
     count = len(eigen.clusters)
     members = _cluster_labels(eigen.clusters, len(vectors)) == np.arange(count)[:, None]
@@ -697,4 +790,4 @@ def brackets_property_check(
             worst = np.maximum(worst, pair)
         return worst
 
-    return _sampled("bracket_properties", samples, seed, tol, (length,), measure)
+    return _Check("bracket_properties", tol, (length,), measure)

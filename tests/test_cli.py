@@ -485,7 +485,10 @@ def test_indeterminate_falls_back_to_oracle(tmp_path, monkeypatch, capsys):
     write_metric(metric, str(path))
 
     def forced_indeterminate(metric, tol=1e-8, cluster_tol=1e-8):
-        return GoResult(GoVerdict.INDETERMINATE, reason="forced for the fallback path")
+        # classify_go attaches its eigen data to every verdict, and verify's
+        # bracket check reads them
+        eigen = eigendecompose(metric, cluster_tol)
+        return GoResult(GoVerdict.INDETERMINATE, reason="forced for the fallback path", eigen=eigen)
 
     monkeypatch.setattr(cli, "classify_go", forced_indeterminate)
     code, report = run_json(
@@ -785,6 +788,74 @@ def test_certificate_whose_samples_overflow_exits_1(tmp_path, capsys, alphas, al
     argv = [sys.executable, "-m", "ledger_obata.cli", "verify", "--input", str(path)]
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", err)
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["round-0-pass", "after-fallback"])
+def test_certificate_whose_samples_overflow_exits_1_in_the_shared_pass(
+    tmp_path, capsys, monkeypatch, fallback
+):
+    # the certificate check shares its pass with the bracket check, and with
+    # GO round 0 unless the classifier's fallback ran the GO rounds already
+    path = tmp_path / "claimed.json"
+    certificate = {"case": "invariant_form", "alphas": [1, 1, 1e200], "alpha_sum": 1e-10}
+    t = [[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]]
+    path.write_text(json.dumps({"m": 3, "repr": "T", "T": t, "natred_certificate": certificate}))
+    if fallback:
+        classify_go = cli.classify_go
+
+        def forced_indeterminate(metric, tol=1e-8, cluster_tol=1e-8):
+            go = classify_go(metric, tol, cluster_tol)
+            return GoResult(GoVerdict.INDETERMINATE, reason="forced", eigen=go.eigen)
+
+        monkeypatch.setattr(cli, "classify_go", forced_indeterminate)
+    argv = ["verify", "--input", str(path), "--samples", "131", "--centralizers"]
+    code = cli.main(argv + ["--format", "json"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == "error: certificate does not fit m = 3: its samples overflow\n"
+
+
+def test_verify_seeds_each_stream_once_and_reuses_the_eigen_data(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "invariant.json"
+    path.write_text(json.dumps({"m": 4, "repr": "form", "a": INVARIANT_M4}))
+    seeded = oracle._seeded_generators
+    streams = []
+
+    def recording(seed, indices):
+        streams.extend((seed, int(i)) for i in indices)
+        return seeded(seed, indices)
+
+    def no_eigendecompose(*args, **kwargs):
+        raise AssertionError("the bracket check decomposed the metric again")
+
+    monkeypatch.setattr(oracle, "_seeded_generators", recording)
+    monkeypatch.setattr(oracle, "eigendecompose", no_eigendecompose)
+    argv = ["verify", "--input", str(path), "--samples", "131", "--centralizers"]
+    code, report = run_json(capsys, argv)
+    assert (code, report["go_oracle_assessment"]) == (0, "confirmed")
+    assert {"natred_certificate", "bracket_properties"} <= set(report)
+    # GO round 0, the certificate check and the bracket check share each draw
+    assert streams == [(42, i) for i in range(131)]
+
+
+def test_verify_never_exits_0_when_the_classifiers_split(tmp_path, capsys):
+    # weights spread over six decades: the invariant-form solver misses the
+    # form while the GO classifier says yes
+    alphas = np.array([1.0, 1e2, 1e4, 1e6])
+    t = np.diag(alphas) - np.outer(alphas, alphas) / alphas.sum()
+    path = tmp_path / "spread.json"
+    path.write_text(json.dumps({"m": 4, "repr": "T", "T": t.tolist()}))
+    code, report = run_json(capsys, ["verify", "--input", str(path), "--samples", "20"])
+    assert report["ok"] is (code == 0)
+    if report["agreement"] is False:
+        assert code == 2
+        split = (
+            f"classifiers split: natred case {report['natred']['case']}, "
+            f"go_final {report['go_final']}"
+        )
+        assert split in report["disagreements"]
+    else:
+        assert report["agreement"] is True
 
 
 IDEAL = {"case": "ideal", "betas": {"2": 1.0, "3": 1.0}}

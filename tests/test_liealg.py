@@ -137,6 +137,35 @@ def test_invalid_tables_are_rejected():
             StructureConstants(c=table)
 
 
+@pytest.mark.parametrize(
+    "table, scale",
+    [("skewed", 1e3), ("skewed", 1e4), ("skewed", 1e5), ("skewed", 1e6), ("plain", 1e-7)],
+)
+def test_a_rescaled_basis_of_so3_is_valid(table, scale):
+    # the checks are relative to max|c| and max|c|^2, so the scale of the
+    # basis does not decide validity; the Gram matrix scales by scale^2
+    base = skewed_so3() if table == "skewed" else so3()
+    sc = StructureConstants(c=scale * base.c)
+    assert np.allclose(sc.gram, scale**2 * base.gram, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("scale", [1e-7, 1e6])
+def test_invalid_tables_are_rejected_at_every_scale(scale):
+    missing_pair = np.array(so3().c)
+    missing_pair[1, 0, 2] = 0.0
+    heisenberg = np.zeros((3, 3, 3))
+    heisenberg[0, 1, 2], heisenberg[1, 0, 2] = 1.0, -1.0
+    rejected = [
+        (missing_pair, "antisymmetric"),
+        (deformed_table(), "Jacobi"),
+        (heisenberg, "positive definite"),
+        (np.zeros((3, 3, 3)), "positive definite"),
+    ]
+    for table, message in rejected:
+        with pytest.raises(StructureConstantError, match=message):
+            StructureConstants(c=scale * table)
+
+
 def test_load_structure_constants_round_trip(tmp_path):
     path = tmp_path / "table.json"
     path.write_text(json.dumps({"dim": 3, "c": SO3_ENTRIES, "name": "roundtrip"}))

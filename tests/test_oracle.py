@@ -860,3 +860,117 @@ def test_oracles_confirm_the_standard_metric_in_a_skewed_basis():
     # and a dense metric stays refuted
     dense = dense_nonreductive_metric(np.random.default_rng(8), 5)
     assert assess_geodesic_orbit(dense, sc)[0] == "refuted"
+
+
+# -- the shared pass of `lot verify` -------------------------------------------
+
+
+def perturbed_metric(alphas, size=2e-6):
+    """An invariant-form metric plus a zero-row-sum perturbation of relative size ``size``.
+
+    Its GO residuals, about ``size``, sit between the oracle's thresholds.
+    """
+    t = invariant_form_metric(alphas).matrix
+    e = np.random.default_rng(12).normal(size=t.shape)
+    e = (e + e.T) / 2
+    e -= e.mean(axis=0, keepdims=True)
+    e -= e.mean(axis=1, keepdims=True)
+    return MetricT(t + size * np.linalg.norm(t) / np.linalg.norm(e) * e)
+
+
+def certified(alphas):
+    """The naturally-reductive certificate of the invariant form with weights ``alphas``."""
+    return classify_natred(T_to_form(invariant_form_metric(alphas)))
+
+
+# name: (metric, certificate or None, bracket tol, GO assessment at 2C + 3 samples)
+SHARED_PASS = {
+    "go-invariant": (invariant_form_metric([0.8, 1.3, 2.1, 2.9]), "own", 1e-8, "confirmed"),
+    "go-repeated-cluster": (BRACKET_METRICS["go-repeated-cluster"][0], "own", 1e-8, "confirmed"),
+    "standard-m5": (standard_metric(5), "own", 1e-8, "confirmed"),
+    # a certificate of another form on five copies: every check fails some samples
+    "dense-m5": (
+        BRACKET_METRICS["dense-m5"][0], certified([0.7, 1.1, 1.9, 2.3, 2.6]), 0.1, "refuted"
+    ),
+    # GO rounds 1 and 2 run after the shared pass
+    "perturbed-m4": (perturbed_metric([0.8, 1.3, 2.1, 2.9]), None, 1e-8, "marginal"),
+    # no certificate, and the GO draw (6, 3) is longer than the bracket draw (12,)
+    "dense-m6": (dense_nonreductive_metric(np.random.default_rng(3), 6), None, 0.1, "refuted"),
+}
+
+
+def shared_checks(name, backend, centralizers):
+    """The checks that `lot verify` runs beside GO round 0, and their standalone calls."""
+    metric, certificate, bracket_tol, _ = SHARED_PASS[name]
+    form = T_to_form(metric)
+    if certificate == "own":
+        certificate = classify_natred(form)
+    eigen = eigendecompose(metric)
+    checks = [oracle._bracket_check(eigen, backend, bracket_tol, centralizers)]
+    calls = [
+        lambda samples, seed: brackets_property_check(
+            metric, backend, samples, seed, bracket_tol, include_centralizers=centralizers
+        )
+    ]
+    if certificate is not None:
+        checks.insert(0, oracle._certificate_check(form, certificate, backend, 1e-8))
+        calls.insert(
+            0, lambda samples, seed: natred_certificate_check(form, certificate, backend, samples, seed)
+        )
+    return metric, checks, calls
+
+
+@pytest.mark.parametrize("centralizers", [False, True], ids=["plain", "centralizers"])
+@pytest.mark.parametrize("samples", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+@pytest.mark.parametrize("name", sorted(SHARED_PASS))
+def test_shared_pass_reports_equal_standalone_calls(backend, name, samples, centralizers):
+    metric, checks, calls = shared_checks(name, backend, centralizers)
+    seed = 17
+    alone = [call(samples, seed) for call in calls]
+    # with GO round 0, as when the classifier decided
+    word, report, reports = oracle._assess(metric, backend, samples, seed, checks)
+    assert (word, report) == assess_geodesic_orbit(metric, backend, samples, seed)
+    assert reports == alone
+    # without it, as when the classifier's fallback ran the GO rounds already
+    assert oracle._sampled(checks, samples, seed) == alone
+    if samples == 2 * CHUNK + 3:
+        assert word == SHARED_PASS[name][3]
+
+
+def test_shared_pass_draws_each_sample_once(backend, monkeypatch):
+    seeded = oracle._seeded_generators
+    streams = []
+
+    def recording(seed, indices):
+        streams.extend((seed, int(i)) for i in indices)
+        return seeded(seed, indices)
+
+    monkeypatch.setattr(oracle, "_seeded_generators", recording)
+    samples, seed = 2 * CHUNK + 3, 17
+    metric, checks, _ = shared_checks("perturbed-m4", backend, True)
+    word, report, _ = oracle._assess(metric, backend, samples, seed, checks)
+    assert word == "marginal"
+    # round 0 seeds each stream once for all checks; rounds 1 and 2 run GO alone
+    expected = [(seed + 7919 * r, i) for r in range(3) for i in range(samples << r)]
+    assert streams == expected
+
+
+def test_shared_pass_working_set_does_not_grow_with_samples(backend):
+    metric = dense_nonreductive_metric(np.random.default_rng(3), 8)
+    form = T_to_form(metric)
+    certificate = certified(np.linspace(0.6, 2.4, 8))
+    checks = [
+        oracle._certificate_check(form, certificate, backend, 1e-8),
+        oracle._bracket_check(eigendecompose(metric), backend, 1e-8, False),
+    ]
+    oracle._assess(metric, backend, CHUNK, 1, checks)
+    tracemalloc.start()
+    try:
+        word, report, reports = oracle._assess(metric, backend, 3200, 1, checks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert word == "refuted"
+    assert [r.samples for r in (report, *reports)] == [3200] * 3
+    # the certificate's (2, 8, 3) draws of all 3200 samples alone would take 1.2 MB
+    assert peak < 1024 * 1024

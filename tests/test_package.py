@@ -71,10 +71,43 @@ def test_ci_workflow_runs_the_installed_lot_outside_the_checkout():
     assert names.index("Benchmark self-test") < names.index("Install the package")
     assert names.index("Install the package") < names.index(run["name"])
     assert run["working-directory"] == "${{ runner.temp }}"
-    assert run["run"].split("\n")[:2] == [
+    assert run["env"] == {"PYTHONWARNINGS": "error"}
+    lines = run["run"].splitlines()
+    assert lines == [
         "lot generate --z 1,2,3 --output g.json --format json",
         "lot verify --input g.json --format json",
+        "lot verify --input g.json --samples 131 --centralizers --format json",
     ]
+
+
+def test_ci_workflow_lot_steps_run_with_warnings_as_errors(tmp_path):
+    yaml = pytest.importorskip("yaml")
+    steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tests"]["steps"]
+    names = [step.get("name") for step in steps]
+    # every step after the install runs the installed lot
+    lot_steps = steps[names.index("Install the package") + 1:]
+    assert [step["name"] for step in lot_steps] == [
+        "Run the installed lot outside the checkout",
+        "Verify under a skewed so(3) table",
+        "Verify under so(5)",
+    ]
+    for step in lot_steps:
+        assert step["env"] == {"PYTHONWARNINGS": "error"}, step["name"]
+
+    # replay the first step with the sources of this checkout
+    env = {**os.environ, **lot_steps[0]["env"]}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in [str(ROOT / "src"), env.get("PYTHONPATH")] if p)
+    reports = []
+    for line in lot_steps[0]["run"].splitlines():
+        argv = [sys.executable, "-m", "ledger_obata.cli", *line.split()[1:]]
+        proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, ""), line
+        reports.append(json.loads(proc.stdout))
+    assert reports[0]["go_verdict"] == "yes"
+    for report, samples in zip(reports[1:], (200, 131)):
+        assert report["ok"] is True
+        for key in ("go_oracle", "natred_certificate", "bracket_properties"):
+            assert report[key]["samples"] == samples
 
 
 def requirement_names(requirements):
@@ -120,7 +153,7 @@ def run_table_step(name, after, table, tmp_path):
     written = subprocess.run(argv, capture_output=True, text=True, check=True)
     (tmp_path / table).write_text(written.stdout)
     sc = load_structure_constants(str(tmp_path / table))
-    env = dict(os.environ)
+    env = {**os.environ, **step["env"]}
     env["PYTHONPATH"] = os.pathsep.join(p for p in [str(ROOT / "src"), env.get("PYTHONPATH")] if p)
     lot = [sys.executable, "-m", "ledger_obata.cli"]
     generate = ["generate", "--z", "1,2,3", "--output", "g.json", "--format", "json"]

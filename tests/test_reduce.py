@@ -1,5 +1,7 @@
 """Tests for product splitting, irreducible factors and connection operators."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from ledger_obata.errors import InvalidMetricError
 from ledger_obata.metrics import MetricT, T_to_form, standard_metric, form_to_T
 from ledger_obata.reduce import (
     Decomposition,
+    _coupled,
+    _part_ids,
     check_split,
     decompose,
     decompose_report,
@@ -101,20 +105,41 @@ def test_decompose_worked_seven_example():
     assert decomp.isometry_group_exponent == 7 + len(decomp.factors) - 1
 
 
+@functools.cache
+def _pair_masks(m):
+    """The admissible pairs on m copies, and the couplings each allows, (P, m, m).
+
+    A pair allows a coupling of copies i and j when they share a part of
+    one of its partitions: ``check_split``'s test, for every pair at once.
+    """
+    pairs = enumerate_partition_pairs(m)
+    ids = np.array([[_part_ids(pair.first, m), _part_ids(pair.second, m)] for pair in pairs])
+    return pairs, (ids[..., :, None] == ids[..., None, :]).any(axis=1)
+
+
 def _scan_factors(metric, reverse=False, tol_split=1e-9):
-    """The pair scan that ``decompose`` replaced: try every admissible pair
-    in canonical (or reversed) order and split at the first that passes."""
+    """The pair scan that ``decompose`` replaced: split at the first
+    admissible pair, in canonical (or reversed) order, that ``check_split``
+    accepts.  One mask test over all pairs finds that pair, and
+    ``check_split`` makes the split."""
     factors = []
 
     def recurse(current):
         if current.m >= 3:
-            pairs = enumerate_partition_pairs(current.m)
-            for pair in pairs[::-1] if reverse else pairs:
-                outcome = check_split(current, pair, tol_split)
-                if outcome.ok:
-                    recurse(outcome.first)
-                    recurse(outcome.second)
-                    return
+            pairs, allowed = _pair_masks(current.m)
+            blocked = _coupled(current.matrix, tol_split) & ~allowed
+            passing = np.flatnonzero(~blocked.any(axis=(1, 2)))
+            if passing.size:
+                index = passing[-1] if reverse else passing[0]
+                outcome = check_split(current, pairs[index], tol_split)
+                assert outcome.ok
+                # the pair the scan tried just before fails
+                before = index + 1 if reverse else index - 1
+                if 0 <= before < len(pairs):
+                    assert not check_split(current, pairs[before], tol_split).ok
+                recurse(outcome.first)
+                recurse(outcome.second)
+                return
         factors.append(current)
 
     recurse(metric)
