@@ -19,6 +19,7 @@ import numpy as np
 from .classify import (
     GoResult,
     GoVerdict,
+    NatRedResult,
     classify_go,
     classify_natred,
     go_family,
@@ -29,14 +30,7 @@ from .classify import (
 from .errors import InputError, LedgerObataError
 from .liealg import default_backend
 from .metrics import MetricForm, MetricT, T_to_form, power_of_two_scale
-from .oracle import (
-    OracleReport,
-    _assess,
-    _bracket_check,
-    _certificate_check,
-    _sampled,
-    assess_geodesic_orbit,
-)
+from .oracle import _assess, _bracket_check, _certificate_check, assess_geodesic_orbit
 from .reduce import decompose_report
 from .serialize import (
     dumps_numeric,
@@ -112,51 +106,43 @@ def _load_metric(args) -> tuple[MetricT, dict]:
     return metric_from_dict(data), data
 
 
-def _classified(
-    args, metric: MetricT
-) -> tuple[dict, GoResult, GoVerdict, tuple[str, OracleReport] | None]:
-    """Shared classification report with oracle fallback on indeterminate.
+def _classified(args, metric: MetricT, form: MetricForm) -> tuple[dict, NatRedResult, GoResult]:
+    """The classification report of ``metric`` (whose form is ``form``) and both results.
 
-    Returns the report, the GO classification with its eigen data, the
-    final geodesic-orbit verdict and the fallback's oracle assessment (None
-    when the classifier decided).
+    Runs no oracle; ``_resolve`` completes the report.
     """
-    nr = classify_natred(T_to_form(metric), args.tol)
+    nr = classify_natred(form, args.tol)
     go = classify_go(metric, args.tol, args.cluster_tol)
-    report = {
-        "m": metric.m,
-        "natred": natred_report(nr),
-        "go": go_report(go),
-    }
+    report = {"m": metric.m, "natred": natred_report(nr), "go": go_report(go)}
+    return report, nr, go
+
+
+def _resolve(report: dict, nr: NatRedResult, go: GoResult, assessment) -> GoVerdict:
+    """Add the final GO verdict and the NR/GO agreement to ``report``, and return the verdict.
+
+    An indeterminate classifier is resolved by ``assessment``, the command's
+    oracle (word, report), which the report records as the fallback.
+    """
     final = go.verdict
-    assessment = None
-    if go.verdict is GoVerdict.INDETERMINATE:
-        assessment = assess_geodesic_orbit(
-            metric,
-            default_backend(),
-            samples=args.samples,
-            seed=args.seed,
-        )
+    if final is GoVerdict.INDETERMINATE:
         word, oracle_report = assessment
-        if word == "confirmed":
-            final = GoVerdict.YES
-        elif word == "refuted":
-            final = GoVerdict.NO
+        final = {"confirmed": GoVerdict.YES, "refuted": GoVerdict.NO}.get(word, final)
         report["go_resolved_by"] = "oracle"
         report["go_oracle_fallback"] = oracle_report.to_dict()
     report["go_final"] = final.value
-    if final is GoVerdict.INDETERMINATE:
-        report["agreement"] = None
-    else:
-        report["agreement"] = bool(
-            nr.is_naturally_reductive == (final is GoVerdict.YES)
-        )
-    return report, go, final, assessment
+    report["agreement"] = None
+    if final is not GoVerdict.INDETERMINATE:
+        report["agreement"] = bool(nr.is_naturally_reductive == (final is GoVerdict.YES))
+    return final
 
 
 def cmd_classify(args) -> int:
     metric, _ = _load_metric(args)
-    report, *_ = _classified(args, metric)
+    report, nr, go = _classified(args, metric, T_to_form(metric))
+    assessment = None
+    if go.verdict is GoVerdict.INDETERMINATE:
+        assessment = assess_geodesic_orbit(metric, default_backend(), args.samples, args.seed)
+    _resolve(report, nr, go, assessment)
     _emit(args, report)
     return 0
 
@@ -171,9 +157,9 @@ def cmd_decompose(args) -> int:
 def cmd_verify(args) -> int:
     metric, raw = _load_metric(args)
     backend = default_backend()
-    report, go, final, assessment = _classified(args, metric)
-
     form = T_to_form(metric)
+    report, nr, go = _classified(args, metric, form)
+
     if raw.get("natred_certificate") is not None:
         certificate = natred_from_dict(raw["natred_certificate"])
         source = "input file"
@@ -188,11 +174,9 @@ def cmd_verify(args) -> int:
     checks = [_bracket_check(go.eigen, backend, args.tol, args.centralizers)]
     if certificate.is_naturally_reductive:
         checks.insert(0, _certificate_check(form, certificate, backend, args.tol))
-    if assessment is None:
-        word, oracle_report, reports = _assess(metric, backend, args.samples, args.seed, checks)
-    else:
-        # the fallback ran the GO rounds with these arguments already
-        (word, oracle_report), reports = assessment, _sampled(checks, args.samples, args.seed)
+    word, oracle_report, reports = _assess(metric, backend, args.samples, args.seed, checks)
+    checked = {check_report.kind: check_report for check_report in reports}
+    final = _resolve(report, nr, go, (word, oracle_report))
     report["go_oracle"] = oracle_report.to_dict()
     report["go_oracle_assessment"] = word
 
@@ -208,7 +192,7 @@ def cmd_verify(args) -> int:
         disagreements.append("classifier denies geodesic orbit, oracle confirms")
 
     if certificate.is_naturally_reductive:
-        cert_report = reports[0]
+        cert_report = checked["naturally_reductive_certificate"]
         report["natred_certificate"] = cert_report.to_dict()
         report["natred_certificate_source"] = source
         if not cert_report.verdict:
@@ -216,7 +200,7 @@ def cmd_verify(args) -> int:
                 f"naturally-reductive certificate from {source} fails verification"
             )
 
-    bracket_report = reports[-1]
+    bracket_report = checked["bracket_properties"]
     report["bracket_properties"] = bracket_report.to_dict()
     if final is GoVerdict.YES and not bracket_report.verdict:
         disagreements.append("bracket identities fail although classifier says GO")

@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -97,7 +99,10 @@ class StructureConstants:
     fails whatever the scale of its basis: antisymmetry is measured against
     max|c|, and the Jacobi identity and the Gram matrix, both quadratic in
     c, against max|c|^2.  Simplicity is checked on the commutant of
-    {ad E_i}, which must be one-dimensional.
+    {ad E_i}, which must be one-dimensional.  The checks run on the table
+    divided by ``unit_scale``, which is exact, so they see the same digits
+    at every scale and cannot overflow; ``c`` keeps the caller's scale, and
+    ``gram`` is scaled back (an entry past the largest double reads inf).
     """
 
     c: np.ndarray
@@ -115,14 +120,17 @@ class StructureConstants:
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "dim", d)
+        # the operations above read only ``c`` and ``dim`` of a table
+        scale = unit_scale(c)
+        unit = SimpleNamespace(c=c / scale, dim=d)
         # an all-zero table passes the first three checks and fails the fourth
-        linear = JACOBI_TOL * float(np.max(np.abs(c)))
-        quadratic = linear * float(np.max(np.abs(c)))
-        if np.max(np.abs(c + np.transpose(c, (1, 0, 2)))) > linear:
+        linear = JACOBI_TOL * float(np.max(np.abs(unit.c)))
+        quadratic = linear * float(np.max(np.abs(unit.c)))
+        if np.max(np.abs(unit.c + np.transpose(unit.c, (1, 0, 2)))) > linear:
             raise StructureConstantError("structure constants are not antisymmetric")
-        if np.max(np.abs(jacobi_tensor(self))) > quadratic:
+        if np.max(np.abs(jacobi_tensor(unit))) > quadratic:
             raise StructureConstantError("Jacobi identity fails")
-        gram = killing_gram(self)
+        gram = killing_gram(unit)
         if np.max(np.abs(gram - gram.T)) > quadratic:
             raise StructureConstantError("Killing Gram matrix is not symmetric")
         eigs = np.linalg.eigvalsh((gram + gram.T) / 2)
@@ -133,7 +141,7 @@ class StructureConstants:
         # compact semisimple is simple exactly when only the scalars commute
         # with every ad E_i: (ad_i X - X ad_i)[a, c] at [i, a, c, (b, e) of X]
         eye = np.eye(d)
-        ads = ad_rows(self, eye)
+        ads = ad_rows(unit, eye)
         commutator = np.einsum("iab,ce->iacbe", ads, eye) - np.einsum("ab,iec->iacbe", eye, ads)
         svals = np.linalg.svd(commutator.reshape(d**3, -1), compute_uv=False)
         commutant = int(np.sum(svals <= 1e-10 * svals[0]))
@@ -142,8 +150,23 @@ class StructureConstants:
                 f"algebra is not simple: {commutant} independent matrices "
                 "commute with every ad E_i"
             )
+        with np.errstate(over="ignore", under="ignore"):
+            gram = gram * scale * scale
         gram.setflags(write=False)
         object.__setattr__(self, "gram", gram)
+
+
+def unit_scale(c: np.ndarray) -> float:
+    """The power of four 4**e with max|c| / 4**e in [1, 4), or 1/4 for a zero table.
+
+    Dividing a table by it is exact, and a residual measured on the divided
+    table moves by at most a bounded factor when the basis is scaled:
+    bracket terms grow like max|c| and Gram terms like max|c|^2.  so(3),
+    every table of ±1 entries and the skewed so(3) of the tests (max|c| =
+    2.75) have scale 1, so they are measured as they are, bit for bit.
+    """
+    exponent = math.frexp(float(np.max(np.abs(c))))[1] - 1
+    return math.ldexp(1.0, exponent - exponent % 2)
 
 
 @functools.cache

@@ -180,11 +180,16 @@ class EigenData:
 
 
 def eigendecompose(metric: MetricT, cluster_tol: float = 1e-8) -> EigenData:
-    """Diagonalize T on the zero-sum hyperplane and canonicalize each eigenspace."""
-    t = metric.matrix
+    """Diagonalize T on the zero-sum hyperplane and canonicalize each eigenspace.
+
+    T is diagonalised divided by its ``power_of_two_scale``, which is exact,
+    so the eigenvectors and clusters are those of every scale of T and
+    nothing overflows; the weights are multiplied back.
+    """
+    scale = power_of_two_scale(metric.matrix)
     m = metric.m
     q = zero_sum_basis(m)
-    reduced = q @ t @ q.T
+    reduced = q @ (metric.matrix / scale) @ q.T
     reduced = (reduced + reduced.T) / 2
     gammas, vectors = np.linalg.eigh(reduced)
     b = vectors.T @ q  # rows are eigenvectors in R^m
@@ -197,7 +202,7 @@ def eigendecompose(metric: MetricT, cluster_tol: float = 1e-8) -> EigenData:
     pos = 0
     for cl in clusters:
         block = b[cl]
-        gamma = float(np.mean(gammas[cl]))
+        gamma = float(np.mean(gammas[cl])) * scale
         if len(cl) == 1:
             block = np.array([canonical_sign(block[0] / np.linalg.norm(block[0]))])
             saturated = True

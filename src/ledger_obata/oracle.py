@@ -31,7 +31,8 @@ Checks that share ``(samples, seed)`` share one pass: each sample is seeded
 and drawn once, at the largest shape, and each check reads the prefix of
 the draw that its own shape takes.  ``lot verify`` runs GO round 0, the
 certificate check and the bracket check in one such pass (``_assess``), so
-each of its sample streams is drawn once per run.  For a GO invariant form
+each of its sample streams is drawn once per run, whether the GO verdict is
+the classifier's or the oracle's.  For a GO invariant form
 at m = 5 (draws of 15, 30 and 12 normals), seeding and drawing one 64-sample
 chunk takes 4.8 µs per sample against 13.2-23.8 µs for three separate
 draws, and the three checks at 200 samples take 29-30 µs per sample in one
@@ -55,6 +56,13 @@ depend on the chunk it sits in.  At m = 5 over so(3) the GO kernel takes
 2.0-3.3 µs per sample (best of 300 calls on one 64-sample chunk, three
 runs, same machine).  Seeding and drawing, and the bracket check's batched
 SVD, cost more than the GO kernel.
+
+Every check measures on the metric divided by ``power_of_two_scale`` and on
+the table divided by ``liealg.unit_scale`` (``_unit_table``), both exact.
+GO and bracket residuals grow like max|c|^2 and certificate residuals like
+max|c|^3, so on the caller's table fixed tolerances would give verdicts
+that depend on the scale of the basis, and large tables would overflow.
+so(3) and every table of ±1 entries are measured as they are.
 """
 
 from __future__ import annotations
@@ -70,15 +78,25 @@ import numpy as np
 from .classify import GoCertificate, NatRedCase, NatRedResult
 from .coeff import _cluster_labels, _norms
 from .errors import InputError, ParameterError
-from .liealg import StructureConstants, ad_rows, default_backend, killing_norms, product_bracket
+from .liealg import (
+    StructureConstants,
+    ad_rows,
+    default_backend,
+    killing_norms,
+    product_bracket,
+    unit_scale,
+)
 from .metrics import EigenData, MetricForm, MetricT, eigendecompose, power_of_two_scale
 
 RIDGE = 1e-14
 # samples per batched oracle pass: large enough that numpy's per-call cost is
 # shared, small enough that the working set does not grow with ``samples``
 CHUNK = 64
+# GO assessment: confirmed below CONFIRM_TOL, refuted above REFUTE_TOL, and
+# resampled in between, with twice the samples each round, up to ROUNDS rounds
 CONFIRM_TOL = 1e-8
 REFUTE_TOL = 1e-4
+ROUNDS = 3
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx), and the
 # multiplier of PCG64's 128-bit linear congruential step
@@ -284,6 +302,12 @@ def _sampled(checks, samples: int, seed: int) -> list[OracleReport]:
     return [check.report(seed, out) for check, out in zip(checks, residuals)]
 
 
+def _unit_table(sc: StructureConstants) -> StructureConstants:
+    """``sc`` divided by its ``unit_scale``; ``sc`` itself when that is 1."""
+    scale = unit_scale(sc.c)
+    return sc if scale == 1.0 else StructureConstants(sc.c / scale, sc.name)
+
+
 def _unit_tangents(seed: int, indices: range, x: np.ndarray) -> np.ndarray:
     """Centre and normalise the draws x (S, m, d) of samples ``indices`` into a new array.
 
@@ -393,7 +417,9 @@ def go_oracle(
     squares; the verdict is true when every residual stays below ``tol``.
     Residuals are linear in the metric, so they are measured on the metric
     divided by its ``power_of_two_scale`` and do not change when it is
-    scaled.  Sample i is drawn from default_rng([seed, i]).
+    scaled; the table is divided by its ``unit_scale`` the same way.
+    Sample i is drawn from default_rng([seed, i]) and replays through
+    ``go_sample_residual`` on the divided metric and table.
     """
     sc = backend if backend is not None else default_backend()
     (report,) = _sampled([_go_check(metric, sc, seed, tol)], samples, seed)
@@ -403,6 +429,7 @@ def go_oracle(
 def _go_check(metric: MetricT, sc: StructureConstants, seed: int, tol: float) -> _Check:
     """The check of ``go_oracle`` in a pass with base seed ``seed``."""
     scaled = MetricT(metric.matrix / power_of_two_scale(metric.matrix))
+    sc = _unit_table(sc)
 
     def measure(chunk: range, draws: np.ndarray) -> np.ndarray:
         return _go_residuals(scaled, _unit_tangents(seed, chunk, draws), sc)[0]
@@ -415,19 +442,16 @@ def assess_geodesic_orbit(
     backend: StructureConstants | None = None,
     samples: int = 200,
     seed: int = 42,
-    confirm_tol: float = CONFIRM_TOL,
-    refute_tol: float = REFUTE_TOL,
-    rounds: int = 3,
 ) -> tuple[str, OracleReport]:
     """Three-way oracle verdict with resampling between the thresholds.
 
     Returns ('confirmed' | 'refuted' | 'marginal', last report): confirmed
-    when the worst residual is below ``confirm_tol``, refuted when it
-    exceeds ``refute_tol``; otherwise the sample count doubles for another
-    round before settling on marginal.
+    when the worst residual is below ``CONFIRM_TOL``, refuted when it
+    exceeds ``REFUTE_TOL``; otherwise the sample count doubles for another
+    round, up to ``ROUNDS`` rounds, before settling on marginal.
     """
     sc = backend if backend is not None else default_backend()
-    word, report, _ = _assess(metric, sc, samples, seed, (), confirm_tol, refute_tol, rounds)
+    word, report, _ = _assess(metric, sc, samples, seed)
     return word, report
 
 
@@ -437,9 +461,6 @@ def _assess(
     samples: int,
     seed: int,
     shared=(),
-    confirm_tol: float = CONFIRM_TOL,
-    refute_tol: float = REFUTE_TOL,
-    rounds: int = 3,
 ) -> tuple[str, OracleReport, list[OracleReport]]:
     """``assess_geodesic_orbit`` with the checks ``shared`` measured in round 0's pass.
 
@@ -448,16 +469,16 @@ def _assess(
     alone.  Returns the word, the last GO report and the shared checks'
     reports.
     """
-    round_zero = _go_check(metric, sc, seed, confirm_tol)
+    round_zero = _go_check(metric, sc, seed, CONFIRM_TOL)
     report, *reports = _sampled([round_zero, *shared], samples, seed)
-    for round_index in range(1, max(rounds, 1)):
-        if report.max_residual < confirm_tol or report.max_residual > refute_tol:
+    for round_index in range(1, ROUNDS):
+        if report.max_residual < CONFIRM_TOL or report.max_residual > REFUTE_TOL:
             break
         round_seed = seed + 7919 * round_index
-        report = go_oracle(metric, sc, samples << round_index, round_seed, confirm_tol)
-    if report.max_residual < confirm_tol:
+        report = go_oracle(metric, sc, samples << round_index, round_seed, CONFIRM_TOL)
+    if report.max_residual < CONFIRM_TOL:
         return "confirmed", report, reports
-    if report.max_residual > refute_tol:
+    if report.max_residual > REFUTE_TOL:
         return "refuted", report, reports
     return "marginal", report, reports
 
@@ -542,7 +563,8 @@ def natred_certificate_check(
     identity alone holds for any invariant weights, so a corrupted
     certificate is caught by the reconstruction residual.  The form and
     the certified weights are both divided by the form's
-    ``power_of_two_scale`` first, so every residual is scale-free.
+    ``power_of_two_scale`` first, and the table by its ``unit_scale``, so
+    every residual is scale-free.
     """
     sc = backend if backend is not None else default_backend()
     (report,) = _sampled([_certificate_check(form, result, sc, tol)], samples, seed)
@@ -561,6 +583,7 @@ def _certificate_check(
     if result.case is NatRedCase.NOT_NR:
         raise ParameterError("nothing to verify: classification is not naturally reductive")
     m = form.m
+    sc = _unit_table(sc)
     notes = []
     scale = power_of_two_scale(form.a)
     a = form.a / scale
@@ -770,6 +793,7 @@ def _bracket_check(
     eigen: EigenData, sc: StructureConstants, tol: float, include_centralizers: bool
 ) -> _Check:
     """The check of ``brackets_property_check`` on the metric's eigen data ``eigen``."""
+    sc = _unit_table(sc)
     vectors = eigen.system.vectors
     count = len(eigen.clusters)
     members = _cluster_labels(eigen.clusters, len(vectors)) == np.arange(count)[:, None]

@@ -239,14 +239,7 @@ def test_criterion_06_classifier_and_oracle_never_disagree():
             if nr != (go.verdict is GoVerdict.YES):
                 disagreements.append((m, i, "classifiers split"))
                 continue
-            word, _ = assess_geodesic_orbit(
-                metric,
-                BACKEND,
-                samples=24,
-                seed=1000 * m + i,
-                confirm_tol=1e-8,
-                refute_tol=1e-4,
-            )
+            word, _ = assess_geodesic_orbit(metric, BACKEND, samples=24, seed=1000 * m + i)
             if word == "marginal" or (word == "confirmed") != nr:
                 disagreements.append((m, i, f"oracle says {word}, classifier {nr}"))
     assert disagreements == []

@@ -16,12 +16,12 @@ import pytest
 from ledger_obata import cli, oracle
 from ledger_obata.classify import GoResult, GoVerdict, go_family, natred_from_dict
 from ledger_obata.errors import InputError, ParameterError
+from ledger_obata.liealg import so3
 from ledger_obata.metrics import T_to_form, eigendecompose, standard_metric
-from ledger_obata.oracle import assess_geodesic_orbit
 from ledger_obata.serialize import metric_to_dict, read_metric, write_metric
 from ledger_obata.trees import PartitionPair
 
-from conftest import SEVEN_SPLIT_PAIR, dense_nonreductive_metric, laplacian_metric
+from conftest import SEVEN_SPLIT_PAIR, dense_nonreductive_metric, laplacian_metric, skewed_so3
 
 ROOT = Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
@@ -479,16 +479,117 @@ def test_custom_backend_via_environment(tmp_path, monkeypatch, capsys):
     assert report["ok"] is True
 
 
+# a dense metric at m = 4: neither naturally reductive nor geodesic orbit
+DENSE_M4_T = [
+    [3.0, -1.2, -0.9, -0.9],
+    [-1.2, 2.5, -0.3, -1.0],
+    [-0.9, -0.3, 2.0, -0.8],
+    [-0.9, -1.0, -0.8, 2.7],
+]
+TABLE_SCALES = [10.0**k for k in range(-6, 7)] + [1e100, 1e200]
+
+
+def verify_verdicts(capsys, path):
+    """Exit code, GO verdicts and the check verdicts of ``lot verify`` on ``path``."""
+    code, report = run_json(capsys, ["verify", "--input", str(path), "--samples", "64"])
+    checks = [report[key]["verdict"] for key in ("go_oracle", "bracket_properties")]
+    checks.append(report.get("natred_certificate", {}).get("verdict"))
+    return code, report["go_final"], report["go_oracle_assessment"], checks
+
+
+@pytest.mark.parametrize("table", ["plain", "skewed"])
+def test_verify_verdicts_do_not_depend_on_the_scale_of_the_table(
+    tmp_path, capsys, monkeypatch, table
+):
+    # residuals grow like max|c|^2 (GO, brackets) and max|c|^3 (certificate);
+    # the oracle measures on the table divided by a power of four, so so(3)'s
+    # verdicts hold for every scale of its basis, without a warning
+    go_metric, _, _ = go_family(np.array([1.0, 2.0, 3.0]), rho=1.0, lam=0.0)
+    paths = [tmp_path / "g.json", tmp_path / "dense.json"]
+    write_metric(go_metric, str(paths[0]))
+    paths[1].write_text(json.dumps({"m": 4, "repr": "T", "T": DENSE_M4_T}))
+    want = [verify_verdicts(capsys, path) for path in paths]
+    assert [verdicts[:3] for verdicts in want] == [(0, "yes", "confirmed"), (0, "no", "refuted")]
+    base = skewed_so3() if table == "skewed" else so3()
+    for scale in TABLE_SCALES:
+        c = scale * base.c
+        entries = [[*index, float(c[index])] for index in np.ndindex(c.shape) if c[index]]
+        file = tmp_path / f"{table}-{scale:g}.json"
+        file.write_text(json.dumps({"dim": 3, "c": entries}))
+        monkeypatch.setenv("LOT_STRUCTURE_CONSTANTS", str(file))
+        assert [verify_verdicts(capsys, path) for path in paths] == want, scale
+
+
+def test_verify_tol_moves_the_checks_but_not_the_go_thresholds(tmp_path, capsys):
+    # --tol is the classifier's tolerance and the certificate and bracket
+    # checks'; the GO oracle confirms below 1e-8 and refutes above 1e-4
+    path = tmp_path / "invariant.json"
+    path.write_text(json.dumps({"m": 4, "repr": "form", "a": INVARIANT_M4}))
+    argv = ["verify", "--input", str(path), "--samples", "10", "--tol", "1e-3"]
+    code, report = run_json(capsys, argv)
+    assert code == 0
+    assert (oracle.CONFIRM_TOL, oracle.REFUTE_TOL) == (1e-8, 1e-4)
+    assert report["go_oracle"]["tol"] == oracle.CONFIRM_TOL
+    assert report["natred_certificate"]["tol"] == 1e-3
+    assert report["bracket_properties"]["tol"] == 1e-3
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"m": 3, "repr": "T", "T": (1.2e308 * (np.eye(3) - 1.0 / 3.0)).tolist()},
+        {
+            "m": 3,
+            "repr": "eigen",
+            "basis": [[2**-0.5, -(2**-0.5), 0.0], [6**-0.5, 6**-0.5, -2.0 * 6**-0.5]],
+            "gammas": [1e308, 1e308],
+        },
+    ],
+    ids=["T", "eigen"],
+)
+def test_near_overflow_metrics_end_without_a_warning(tmp_path, data):
+    # eigendecompose diagonalises T divided by its power-of-two scale; a
+    # reported weight past the largest double (alpha_sum = 3 * 8e307) is the
+    # typed serialisation error
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    env = {**os.environ, "PYTHONWARNINGS": "error"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in [str(ROOT / "src"), env.get("PYTHONPATH")] if p)
+    for command in ("classify", "decompose", "verify"):
+        argv = [sys.executable, "-m", "ledger_obata.cli", command, "--input", str(path)]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode in (0, 1), command
+        if proc.returncode:
+            assert proc.stderr == "error: non-finite value inf cannot be serialized\n", command
+        else:
+            assert proc.stderr == "", command
+
+
+def forced_indeterminate(metric, tol=1e-8, cluster_tol=1e-8):
+    """A ``classify_go`` stand-in that leaves every metric to the oracle's fallback."""
+    # classify_go attaches its eigen data to every verdict, and verify's
+    # bracket check reads them
+    eigen = eigendecompose(metric, cluster_tol)
+    return GoResult(GoVerdict.INDETERMINATE, reason="forced for the fallback path", eigen=eigen)
+
+
+def recorded_streams(monkeypatch) -> list:
+    """Record the (seed, index) of every sample stream that the oracle seeds."""
+    seeded = oracle._seeded_generators
+    streams = []
+
+    def recording(seed, indices):
+        streams.extend((seed, int(i)) for i in indices)
+        return seeded(seed, indices)
+
+    monkeypatch.setattr(oracle, "_seeded_generators", recording)
+    return streams
+
+
 def test_indeterminate_falls_back_to_oracle(tmp_path, monkeypatch, capsys):
     metric, _, _ = go_family(np.array([1.0, 2.0, 3.0]), rho=1.0, lam=0.0)
     path = tmp_path / "family.json"
     write_metric(metric, str(path))
-
-    def forced_indeterminate(metric, tol=1e-8, cluster_tol=1e-8):
-        # classify_go attaches its eigen data to every verdict, and verify's
-        # bracket check reads them
-        eigen = eigendecompose(metric, cluster_tol)
-        return GoResult(GoVerdict.INDETERMINATE, reason="forced for the fallback path", eigen=eigen)
 
     monkeypatch.setattr(cli, "classify_go", forced_indeterminate)
     code, report = run_json(
@@ -501,17 +602,12 @@ def test_indeterminate_falls_back_to_oracle(tmp_path, monkeypatch, capsys):
     assert report["go_final"] == "yes"
     assert report["agreement"] is True
 
-    # verify reuses the fallback's assessment instead of running the oracle again
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append((args, kwargs))
-        return assess_geodesic_orbit(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "assess_geodesic_orbit", counted)
+    # verify's one GO assessment is the fallback: round 0 confirms, and its
+    # pass draws each stream once for the other checks too
+    streams = recorded_streams(monkeypatch)
     code, report = run_json(capsys, ["verify", "--input", str(path), "--samples", "10"])
     assert code == 0
-    assert len(calls) == 1
+    assert streams == [(42, i) for i in range(10)]
     assert report["go_oracle"] == report["go_oracle_fallback"]
     assert report["go_oracle_assessment"] == "confirmed"
 
@@ -794,19 +890,13 @@ def test_certificate_whose_samples_overflow_exits_1(tmp_path, capsys, alphas, al
 def test_certificate_whose_samples_overflow_exits_1_in_the_shared_pass(
     tmp_path, capsys, monkeypatch, fallback
 ):
-    # the certificate check shares its pass with the bracket check, and with
-    # GO round 0 unless the classifier's fallback ran the GO rounds already
+    # the certificate check shares its pass with GO round 0 and the bracket
+    # check, whether the classifier decides or leaves GO to the oracle
     path = tmp_path / "claimed.json"
     certificate = {"case": "invariant_form", "alphas": [1, 1, 1e200], "alpha_sum": 1e-10}
     t = [[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]]
     path.write_text(json.dumps({"m": 3, "repr": "T", "T": t, "natred_certificate": certificate}))
     if fallback:
-        classify_go = cli.classify_go
-
-        def forced_indeterminate(metric, tol=1e-8, cluster_tol=1e-8):
-            go = classify_go(metric, tol, cluster_tol)
-            return GoResult(GoVerdict.INDETERMINATE, reason="forced", eigen=go.eigen)
-
         monkeypatch.setattr(cli, "classify_go", forced_indeterminate)
     argv = ["verify", "--input", str(path), "--samples", "131", "--centralizers"]
     code = cli.main(argv + ["--format", "json"])
@@ -818,24 +908,25 @@ def test_certificate_whose_samples_overflow_exits_1_in_the_shared_pass(
 def test_verify_seeds_each_stream_once_and_reuses_the_eigen_data(tmp_path, capsys, monkeypatch):
     path = tmp_path / "invariant.json"
     path.write_text(json.dumps({"m": 4, "repr": "form", "a": INVARIANT_M4}))
-    seeded = oracle._seeded_generators
-    streams = []
-
-    def recording(seed, indices):
-        streams.extend((seed, int(i)) for i in indices)
-        return seeded(seed, indices)
 
     def no_eigendecompose(*args, **kwargs):
         raise AssertionError("the bracket check decomposed the metric again")
 
-    monkeypatch.setattr(oracle, "_seeded_generators", recording)
     monkeypatch.setattr(oracle, "eigendecompose", no_eigendecompose)
     argv = ["verify", "--input", str(path), "--samples", "131", "--centralizers"]
-    code, report = run_json(capsys, argv)
-    assert (code, report["go_oracle_assessment"]) == (0, "confirmed")
-    assert {"natred_certificate", "bracket_properties"} <= set(report)
-    # GO round 0, the certificate check and the bracket check share each draw
-    assert streams == [(42, i) for i in range(131)]
+    # the classifier decides, or leaves the verdict to the oracle's fallback:
+    # either way verify runs one GO assessment
+    for indeterminate in (False, True):
+        with monkeypatch.context() as patch:
+            if indeterminate:
+                patch.setattr(cli, "classify_go", forced_indeterminate)
+            streams = recorded_streams(patch)
+            code, report = run_json(capsys, argv)
+        assert (code, report["go_oracle_assessment"]) == (0, "confirmed")
+        assert {"natred_certificate", "bracket_properties"} <= set(report)
+        assert ("go_resolved_by" in report) is indeterminate
+        # GO round 0, the certificate check and the bracket check share each draw
+        assert streams == [(42, i) for i in range(131)]
 
 
 def test_verify_never_exits_0_when_the_classifiers_split(tmp_path, capsys):

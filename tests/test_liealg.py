@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,9 +22,12 @@ from ledger_obata.liealg import (
     load_structure_constants,
     product_bracket,
     so3,
+    unit_scale,
 )
 
 from conftest import skewed_so3, so_n_entries
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 SO3_ENTRIES = [
     [0, 1, 2, 1.0],
@@ -147,6 +151,42 @@ def test_a_rescaled_basis_of_so3_is_valid(table, scale):
     base = skewed_so3() if table == "skewed" else so3()
     sc = StructureConstants(c=scale * base.c)
     assert np.allclose(sc.gram, scale**2 * base.gram, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("table", ["plain", "skewed"])
+@pytest.mark.parametrize("scale", [1e-310, 1e-200, 1e100, 1e200, 1e300])
+def test_tables_far_from_unit_scale_validate_without_overflow(table, scale):
+    # the checks run on the table divided by a power of four; the Gram matrix
+    # is scaled back, and reads inf (or 0) where scale^2 leaves the doubles
+    base = skewed_so3() if table == "skewed" else so3()
+    sc = StructureConstants(c=scale * base.c)
+    assert np.array_equal(sc.c, scale * base.c)
+    unit = sc.c / unit_scale(sc.c)
+    assert 1.0 <= np.max(np.abs(unit)) < 4.0
+    assert np.array_equal(StructureConstants(c=unit).c, unit)
+    if scale < 1e150:
+        assert np.allclose(sc.gram, scale * scale * base.gram, rtol=1e-12, atol=0.0)
+    else:
+        assert np.all(np.isinf(sc.gram[np.nonzero(base.gram)]))
+
+
+def test_unit_scale_is_the_power_of_four_that_brings_max_c_into_1_to_4():
+    for value, scale in [(1.0, 1.0), (2.75, 1.0), (3.999, 1.0), (4.0, 4.0), (0.3, 0.25),
+                         (1e3, 256.0), (1e-6, 2.0**-20)]:
+        assert unit_scale(np.array([[value, -0.5 * value]])) == scale
+    # so(3), its skewed basis and so(5) are measured as they are
+    for sc in (so3(), skewed_so3(), from_entries(*so_n_entries(5))):
+        assert unit_scale(sc.c) == 1.0
+
+
+def test_readme_structure_constants_example_loads(tmp_path):
+    section = README.read_text().split("### Structure constants JSON", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "so3.json"
+    path.write_text(example)
+    sc = load_structure_constants(str(path))
+    assert sc.name == "so3"
+    assert np.array_equal(sc.c, so3().c)
 
 
 @pytest.mark.parametrize("scale", [1e-7, 1e6])

@@ -376,7 +376,11 @@ def test_natred_certificate_check_catches_corruption(backend):
 
 
 def certificate_residuals_by_loop(form, result, backend, samples, seed):
-    """The certificate check's sampled residuals, one sample at a time."""
+    """The certificate check's sampled residuals, one sample at a time.
+
+    Like the check, it measures on the table divided by its ``unit_scale``.
+    """
+    backend = oracle._unit_table(backend)
     m, d = form.m, backend.dim
     scale = power_of_two_scale(form.a)
     if result.case is NatRedCase.INVARIANT_FORM:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ledger_obata
-from ledger_obata.liealg import ENV_TABLE, from_entries, load_structure_constants
+from ledger_obata.liealg import ENV_TABLE, from_entries, load_structure_constants, so3
 
 from conftest import so_n_entries
 
@@ -90,6 +90,7 @@ def test_ci_workflow_lot_steps_run_with_warnings_as_errors(tmp_path):
         "Run the installed lot outside the checkout",
         "Verify under a skewed so(3) table",
         "Verify under so(5)",
+        "Verify under rescaled so(3) tables",
     ]
     for step in lot_steps:
         assert step["env"] == {"PYTHONWARNINGS": "error"}, step["name"]
@@ -127,14 +128,15 @@ def test_test_extra_lists_every_package_the_workflow_installs():
     assert not missing
 
 
-def run_table_step(name, after, table, tmp_path):
-    """Run the workflow step ``name`` here: write its table, then verify the GO metric.
+def run_table_step(name, after, tmp_path):
+    """Run the workflow step ``name`` here: write its files, then run its verify lines.
 
-    The step must come right after the step ``after``, write ``table``
-    through a heredoc and verify g.json under it; g.json is the metric that
-    the installed lot generated a few steps before.  The sources of this
-    checkout stand in for the installed lot.  Returns the loaded table and
-    the finished verify process.
+    The step must come right after the step ``after``.  A heredoc writes
+    its tables, to the file its stdout is redirected to or by itself, and
+    each line after the heredoc verifies a metric under one table; g.json
+    is the metric that the installed lot generated a few steps before.  The
+    sources of this checkout stand in for the installed lot.  Returns the
+    loaded table and the finished process of each verify line.
     """
     yaml = pytest.importorskip("yaml")
     steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tests"]["steps"]
@@ -143,30 +145,37 @@ def run_table_step(name, after, table, tmp_path):
     step = steps[names.index(name)]
     assert step["working-directory"] == "${{ runner.temp }}"
     lines = step["run"].splitlines()
-    assert lines[0] == f"python - > {table} <<'PY'"
-    assert lines[lines.index("PY") + 1:] == [
-        f"LOT_STRUCTURE_CONSTANTS={table} lot verify --input g.json --format json"
+    head = re.fullmatch(r"python - (?:> (\S+) )?<<'PY'", lines[0])
+    assert head, lines[0]
+    verifies = [
+        re.fullmatch(r"LOT_STRUCTURE_CONSTANTS=(\S+) lot verify --input (\S+) --format json", line)
+        for line in lines[lines.index("PY") + 1:]
     ]
+    assert verifies and all(verifies)
 
     script = "\n".join(lines[1:lines.index("PY")])
     argv = [sys.executable, "-c", script]
-    written = subprocess.run(argv, capture_output=True, text=True, check=True)
-    (tmp_path / table).write_text(written.stdout)
-    sc = load_structure_constants(str(tmp_path / table))
+    written = subprocess.run(argv, cwd=tmp_path, capture_output=True, text=True, check=True)
+    if head.group(1):
+        (tmp_path / head.group(1)).write_text(written.stdout)
     env = {**os.environ, **step["env"]}
     env["PYTHONPATH"] = os.pathsep.join(p for p in [str(ROOT / "src"), env.get("PYTHONPATH")] if p)
     lot = [sys.executable, "-m", "ledger_obata.cli"]
     generate = ["generate", "--z", "1,2,3", "--output", "g.json", "--format", "json"]
     subprocess.run(lot + generate, cwd=tmp_path, env=env, capture_output=True, check=True)
-    env[ENV_TABLE] = table
-    verify = ["verify", "--input", "g.json", "--format", "json"]
-    proc = subprocess.run(lot + verify, cwd=tmp_path, env=env, capture_output=True, text=True)
-    return sc, proc
+    runs = []
+    for match in verifies:
+        table, metric = match.groups()
+        env[ENV_TABLE] = table
+        verify = ["verify", "--input", metric, "--format", "json"]
+        proc = subprocess.run(lot + verify, cwd=tmp_path, env=env, capture_output=True, text=True)
+        runs.append((load_structure_constants(str(tmp_path / table)), proc))
+    return runs
 
 
 def test_ci_workflow_verifies_under_a_skewed_table(tmp_path):
     name, after = "Verify under a skewed so(3) table", "Run the installed lot outside the checkout"
-    sc, proc = run_table_step(name, after, "skewed.json", tmp_path)
+    ((sc, proc),) = run_table_step(name, after, tmp_path)
     assert np.count_nonzero(np.abs(sc.c) > 1e-12) == 18
     assert np.count_nonzero(np.abs(sc.gram) > 1e-12) == 9
     assert (proc.returncode, proc.stderr) == (0, "")
@@ -175,9 +184,23 @@ def test_ci_workflow_verifies_under_a_skewed_table(tmp_path):
 
 def test_ci_workflow_verifies_under_so5(tmp_path):
     name, after = "Verify under so(5)", "Verify under a skewed so(3) table"
-    sc, proc = run_table_step(name, after, "so5.json", tmp_path)
+    ((sc, proc),) = run_table_step(name, after, tmp_path)
     dim, entries = so_n_entries(5)
     assert np.array_equal(sc.c, from_entries(dim, entries).c)
     assert np.array_equal(sc.gram, 6.0 * np.eye(10))
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout)["go_oracle_assessment"] == "confirmed"
+
+
+def test_ci_workflow_verifies_under_rescaled_so3_tables(tmp_path):
+    name, after = "Verify under rescaled so(3) tables", "Verify under so(5)"
+    runs = run_table_step(name, after, tmp_path)
+    # so(3) scaled by 1e3 on the GO metric, by 1e-6 on it and on a dense metric
+    assert [sc.c[0, 1, 2] for sc, _ in runs] == [1e3, 1e-6, 1e-6]
+    for sc, _ in runs:
+        assert np.array_equal(sc.c, sc.c[0, 1, 2] * so3().c)
+    for (_, proc), verdicts in zip(runs, [("yes", "confirmed")] * 2 + [("no", "refuted")]):
+        assert (proc.returncode, proc.stderr) == (0, "")
+        report = json.loads(proc.stdout)
+        assert (report["go_final"], report["go_oracle_assessment"]) == verdicts
+        assert report["ok"] is True
