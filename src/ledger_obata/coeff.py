@@ -183,10 +183,10 @@ def _orthonormal_basis(spanning: np.ndarray) -> np.ndarray:
     return vt[:rank]
 
 
-def canonical_sign(v: np.ndarray, tol: float | None = None) -> np.ndarray:
-    """Flip sign so the first entry above the zero threshold is positive."""
+def canonical_sign(v: np.ndarray) -> np.ndarray:
+    """Flip sign so the first entry above ZERO_RTOL * |v| is positive."""
     v = np.asarray(v, dtype=float)
-    cut = ZERO_RTOL * np.linalg.norm(v) if tol is None else tol
+    cut = ZERO_RTOL * np.linalg.norm(v)
     for x in v:
         if abs(x) > cut:
             return v if x > 0 else -v

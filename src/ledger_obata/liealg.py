@@ -1,8 +1,9 @@
 """Structure-constant backend for a concrete compact simple Lie algebra.
 
 A backend is its table: ``StructureConstants`` holds ``c[i, j, k]``, the
-coefficient of E_k in [E_i, E_j], and a name; its dimension and the Gram
-matrix of minus the Killing form are derived from the table.  This module
+coefficient of E_k in [E_i, E_j], and a name; its dimension, the Gram
+matrix of minus the Killing form and its twin at unit scale are derived
+from the table, which is validated once, at that scale.  This module
 is the one implementation of each operation on the table, and every other
 module reads them from here:
 - ``ad_rows``: the matrices ad(u_l) of a stack of elements;
@@ -27,7 +28,6 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -92,23 +92,24 @@ class StructureConstants:
     """Validated structure-constant table of a compact simple algebra.
 
     ``c[i, j, k]`` is the coefficient of E_k in [E_i, E_j]; it must be a
-    finite (d, d, d) array with d >= 1, and ``dim`` is d.  The Gram matrix
-    ``gram`` of minus the Killing form is computed on construction and must
-    be symmetric positive definite; antisymmetry and the Jacobi identity
-    are enforced at 1e-12.  Each check is relative, so a table passes or
-    fails whatever the scale of its basis: antisymmetry is measured against
-    max|c|, and the Jacobi identity and the Gram matrix, both quadratic in
-    c, against max|c|^2.  Simplicity is checked on the commutant of
-    {ad E_i}, which must be one-dimensional.  The checks run on the table
-    divided by ``unit_scale``, which is exact, so they see the same digits
-    at every scale and cannot overflow; ``c`` keeps the caller's scale, and
-    ``gram`` is scaled back (an entry past the largest double reads inf).
+    finite (d, d, d) array with d >= 1, and ``dim`` is d.  ``unit`` is the
+    table divided by its ``unit_scale``, exactly: the table itself when
+    that is 1, else a twin built once here.  The checks run once, on
+    ``unit``, so they see the same digits at every scale and cannot
+    overflow: antisymmetry at 1e-12 max|c|, the Jacobi identity and the
+    symmetry and positive definiteness of the Gram matrix of minus the
+    Killing form at 1e-12 max|c|^2, and simplicity on the commutant of
+    {ad E_i}, which must be one-dimensional.  The oracles measure on
+    ``unit`` too.  ``gram`` is ``unit.gram`` times unit_scale**2, so an
+    entry past the largest double reads inf; ``unit.gram`` stays finite.
     """
 
     c: np.ndarray
     name: str = "anonymous"
     dim: int = field(init=False)
     gram: np.ndarray = field(init=False)
+    # the table itself when it is at unit scale, so kept out of repr and ==
+    unit: StructureConstants = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.array(self.c, dtype=float)
@@ -120,17 +121,22 @@ class StructureConstants:
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "dim", d)
-        # the operations above read only ``c`` and ``dim`` of a table
         scale = unit_scale(c)
-        unit = SimpleNamespace(c=c / scale, dim=d)
+        unit = self if scale == 1.0 else StructureConstants(c / scale, self.name)
+        object.__setattr__(self, "unit", unit)
+        if unit is not self:
+            with np.errstate(over="ignore", under="ignore"):
+                object.__setattr__(self, "gram", unit.gram * scale * scale)
+            self.gram.setflags(write=False)
+            return
         # an all-zero table passes the first three checks and fails the fourth
-        linear = JACOBI_TOL * float(np.max(np.abs(unit.c)))
-        quadratic = linear * float(np.max(np.abs(unit.c)))
-        if np.max(np.abs(unit.c + np.transpose(unit.c, (1, 0, 2)))) > linear:
+        linear = JACOBI_TOL * float(np.max(np.abs(c)))
+        quadratic = linear * float(np.max(np.abs(c)))
+        if np.max(np.abs(c + np.transpose(c, (1, 0, 2)))) > linear:
             raise StructureConstantError("structure constants are not antisymmetric")
-        if np.max(np.abs(jacobi_tensor(unit))) > quadratic:
+        if np.max(np.abs(jacobi_tensor(self))) > quadratic:
             raise StructureConstantError("Jacobi identity fails")
-        gram = killing_gram(unit)
+        gram = killing_gram(self)
         if np.max(np.abs(gram - gram.T)) > quadratic:
             raise StructureConstantError("Killing Gram matrix is not symmetric")
         eigs = np.linalg.eigvalsh((gram + gram.T) / 2)
@@ -141,7 +147,7 @@ class StructureConstants:
         # compact semisimple is simple exactly when only the scalars commute
         # with every ad E_i: (ad_i X - X ad_i)[a, c] at [i, a, c, (b, e) of X]
         eye = np.eye(d)
-        ads = ad_rows(unit, eye)
+        ads = ad_rows(self, eye)
         commutator = np.einsum("iab,ce->iacbe", ads, eye) - np.einsum("ab,iec->iacbe", eye, ads)
         svals = np.linalg.svd(commutator.reshape(d**3, -1), compute_uv=False)
         commutant = int(np.sum(svals <= 1e-10 * svals[0]))
@@ -150,14 +156,12 @@ class StructureConstants:
                 f"algebra is not simple: {commutant} independent matrices "
                 "commute with every ad E_i"
             )
-        with np.errstate(over="ignore", under="ignore"):
-            gram = gram * scale * scale
         gram.setflags(write=False)
         object.__setattr__(self, "gram", gram)
 
 
 def unit_scale(c: np.ndarray) -> float:
-    """The power of four 4**e with max|c| / 4**e in [1, 4), or 1/4 for a zero table.
+    """The power of four 4**e with max|c| / 4**e in [1, 4), or 1 for a zero table.
 
     Dividing a table by it is exact, and a residual measured on the divided
     table moves by at most a bounded factor when the basis is scaled:
@@ -165,7 +169,8 @@ def unit_scale(c: np.ndarray) -> float:
     every table of ±1 entries and the skewed so(3) of the tests (max|c| =
     2.75) have scale 1, so they are measured as they are, bit for bit.
     """
-    exponent = math.frexp(float(np.max(np.abs(c))))[1] - 1
+    # a zero table has no scale to remove, and is its own twin
+    exponent = math.frexp(float(np.max(np.abs(c))) or 1.0)[1] - 1
     return math.ldexp(1.0, exponent - exponent % 2)
 
 

@@ -57,12 +57,12 @@ depend on the chunk it sits in.  At m = 5 over so(3) the GO kernel takes
 runs, same machine).  Seeding and drawing, and the bracket check's batched
 SVD, cost more than the GO kernel.
 
-Every check measures on the metric divided by ``power_of_two_scale`` and on
-the table divided by ``liealg.unit_scale`` (``_unit_table``), both exact.
-GO and bracket residuals grow like max|c|^2 and certificate residuals like
-max|c|^3, so on the caller's table fixed tolerances would give verdicts
-that depend on the scale of the basis, and large tables would overflow.
-so(3) and every table of ±1 entries are measured as they are.
+Every check measures on the metric divided by ``power_of_two_scale``, as a
+plain matrix, and on ``sc.unit``, the table divided by ``liealg.unit_scale``
+once when it was built; both divisions are exact, and this module builds no
+validated object.  GO and bracket residuals grow like max|c|^2 and
+certificate residuals like max|c|^3, so on the caller's table fixed
+tolerances would give verdicts that depend on the scale of the basis.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ from .liealg import (
     default_backend,
     killing_norms,
     product_bracket,
-    unit_scale,
 )
 from .metrics import EigenData, MetricForm, MetricT, eigendecompose, power_of_two_scale
 
@@ -302,12 +301,6 @@ def _sampled(checks, samples: int, seed: int) -> list[OracleReport]:
     return [check.report(seed, out) for check, out in zip(checks, residuals)]
 
 
-def _unit_table(sc: StructureConstants) -> StructureConstants:
-    """``sc`` divided by its ``unit_scale``; ``sc`` itself when that is 1."""
-    scale = unit_scale(sc.c)
-    return sc if scale == 1.0 else StructureConstants(sc.c / scale, sc.name)
-
-
 def _unit_tangents(seed: int, indices: range, x: np.ndarray) -> np.ndarray:
     """Centre and normalise the draws x (S, m, d) of samples ``indices`` into a new array.
 
@@ -327,7 +320,7 @@ def _unit_tangents(seed: int, indices: range, x: np.ndarray) -> np.ndarray:
 
 
 def _go_residuals(
-    metric: MetricT,
+    a: np.ndarray,
     x: np.ndarray,
     sc: StructureConstants,
     shift: np.ndarray | None = None,
@@ -335,9 +328,10 @@ def _go_residuals(
     """Geodesic-condition residuals of a stack x of tangent elements (S, m, d).
 
     Measures the complement component of [x + 1 (x) shift, A x] in the
-    minus-Killing norm, for every slice at once.  With ``shift`` None the
-    optimal diagonal shift of each slice is found by ridge-regularized
-    least squares; otherwise ``shift`` holds one shift per slice, (S, d).
+    minus-Killing norm, with A the metric's matrix ``a``, for every slice
+    at once.  With ``shift`` None the optimal diagonal shift of each slice
+    is found by ridge-regularized least squares; otherwise ``shift`` holds
+    one shift per slice, (S, d).
     Returns the residuals (S,) and the shifts (S, d).
 
     The shift enters through -[y, shift], with y = A x centred: centring
@@ -352,7 +346,6 @@ def _go_residuals(
     """
     count, m, d = x.shape
     gram = sc.gram
-    a = metric.matrix
     # both centrings over the copies are matmuls: by I - J/m on the left, and
     # through A with its columns centred
     base = (np.eye(m) - 1.0 / m) @ product_bracket(sc, x, a @ x)
@@ -371,7 +364,8 @@ def _go_residuals(
         ridged = lhs + (RIDGE * trace / d)[:, None, None] * eye
         system = np.where(solvable[:, None, None], ridged, eye)
         shift = np.where(solvable[:, None], np.linalg.solve(system, rhs[..., None])[..., 0], 0.0)
-    rest = base + y @ ad_rows(sc, shift).swapaxes(1, 2)
+    # each shift as a (1, d) slice: in one 2-D matmul a row's digits depend on S
+    rest = base + y @ ad_rows(sc, shift[:, None])[:, 0].swapaxes(1, 2)
     return killing_norms(sc, rest), shift
 
 
@@ -390,7 +384,7 @@ def go_sample_residual(
     """
     sc = backend if backend is not None else default_backend()
     given = None if shift is None else np.asarray(shift, dtype=float)[None]
-    residuals, shifts = _go_residuals(metric, np.asarray(x, dtype=float)[None], sc, given)
+    residuals, shifts = _go_residuals(metric.matrix, np.asarray(x, dtype=float)[None], sc, given)
     return float(residuals[0]), shifts[0]
 
 
@@ -417,9 +411,9 @@ def go_oracle(
     squares; the verdict is true when every residual stays below ``tol``.
     Residuals are linear in the metric, so they are measured on the metric
     divided by its ``power_of_two_scale`` and do not change when it is
-    scaled; the table is divided by its ``unit_scale`` the same way.
+    scaled; the table is read at unit scale, as ``backend.unit``.
     Sample i is drawn from default_rng([seed, i]) and replays through
-    ``go_sample_residual`` on the divided metric and table.
+    ``go_sample_residual`` on the divided metric and ``backend.unit``.
     """
     sc = backend if backend is not None else default_backend()
     (report,) = _sampled([_go_check(metric, sc, seed, tol)], samples, seed)
@@ -428,8 +422,8 @@ def go_oracle(
 
 def _go_check(metric: MetricT, sc: StructureConstants, seed: int, tol: float) -> _Check:
     """The check of ``go_oracle`` in a pass with base seed ``seed``."""
-    scaled = MetricT(metric.matrix / power_of_two_scale(metric.matrix))
-    sc = _unit_table(sc)
+    scaled = metric.matrix / power_of_two_scale(metric.matrix)
+    sc = sc.unit
 
     def measure(chunk: range, draws: np.ndarray) -> np.ndarray:
         return _go_residuals(scaled, _unit_tangents(seed, chunk, draws), sc)[0]
@@ -563,8 +557,8 @@ def natred_certificate_check(
     identity alone holds for any invariant weights, so a corrupted
     certificate is caught by the reconstruction residual.  The form and
     the certified weights are both divided by the form's
-    ``power_of_two_scale`` first, and the table by its ``unit_scale``, so
-    every residual is scale-free.
+    ``power_of_two_scale`` first, and the table is read as ``backend.unit``,
+    so every residual is scale-free.
     """
     sc = backend if backend is not None else default_backend()
     (report,) = _sampled([_certificate_check(form, result, sc, tol)], samples, seed)
@@ -583,7 +577,7 @@ def _certificate_check(
     if result.case is NatRedCase.NOT_NR:
         raise ParameterError("nothing to verify: classification is not naturally reductive")
     m = form.m
-    sc = _unit_table(sc)
+    sc = sc.unit
     notes = []
     scale = power_of_two_scale(form.a)
     a = form.a / scale
@@ -793,7 +787,7 @@ def _bracket_check(
     eigen: EigenData, sc: StructureConstants, tol: float, include_centralizers: bool
 ) -> _Check:
     """The check of ``brackets_property_check`` on the metric's eigen data ``eigen``."""
-    sc = _unit_table(sc)
+    sc = sc.unit
     vectors = eigen.system.vectors
     count = len(eigen.clusters)
     members = _cluster_labels(eigen.clusters, len(vectors)) == np.arange(count)[:, None]

@@ -13,6 +13,7 @@ from typing import Any
 
 import numpy as np
 
+from .classify import _integer
 from .coeff import AdaptedSystem, is_adapted
 from .errors import InputError
 from .metrics import MetricT, MetricForm, form_to_T, metric_from_system
@@ -93,9 +94,9 @@ def metric_from_dict(data: dict) -> MetricT:
     if not isinstance(data, dict):
         raise InputError("metric JSON must be an object")
     try:
-        m = int(data["m"])
+        m = _integer(data["m"])
         kind = data["repr"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"metric JSON needs integer 'm' and string 'repr': {exc}")
     if kind == "T":
         t = _as_matrix(data.get("T"), "'T'")

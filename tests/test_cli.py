@@ -146,6 +146,34 @@ def test_non_finite_and_overflowing_input_is_a_typed_error(tmp_path, capsys, pay
     assert "positive definite" not in err
 
 
+STANDARD_M3_T = "[[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]"
+
+
+@pytest.mark.parametrize(
+    "m", ["3.5", "true", "1e400", "1" + "0" * 400], ids=["3.5", "true", "1e400", "10**400"]
+)
+@pytest.mark.parametrize("command", ["classify", "decompose", "verify"])
+def test_a_non_integer_m_is_a_typed_error(tmp_path, capsys, m, command):
+    # m is read by the rule of ideal_index: integral values pass, and 3.5, a
+    # boolean, infinity and an integer past the largest double do not
+    path = tmp_path / "metric.json"
+    path.write_text(f'{{"m": {m}, "repr": "T", "T": {STANDARD_M3_T}}}')
+    code = cli.main([command, "--input", str(path)] + SAMPLES_FLAG[command])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: metric JSON needs integer 'm' and string 'repr': ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["classify", "decompose", "verify"])
+def test_an_integral_float_m_is_read_as_an_integer(tmp_path, capsys, command):
+    path = tmp_path / "metric.json"
+    path.write_text(f'{{"m": 3.0, "repr": "T", "T": {STANDARD_M3_T}}}')
+    code, report = run_json(capsys, [command, "--input", str(path)] + SAMPLES_FLAG[command])
+    assert code == 0
+    assert report["m"] == 3
+
+
 @pytest.mark.parametrize("command", ["classify", "decompose", "verify"])
 def test_huge_well_conditioned_form_runs_without_warnings(tmp_path, capsys, command):
     path = tmp_path / "huge.json"

@@ -1,5 +1,6 @@
 """Tests for the structure-constant backend and product-algebra helpers."""
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -179,6 +180,51 @@ def test_unit_scale_is_the_power_of_four_that_brings_max_c_into_1_to_4():
         assert unit_scale(sc.c) == 1.0
 
 
+def test_unit_is_the_table_at_unit_scale_built_once():
+    # a table at unit scale is its own twin; any other gets one twin, whose
+    # entries are the exact quotient and whose twin is itself
+    for sc in (so3(), skewed_so3(), from_entries(*so_n_entries(5))):
+        assert sc.unit is sc
+    for base, scale in [(so3(), 1e3), (so3(), 1e-6), (skewed_so3(), 1e3), (so3(), 1e300)]:
+        sc = StructureConstants(c=scale * base.c, name="scaled")
+        twin = sc.unit
+        assert twin is not sc
+        assert np.array_equal(twin.c, sc.c / unit_scale(sc.c))
+        assert twin.unit is twin
+        assert twin.name == "scaled"
+        with np.errstate(over="ignore"):
+            assert np.array_equal(sc.gram, twin.gram * unit_scale(sc.c) * unit_scale(sc.c))
+    # a table at unit scale refers to itself, so the field stays out of repr and ==
+    (unit,) = [f for f in dataclasses.fields(StructureConstants) if f.name == "unit"]
+    assert not (unit.init or unit.repr or unit.compare)
+    assert "unit" not in repr(so3())
+
+
+def test_lot_verify_validates_a_rescaled_table_once(tmp_path, monkeypatch, capsys):
+    # the table and its twin are built once per run, and every check reads
+    # the twin; the checks build no table of their own
+    c = 1e3 * so3().c
+    entries = [[*index, float(c[index])] for index in np.ndindex(c.shape) if c[index]]
+    table = tmp_path / "so3x1e3.json"
+    table.write_text(json.dumps({"dim": 3, "c": entries, "name": "so3x1e3"}))
+    monkeypatch.setenv(ENV_TABLE, str(table))
+    metric = tmp_path / "g.json"
+    assert cli.main(["generate", "--z", "1,2,3", "--output", str(metric), "--format", "json"]) == 0
+    capsys.readouterr()
+    built = []
+    post_init = StructureConstants.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(StructureConstants, "__post_init__", counting)
+    assert cli.main(["verify", "--input", str(metric), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    assert len(built) == 2
+    assert built[0].unit is built[1]
+
+
 def test_readme_structure_constants_example_loads(tmp_path):
     section = README.read_text().split("### Structure constants JSON", 1)[1]
     example = section.split("```json\n", 1)[1].split("```", 1)[0]
@@ -204,6 +250,8 @@ def test_invalid_tables_are_rejected_at_every_scale(scale):
     for table, message in rejected:
         with pytest.raises(StructureConstantError, match=message):
             StructureConstants(c=scale * table)
+    # the zero table is at unit scale, so it is validated as it is, with no twin
+    assert unit_scale(np.zeros((3, 3, 3))) == 1.0
 
 
 def test_load_structure_constants_round_trip(tmp_path):

@@ -26,7 +26,7 @@ from ledger_obata.metrics import (
     standard_metric,
     zero_sum_basis,
 )
-from ledger_obata.liealg import ad_rows, product_bracket, so3
+from ledger_obata.liealg import StructureConstants, ad_rows, product_bracket, so3
 from ledger_obata.oracle import (
     CHUNK,
     assess_geodesic_orbit,
@@ -190,6 +190,31 @@ def test_sample_indices_must_fit_one_entropy_word(backend, monkeypatch):
     for call in calls:
         with pytest.raises(ParameterError, match="samples must be at most"):
             call(2**32 + 1)
+
+
+@pytest.mark.parametrize("table, scale", [("plain", 1e3), ("plain", 1e-6), ("skewed", 1e3)])
+def test_go_oracle_replays_under_a_rescaled_table(table, scale):
+    # the oracle measures on the table's unit-scale twin, so a sample replays
+    # bit for bit on the divided metric and ``backend.unit``
+    base = skewed_so3() if table == "skewed" else so3()
+    backend = StructureConstants(c=scale * base.c)
+    assert backend.unit is not backend
+    metric = dense_nonreductive_metric(np.random.default_rng(8), 5)
+    samples = CHUNK + 3
+    scaled = MetricT(metric.matrix / power_of_two_scale(metric.matrix))
+    residuals = []
+    for i in range(samples):
+        x = np.random.default_rng([21, i]).standard_normal((5, 3))
+        x -= x.mean(axis=0)
+        x /= np.linalg.norm(x)
+        residuals.append(go_sample_residual(scaled, x, backend.unit)[0])
+    # a tolerance at the median makes failures a proper subset
+    report = go_oracle(metric, backend, samples=samples, seed=21, tol=np.median(residuals))
+    assert report.max_residual == max(residuals)
+    assert report.residual_min == min(residuals)
+    assert report.residual_median == np.median(residuals)
+    assert report.failures == tuple(i for i, r in enumerate(residuals) if r >= report.tol)
+    assert 0 < len(report.failures) < samples
 
 
 def test_go_oracle_redraws_a_sample_that_centres_to_zero(backend, monkeypatch):
@@ -380,7 +405,7 @@ def certificate_residuals_by_loop(form, result, backend, samples, seed):
 
     Like the check, it measures on the table divided by its ``unit_scale``.
     """
-    backend = oracle._unit_table(backend)
+    backend = backend.unit
     m, d = form.m, backend.dim
     scale = power_of_two_scale(form.a)
     if result.case is NatRedCase.INVARIANT_FORM:
@@ -792,15 +817,15 @@ def test_matmul_kernels_match_the_einsum_kernels(table, m):
 
     metric = dense_nonreductive_metric(rng, m)
     scaled = MetricT(metric.matrix / power_of_two_scale(metric.matrix))
-    got, shifts = oracle._go_residuals(scaled, x, sc)
+    got, shifts = oracle._go_residuals(scaled.matrix, x, sc)
     want, want_shifts = go_residuals_by_einsum(scaled, x, sc)
     assert np.max(np.abs(got - want)) <= 1e-12
     assert np.max(np.abs(shifts - want_shifts)) <= 1e-12
     given = rng.standard_normal((count, d))
-    got = oracle._go_residuals(scaled, x, sc, given)[0]
+    got = oracle._go_residuals(scaled.matrix, x, sc, given)[0]
     assert np.max(np.abs(got - go_residuals_by_einsum(scaled, x, sc, given)[0])) <= 1e-12
     # a GO metric leaves residuals at rounding level in both forms
-    got = oracle._go_residuals(standard_metric(m), x, sc)[0]
+    got = oracle._go_residuals(standard_metric(m).matrix, x, sc)[0]
     assert np.max(got) <= 1e-12
 
     # certificate_residuals_by_loop measures each sample with the einsum

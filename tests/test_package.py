@@ -204,3 +204,32 @@ def test_ci_workflow_verifies_under_rescaled_so3_tables(tmp_path):
         report = json.loads(proc.stdout)
         assert (report["go_final"], report["go_oracle_assessment"]) == verdicts
         assert report["ok"] is True
+
+
+def test_ci_workflow_runs_the_benchmark_command_on_every_workload():
+    yaml = pytest.importorskip("yaml")
+    steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tests"]["steps"]
+    names = [step.get("name") for step in steps]
+    # after the self-test and before the install, so the installed-lot steps stay last
+    assert names.index("Benchmark smoke runs") == names.index("Benchmark self-test") + 1
+    assert names.index("Install the package") == names.index("Benchmark smoke runs") + 1
+    step = steps[names.index("Benchmark smoke runs")]
+    assert step["shell"] == "bash"
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = " ".join(workload["name"] for workload in bench["workloads"])
+    lines = [line.strip() for line in step["run"].splitlines()]
+    assert f"for workload in {workloads}; do" in lines
+    assert "for trace in 0 1; do" in lines
+    command = " ".join(bench["command"][1:])
+    assert any(line.startswith(f"python {command} --workload $workload --seed 1 --seconds 1 "
+                               "--trace $trace > ") for line in lines)
+
+    # the check passes only a correct run with no failed operation
+    def check(result):
+        argv = [sys.executable, "-c", step["env"]["SMOKE_CHECK"], "verify --trace 1"]
+        line = json.dumps({"attempted": 5, "metrics": {}, **result})
+        return subprocess.run(argv, input=line, capture_output=True, text=True).returncode
+
+    assert check({"correct": True, "failed": 0}) == 0
+    assert check({"correct": False, "failed": 0}) != 0
+    assert check({"correct": True, "failed": 1}) != 0
