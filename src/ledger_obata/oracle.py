@@ -90,7 +90,7 @@ from .metrics import EigenData, MetricForm, MetricT, eigendecompose, power_of_tw
 RIDGE = 1e-14
 # samples per batched oracle pass: large enough that numpy's per-call cost is
 # shared, small enough that the working set does not grow with ``samples``
-CHUNK = 64
+CHUNK = 256
 # GO assessment: confirmed below CONFIRM_TOL, refuted above REFUTE_TOL, and
 # resampled in between, with twice the samples each round, up to ROUNDS rounds
 CONFIRM_TOL = 1e-8
@@ -642,7 +642,9 @@ def _off_range(lhs: np.ndarray, rhs: np.ndarray, size) -> np.ndarray:
     u, svals, _ = np.linalg.svd(lhs, full_matrices=False)
     keep = svals > np.finfo(float).eps * size * svals[:, :1]
     coef = (rhs[:, None, :] @ u)[:, 0] * keep
-    return rhs - (u @ coef[..., None])[..., 0]
+    fit = (u @ coef[..., None])[..., 0]
+    del u
+    return rhs - fit
 
 
 def _lstsq_residuals(root: np.ndarray, columns: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -652,9 +654,13 @@ def _lstsq_residuals(root: np.ndarray, columns: np.ndarray, target: np.ndarray) 
     k <= m*d; ``target`` is (S, m, d); rows are weighted by the Gram matrix
     ``root @ root.T``.
     """
-    lhs = (root.T @ columns).reshape(len(columns), -1, columns.shape[3])
-    rhs = (target @ root).reshape(len(target), -1)
-    return np.linalg.norm(_off_range(lhs, rhs, lhs.shape[1]), axis=1)
+    return _fit_residuals(root.T @ columns, target @ root)
+
+
+def _fit_residuals(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``_lstsq_residuals`` on columns ``lhs`` and a target ``rhs`` already weighted by the root."""
+    lhs = lhs.reshape(len(lhs), -1, lhs.shape[3])
+    return np.linalg.norm(_off_range(lhs, rhs.reshape(len(rhs), -1), lhs.shape[1]), axis=1)
 
 
 def _cluster_gather(members: np.ndarray, pairs: np.ndarray, d: int):
@@ -666,7 +672,8 @@ def _cluster_gather(members: np.ndarray, pairs: np.ndarray, d: int):
     then x and a raw second element for the cluster i % R, each a
     (size, d) block of coefficients over its cluster's eigenvectors.
     ``gather(index, draws)`` lays the draws (S, length) of samples
-    ``index`` out as (4, S, n, d), zero off each part's cluster rows.
+    ``index`` out as four (S, n, d) parts, zero off each part's cluster
+    rows.
     """
     count, n = members.shape
     # row ``count`` is no cluster: the pair parts of a sample when P = 0
@@ -677,13 +684,16 @@ def _cluster_gather(members: np.ndarray, pairs: np.ndarray, d: int):
     within = (np.arange(n) - first)[:, None] * d + np.arange(d)
     length = int(sizes[pairs].sum(axis=1).max(initial=0) + 2 * sizes.max())
 
-    def gather(index: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    def gather(index: np.ndarray, draws: np.ndarray) -> list[np.ndarray]:
         pair = pairs[index % len(pairs)].T if len(pairs) else np.full((2, len(index)), count)
         owner = np.vstack([pair, index % count, index % count])
         start = np.cumsum(sizes[owner], axis=0) - sizes[owner]
+        rows = np.arange(len(index))[:, None, None]
         # every place stays below ``length``, off the cluster rows too
-        taken = draws[np.arange(len(index))[:, None, None], start[..., None, None] + within]
-        return np.where(members[owner][..., None], taken, 0.0)
+        return [
+            np.where(members[own][..., None], draws[rows, first[:, None, None] + within], 0.0)
+            for first, own in zip(start, owner)
+        ]
 
     return length, gather
 
@@ -695,24 +705,52 @@ def _pair_residuals(sc, x, y, alpha, beta, include_centralizers):
     the larger least-squares residual of the two identities per slice.
     """
     root = np.linalg.cholesky(sc.gram)
-    target = product_bracket(sc, x, y)
-    ads_x, ads_y = ad_rows(sc, x), ad_rows(sc, y)
-    shared = -(
-        (alpha / (beta - alpha))[:, None, None, None] * ads_x
-        + (beta / (beta - alpha))[:, None, None, None] * ads_y
-    )
-    worst = _lstsq_residuals(root, shared, target)
+    rhs = product_bracket(sc, x, y) @ root
+    worst = _fit_residuals(_shared_lhs(sc, root, x, y, alpha, beta), rhs)
     if include_centralizers:
-        d = sc.dim
-        ads = np.stack([ads_x, ads_y]).reshape(2 * len(x), -1, d)
-        _, svals, vt = np.linalg.svd(ads, full_matrices=False)
-        # right null space at 1e-10 relative, as zero-padded columns;
-        # all of f when ad vanishes
-        null = vt.transpose(0, 2, 1) * (svals <= 1e-10 * svals[:, :1])[:, None, :]
-        null_x, null_y = null.reshape(2, len(x), d, d)
-        columns = -np.concatenate([ads_y @ null_x[:, None], ads_x @ null_y[:, None]], axis=3)
-        worst = np.maximum(worst, _lstsq_residuals(root, columns, target))
+        worst = np.maximum(worst, _fit_residuals(_centralizer_lhs(sc, root, x, y), rhs))
     return worst
+
+
+def _shared_lhs(sc, root: np.ndarray, x, y, alpha, beta) -> np.ndarray:
+    """The columns of identity (i), -(alpha ad(x) + beta ad(y)) / (beta - alpha), weighted by ``root.T``.
+
+    The ad stacks, (S, m, d, d), are the largest arrays of the bracket
+    check, so the sum is built in place in the stack of x; in-place
+    arithmetic gives the bits of the expression it replaces.  Only the
+    weighted columns outlive the call.
+    """
+    shared = ad_rows(sc, x)
+    shared *= (alpha / (beta - alpha))[:, None, None, None]
+    ads_y = ad_rows(sc, y)
+    ads_y *= (beta / (beta - alpha))[:, None, None, None]
+    shared += ads_y
+    del ads_y
+    return root.T @ np.negative(shared, out=shared)
+
+
+def _centralizer_lhs(sc, root: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The columns of identity (ii), -[ad(y) @ null_x, ad(x) @ null_y], weighted by ``root.T``.
+
+    null_x holds the right null space of the stacked ad(x_l) at 1e-10
+    relative, as zero-padded columns, and all of f when ad vanishes.  One
+    SVD per element: the batched SVD is slice-wise, so this gives the bits
+    of one SVD over both.  Each stack is dropped once read, so at most four
+    (S, m, d, d) stacks are held at once, and only the weighted columns,
+    (S, m, d, 2d), outlive the call.
+    """
+    count, m, d = x.shape
+    ads_x, ads_y = ad_rows(sc, x), ad_rows(sc, y)
+    svds = [np.linalg.svd(ads.reshape(count, -1, d), full_matrices=False)[1:] for ads in (ads_x, ads_y)]
+    null_x, null_y = (vt.transpose(0, 2, 1) * (svals <= 1e-10 * svals[:, :1])[:, None, :] for svals, vt in svds)
+    part = ads_y @ null_x[:, None]
+    del ads_y
+    columns = np.empty((count, m, d, 2 * d))
+    columns[..., :d] = part
+    del part
+    columns[..., d:] = ads_x @ null_y[:, None]
+    del ads_x
+    return root.T @ np.negative(columns, out=columns)
 
 
 def _leak_residuals(sc, vectors, x, raw, mask):
@@ -728,13 +766,16 @@ def _leak_residuals(sc, vectors, x, raw, mask):
     # column (b) of the transposed constraint holds component b of the
     # paired brackets sum_l [x_l, y_l] as a function of y's coefficients:
     # block a is ad((vectors @ x)[a]) transposed
-    constraint = ad_rows(sc, vectors @ x).swapaxes(-1, -2) * mask[..., None, None]
+    constraint = ad_rows(sc, vectors @ x).swapaxes(-1, -2)
+    constraint *= mask[..., None, None]
     constraint = constraint.reshape(len(x), -1, d)
     # removing the min-norm lstsq correction leaves the part of raw that
     # meets the constraint; lstsq's cutoff is taken on the unpadded (d, k*d)
     sizes = d * mask.sum(axis=1)[:, None]
     kept = _off_range(constraint, raw.reshape(len(x), -1), sizes).reshape(raw.shape)
+    del constraint
     y = vectors.T @ kept
+    del kept
     norm = np.linalg.norm(y, axis=(1, 2))
     live = norm > 1e-10
     y /= np.where(live, norm, 1.0)[:, None, None]
@@ -795,17 +836,21 @@ def _bracket_check(
     pair_gammas = eigen.system.gammas[[cluster[0] for cluster in eigen.clusters]][pairs]
     length, gather = _cluster_gather(members, pairs, sc.dim)
 
+    def lift(part: np.ndarray) -> np.ndarray:
+        # to (S, m, d), normalised; a zero draw stays zero
+        lifted = vectors.T @ part
+        lifted /= np.maximum(np.linalg.norm(lifted, axis=(1, 2)), 1e-300)[:, None, None]
+        return lifted
+
     def measure(chunk: range, flat: np.ndarray) -> np.ndarray:
         index = np.arange(chunk.start, chunk.stop)
-        draws = gather(index, flat)
-        # lift to (S, m, d) and normalise; a zero draw stays zero
-        lifted = vectors.T @ draws[:3]
-        lifted /= np.maximum(np.linalg.norm(lifted, axis=(2, 3)), 1e-300)[..., None, None]
-        worst = _leak_residuals(sc, vectors, lifted[2], draws[3], members[index % count])
+        parts = gather(index, flat)
+        worst = _leak_residuals(sc, vectors, lift(parts[2]), parts[3], members[index % count])
         if len(pairs):
             alpha, beta = pair_gammas[index % len(pairs)].T
-            pair = _pair_residuals(sc, lifted[0], lifted[1], alpha, beta, include_centralizers)
-            worst = np.maximum(worst, pair)
+            x, y = lift(parts[0]), lift(parts[1])
+            del parts
+            worst = np.maximum(worst, _pair_residuals(sc, x, y, alpha, beta, include_centralizers))
         return worst
 
     return _Check("bracket_properties", tol, (length,), measure)
