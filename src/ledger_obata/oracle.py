@@ -41,7 +41,8 @@ pass against 41 µs in three (best of 200 and of 30 calls, three runs,
 
 In the GO oracle and the certificate check each slice of a chunk goes
 through the same operations, in the same order, as a lone sample, so
-``go_sample_residual`` replays any sample of ``go_oracle`` bit for bit.
+``go_sample_residual`` replays any sample of ``go_oracle`` bit for bit, and
+a chunk of one sample replays any sample of the certificate check.
 ``brackets_property_check`` solves its least-squares steps by batched SVD
 instead of one ``np.linalg.lstsq`` per sample, with the same cutoff.  All
 three agree with a one-sample-at-a-time loop to rounding level.
@@ -617,7 +618,8 @@ def _certificate_check(
                 x /= np.maximum(_norms(x), 1e-300)[:, None, None]
                 y /= np.maximum(_norms(y), 1e-300)[:, None, None]
                 braid = project(product_bracket(sc, x, y))
-                return np.abs(((braid @ sc.gram) * x).sum(axis=2) @ weights)
+                # each row as a (1, m) slice: in one 2-D matmul a row's digits depend on S
+                return np.abs((((braid @ sc.gram) * x).sum(axis=2)[:, None] @ weights)[:, 0])
         except FloatingPointError:
             raise InputError(f"certificate does not fit m = {m}: its samples overflow") from None
 

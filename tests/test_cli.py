@@ -420,7 +420,8 @@ PINNED_VERIFY = {
         "go_oracle": (200, 42, [], True,
                       5.490868325422329e-13, 3.4343072085675546e-16, 3.813577505631296e-14),
         "natred_certificate": (200, 42, [], True,
-                               1.249000902703301e-16, 0.0, 1.0408340855860843e-17),
+                               1.2620113287731272e-16, 5.421010862427522e-20,
+                               1.0191500421363742e-17),
         "bracket_properties": (200, 42, [], True,
                                1.8237320096796304e-13, 1.3159935154973152e-16,
                                4.0240935614894207e-16),

@@ -457,12 +457,20 @@ def test_natred_certificate_check_replays_sample_by_sample(backend, form, certif
     result = certificate or classify_natred(form)
     samples = 2 * CHUNK + 5
     report = natred_certificate_check(form, result, backend, samples=samples, seed=12, tol=tol)
-    residuals = certificate_residuals_by_loop(form, result, backend, samples, 12)
+    # each sample measured alone, as a chunk of one, from its own stream
+    check = oracle._certificate_check(form, result, backend, tol)
+    residuals = np.concatenate([
+        check.measure(range(i, i + 1), np.random.default_rng([12, i]).standard_normal((1, *check.shape)))
+        for i in range(samples)
+    ])
     assert report.samples == samples
     assert report.failures == tuple(int(i) for i in np.nonzero(residuals >= tol)[0])
-    assert abs(report.residual_min - residuals.min()) <= 1e-14
-    assert abs(report.residual_median - np.median(residuals)) <= 1e-14
-    assert report.max_residual >= residuals.max() - 1e-14
+    assert report.residual_min == residuals.min()
+    assert report.residual_median == np.median(residuals)
+    assert report.max_residual >= residuals.max()
+    # and the one-sample einsum loop agrees to rounding level
+    looped = certificate_residuals_by_loop(form, result, backend, samples, 12)
+    assert np.max(np.abs(residuals - looped)) <= 1e-14
     if certificate is not None:
         assert 0 < len(report.failures) < samples
 
