@@ -178,10 +178,12 @@ def classify_natred(form: MetricForm, tol: float = 1e-8) -> NatRedResult:
 
 
 def _integer(value) -> int:
+    # float() rejects what overflows a double; an int is then taken exactly,
+    # since above 2**53 its float is rounded
     number = float(value)
     if isinstance(value, bool) or not number.is_integer():
         raise ValueError(f"{value!r} is not an integer")
-    return int(number)
+    return value if isinstance(value, int) else int(number)
 
 
 def _parsed(data: dict, key: str, parse):

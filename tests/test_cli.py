@@ -175,6 +175,18 @@ def test_an_integral_float_m_is_read_as_an_integer(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["classify", "decompose", "verify"])
+def test_an_integer_m_above_2_to_the_53_is_read_exactly(tmp_path, capsys, command):
+    # through a float, 2**53 + 1 would be read as 2**53
+    path = tmp_path / "metric.json"
+    path.write_text(f'{{"m": 9007199254740993, "repr": "T", "T": {STANDARD_M3_T}}}')
+    code = cli.main([command, "--input", str(path)] + SAMPLES_FLAG[command])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: 'T' must be 9007199254740993x9007199254740993, got (3, 3)")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["classify", "decompose", "verify"])
 def test_huge_well_conditioned_form_runs_without_warnings(tmp_path, capsys, command):
     path = tmp_path / "huge.json"
     path.write_text('{"m": 3, "repr": "form", "a": [[1e200, 1e199], [1e199, 1e200]]}')

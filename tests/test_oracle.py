@@ -976,6 +976,25 @@ def test_shared_pass_reports_equal_standalone_calls(backend, name, samples, cent
         assert word == SHARED_PASS[name][3]
 
 
+@pytest.mark.parametrize("centralizers", [False, True], ids=["plain", "centralizers"])
+@pytest.mark.parametrize("name", ["go-invariant", "dense-m5", "perturbed-m4"])
+def test_reports_do_not_depend_on_the_chunk_size(backend, monkeypatch, name, centralizers):
+    metric, checks, _ = shared_checks(name, backend, centralizers)
+    if name == "perturbed-m4":
+        # the certificate of the form before the perturbation
+        unperturbed = certified([0.8, 1.3, 2.1, 2.9])
+        checks.insert(0, oracle._certificate_check(T_to_form(metric), unperturbed, backend, 1e-8))
+    assert len(checks) == 2
+    samples, seed = 2 * CHUNK + 3, 17
+    runs = []
+    for chunk in [1, 7, 64, CHUNK]:
+        monkeypatch.setattr(oracle, "CHUNK", chunk)
+        runs.append(oracle._assess(metric, backend, samples, seed, checks))
+    assert runs[0][0] == SHARED_PASS[name][3]
+    # repr tells every bit of a float apart, -0.0 from 0.0 too
+    assert all(repr(run) == repr(runs[0]) for run in runs[1:])
+
+
 def test_shared_pass_draws_each_sample_once(backend, monkeypatch):
     seeded = oracle._seeded_generators
     streams = []

@@ -76,7 +76,7 @@ def test_ci_workflow_runs_the_installed_lot_outside_the_checkout():
     assert lines == [
         "lot generate --z 1,2,3 --output g.json --format json",
         "lot verify --input g.json --format json",
-        "lot verify --input g.json --samples 131 --centralizers --format json",
+        "lot verify --input g.json --samples 515 --centralizers --format json",
     ]
 
 
@@ -105,7 +105,7 @@ def test_ci_workflow_lot_steps_run_with_warnings_as_errors(tmp_path):
         assert (proc.returncode, proc.stderr) == (0, ""), line
         reports.append(json.loads(proc.stdout))
     assert reports[0]["go_verdict"] == "yes"
-    for report, samples in zip(reports[1:], (200, 131)):
+    for report, samples in zip(reports[1:], (200, 515)):
         assert report["ok"] is True
         for key in ("go_oracle", "natred_certificate", "bracket_properties"):
             assert report[key]["samples"] == samples
