@@ -272,9 +272,29 @@ class _Check:
             seed=seed,
             failures=tuple(np.flatnonzero(residuals >= self.tol).tolist()),
             residual_min=float(residuals.min()),
-            residual_median=float(np.median(residuals)),
+            residual_median=_median(residuals),
             notes=self.notes,
         )
+
+
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a 1-D float array, bit for bit.
+
+    ``np.median`` imports ``numpy.ma`` on its first call, to check for NaNs,
+    which costs about 9 ms and 1.3 MB of RSS in each ``lot verify`` process.
+    This is its arithmetic: a partition that also moves the largest value,
+    a NaN, to the end, and the mean of the middle one or two values, a sum
+    that starts from 0.0 (so -0.0 reads as 0.0).
+    """
+    half = len(values) // 2
+    even = len(values) % 2 == 0
+    part = np.partition(values, [half - 1, half, -1] if even else [half, -1])
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    # Python floats: the same IEEE arithmetic, and no warning when it overflows
+    if even:
+        return (0.0 + float(part[half - 1]) + float(part[half])) / 2
+    return 0.0 + float(part[half])
 
 
 def _sampled(checks, samples: int, seed: int) -> list[OracleReport]:

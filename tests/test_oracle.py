@@ -693,6 +693,21 @@ def test_brackets_property_check_working_set_does_not_grow_with_samples(backend,
     assert peak < 1024 * 1024
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 200, 515])
+def test_median_is_np_median_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    signed = rng.random(n) * rng.choice([-1.0, 1.0], size=n)
+    signed[: n // 2] = -0.0
+    huge = rng.random(n) * 1.7e308
+    with_nan, with_inf = rng.random(n), rng.random(n)
+    with_nan[n // 2], with_inf[0] = np.nan, np.inf
+    for values in [rng.random(n), np.full(n, -0.0), signed, huge, with_nan, with_inf]:
+        with np.errstate(over="ignore"):  # the middle of ``huge`` sums to inf
+            want = float(np.median(values))
+        # repr tells -0.0 from 0.0, and every other bit too
+        assert repr(oracle._median(values)) == repr(want)
+
+
 def test_oracle_report_round_trip(backend):
     metric, _, _ = go_family(np.array([1.0, 2.0, 3.0]), rho=1.0, lam=0.0)
     report = go_oracle(metric, backend, samples=5, seed=1)
