@@ -13,13 +13,13 @@ Each sample makes one draw, ``rng.standard_normal(out=row)`` in
 ``_normals``.  The generators are not built one per sample (about 20-26 µs
 each): ``_seeded_generators`` runs SeedSequence's hashing for a whole chunk
 in one numpy pass and hands each sample's PCG64 state to one generator in
-turn.  Seeding and a (6, 3) draw then take 4.3-6.5 µs per sample (best of
-300 calls on one 64-sample chunk, three runs, 2-vCPU shared Xeon VM, numpy
-2).
+turn.  Seeding and a (6, 3) draw then take 3.6 µs per sample (best of 300
+calls on one 256-sample chunk, 2-vCPU shared Xeon VM, numpy 2).
 
 One driver, ``_sampled``, runs all three checks: it draws one chunk of
 ``CHUNK`` samples at a time and keeps only the residual vectors, so the
-working set does not grow with ``samples``.  Each check states the shape of
+working set does not grow with ``samples``.  At 256 samples a default
+``lot verify`` round is one chunk per check.  Each check states the shape of
 a sample's draw and measures a whole chunk in numpy:
 - ``go_oracle`` draws (m, d), a tangent element to centre and normalise; a
   draw that centres to zero is replaced by the next draw of its stream;
@@ -33,11 +33,10 @@ the draw that its own shape takes.  ``lot verify`` runs GO round 0, the
 certificate check and the bracket check in one such pass (``_assess``), so
 each of its sample streams is drawn once per run, whether the GO verdict is
 the classifier's or the oracle's.  For a GO invariant form
-at m = 5 (draws of 15, 30 and 12 normals), seeding and drawing one 64-sample
-chunk takes 4.8 µs per sample against 13.2-23.8 µs for three separate
-draws, and the three checks at 200 samples take 29-30 µs per sample in one
-pass against 41 µs in three (best of 200 and of 30 calls, three runs,
-2-vCPU shared Xeon VM, numpy 2).
+at m = 5 (draws of 15, 30 and 12 normals), seeding and drawing one
+256-sample chunk takes 3.6 µs per sample against 10.4 µs for three separate
+draws, and the three checks at 200 samples take 17-18 µs per sample in one
+pass against 25 µs in three (best of 200 and of 60 calls, same machine).
 
 In the GO oracle and the certificate check each slice of a chunk goes
 through the same operations, in the same order, as a lone sample, so
@@ -45,7 +44,14 @@ through the same operations, in the same order, as a lone sample, so
 a chunk of one sample replays any sample of the certificate check.
 ``brackets_property_check`` solves its least-squares steps by batched SVD
 instead of one ``np.linalg.lstsq`` per sample, with the same cutoff.  All
-three agree with a one-sample-at-a-time loop to rounding level.
+three agree with a one-sample-at-a-time loop to rounding level, and no
+report depends on the chunk size.
+
+The bracket check's largest arrays are its (S, m, d, d) ad stacks, 108 KB
+each at S = 256, m = 6 over so(3).  It builds its least-squares columns in
+place, drops each stack once read and holds only the weighted columns
+through an SVD (``_shared_lhs``, ``_centralizer_lhs``); in-place arithmetic
+gives the bits of the expression it replaces.
 
 The backend enters only through ``liealg``: brackets, ad matrices and
 minus-Killing norms come from ``product_bracket``, ``ad_rows`` and
@@ -54,9 +60,9 @@ kernels are 2-D or batched matmuls too, and the GO normal matrix is Y^T Y
 against a (d^2, d^2) table built per call (see ``_go_residuals``).  A
 batched matmul multiplies slice by slice, so a slice's digits do not
 depend on the chunk it sits in.  At m = 5 over so(3) the GO kernel takes
-2.0-3.3 µs per sample (best of 300 calls on one 64-sample chunk, three
-runs, same machine).  Seeding and drawing, and the bracket check's batched
-SVD, cost more than the GO kernel.
+1.3 µs per sample (best of 300 calls on one 256-sample chunk, same
+machine).  Seeding and drawing, and the bracket check's batched SVD, cost
+more than the GO kernel.
 
 Every check measures on the metric divided by ``power_of_two_scale``, as a
 plain matrix, and on ``sc.unit``, the table divided by ``liealg.unit_scale``
@@ -89,8 +95,9 @@ from .liealg import (
 from .metrics import EigenData, MetricForm, MetricT, eigendecompose, power_of_two_scale
 
 RIDGE = 1e-14
-# samples per batched oracle pass: large enough that numpy's per-call cost is
-# shared, small enough that the working set does not grow with ``samples``
+# samples per chunk of an oracle pass: a default `lot verify` round (200
+# samples) is one chunk, so numpy's per-call cost is shared; the working set
+# stays within the bounds its tests set and does not grow with ``samples``
 CHUNK = 256
 # GO assessment: confirmed below CONFIRM_TOL, refuted above REFUTE_TOL, and
 # resampled in between, with twice the samples each round, up to ROUNDS rounds
