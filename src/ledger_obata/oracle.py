@@ -687,7 +687,7 @@ def _lstsq_residuals(root: np.ndarray, columns: np.ndarray, target: np.ndarray) 
 
 
 def _fit_residuals(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``_lstsq_residuals`` on columns ``lhs`` and a target ``rhs`` already weighted by the root."""
+    """``_lstsq_residuals`` on columns ``lhs`` and target ``rhs`` already weighted by ``root``."""
     lhs = lhs.reshape(len(lhs), -1, lhs.shape[3])
     return np.linalg.norm(_off_range(lhs, rhs.reshape(len(rhs), -1), lhs.shape[1]), axis=1)
 
@@ -742,9 +742,10 @@ def _pair_residuals(sc, x, y, alpha, beta, include_centralizers):
 
 
 def _shared_lhs(sc, root: np.ndarray, x, y, alpha, beta) -> np.ndarray:
-    """The columns of identity (i), -(alpha ad(x) + beta ad(y)) / (beta - alpha), weighted by ``root.T``.
+    """The columns of identity (i), weighted by ``root.T``: (S, m, d, d).
 
-    The ad stacks, (S, m, d, d), are the largest arrays of the bracket
+    The columns are -(alpha ad(x) + beta ad(y)) / (beta - alpha).  The ad
+    stacks, (S, m, d, d), are the largest arrays of the bracket
     check, so the sum is built in place in the stack of x; in-place
     arithmetic gives the bits of the expression it replaces.  Only the
     weighted columns outlive the call.
@@ -759,19 +760,16 @@ def _shared_lhs(sc, root: np.ndarray, x, y, alpha, beta) -> np.ndarray:
 
 
 def _centralizer_lhs(sc, root: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The columns of identity (ii), -[ad(y) @ null_x, ad(x) @ null_y], weighted by ``root.T``.
+    """The columns of identity (ii), weighted by ``root.T``: (S, m, d, 2d).
 
-    null_x holds the right null space of the stacked ad(x_l) at 1e-10
-    relative, as zero-padded columns, and all of f when ad vanishes.  One
-    SVD per element: the batched SVD is slice-wise, so this gives the bits
-    of one SVD over both.  Each stack is dropped once read, so at most four
-    (S, m, d, d) stacks are held at once, and only the weighted columns,
-    (S, m, d, 2d), outlive the call.
+    The columns are -[ad(y) @ null_x, ad(x) @ null_y], with null_x the
+    right null space of the stacked ad(x_l) (see ``_right_null``).  Each
+    stack is dropped once read, so at most four (S, m, d, d) stacks are held
+    at once, and only the weighted columns outlive the call.
     """
     count, m, d = x.shape
     ads_x, ads_y = ad_rows(sc, x), ad_rows(sc, y)
-    svds = [np.linalg.svd(ads.reshape(count, -1, d), full_matrices=False)[1:] for ads in (ads_x, ads_y)]
-    null_x, null_y = (vt.transpose(0, 2, 1) * (svals <= 1e-10 * svals[:, :1])[:, None, :] for svals, vt in svds)
+    null_x, null_y = _right_null(ads_x), _right_null(ads_y)
     part = ads_y @ null_x[:, None]
     del ads_y
     columns = np.empty((count, m, d, 2 * d))
@@ -780,6 +778,17 @@ def _centralizer_lhs(sc, root: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.n
     columns[..., d:] = ads_x @ null_y[:, None]
     del ads_x
     return root.T @ np.negative(columns, out=columns)
+
+
+def _right_null(ads: np.ndarray) -> np.ndarray:
+    """The right null space of each stack of ad matrices ``ads`` (S, m, d, d), as (S, d, d).
+
+    Taken at 1e-10 relative, as zero-padded columns, and all of f when ad
+    vanishes.  The batched SVD is slice-wise, so one call per element gives
+    the bits of one call over both elements of a pair.
+    """
+    _, svals, vt = np.linalg.svd(ads.reshape(len(ads), -1, ads.shape[-1]), full_matrices=False)
+    return vt.transpose(0, 2, 1) * (svals <= 1e-10 * svals[:, :1])[:, None, :]
 
 
 def _leak_residuals(sc, vectors, x, raw, mask):

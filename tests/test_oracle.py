@@ -459,8 +459,9 @@ def test_natred_certificate_check_replays_sample_by_sample(backend, form, certif
     report = natred_certificate_check(form, result, backend, samples=samples, seed=12, tol=tol)
     # each sample measured alone, as a chunk of one, from its own stream
     check = oracle._certificate_check(form, result, backend, tol)
+    shape = (1, *check.shape)
     residuals = np.concatenate([
-        check.measure(range(i, i + 1), np.random.default_rng([12, i]).standard_normal((1, *check.shape)))
+        check.measure(range(i, i + 1), np.random.default_rng([12, i]).standard_normal(shape))
         for i in range(samples)
     ])
     assert report.samples == samples
