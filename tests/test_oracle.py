@@ -112,7 +112,12 @@ def test_go_oracle_sample_i_replays_from_its_own_seed(backend):
     assert report.failures == tuple(i for i, r in enumerate(residuals) if r >= report.tol)
 
 
-@pytest.mark.parametrize("samples", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+# sample counts that a pass covers with one partial chunk, then counts at the
+# boundaries of the oracle's chunk
+SAMPLE_COUNTS = [1, 63, 64, 65, 131, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]
+
+
+@pytest.mark.parametrize("samples", SAMPLE_COUNTS)
 def test_go_oracle_chunks_replay_sample_by_sample(backend, samples):
     metric = dense_nonreductive_metric(np.random.default_rng(8), 5)
     # a tolerance inside the residual range makes failures a proper subset
@@ -598,7 +603,7 @@ BRACKET_METRICS = {
 
 
 @pytest.mark.parametrize("centralizers", [False, True], ids=["plain", "centralizers"])
-@pytest.mark.parametrize("samples", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+@pytest.mark.parametrize("samples", SAMPLE_COUNTS)
 @pytest.mark.parametrize("name", sorted(BRACKET_METRICS))
 def test_brackets_property_check_chunks_match_sample_loop(backend, name, samples, centralizers):
     metric, tol = BRACKET_METRICS[name]
@@ -976,7 +981,7 @@ def shared_checks(name, backend, centralizers):
 
 
 @pytest.mark.parametrize("centralizers", [False, True], ids=["plain", "centralizers"])
-@pytest.mark.parametrize("samples", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+@pytest.mark.parametrize("samples", SAMPLE_COUNTS)
 @pytest.mark.parametrize("name", sorted(SHARED_PASS))
 def test_shared_pass_reports_equal_standalone_calls(backend, name, samples, centralizers):
     metric, checks, calls = shared_checks(name, backend, centralizers)
