@@ -4,7 +4,9 @@ Subcommands: classify (naturally-reductive case and geodesic-orbit verdict
 for a metric file), decompose (irreducible factors and the isometry group),
 verify (run the numeric oracles and cross-check the classifiers), generate
 (write a geodesic-orbit family metric), trees (list admissible partition
-pairs).  JSON output is the contract; text output renders the same report.
+pairs).  The library builds the reports of classify, decompose and verify;
+those commands load the metric, call the library and print.  JSON output is
+the contract; text output renders the same report.
 Exit codes: 0 success, 1 input error, 2 verification disagreement.
 """
 
@@ -16,21 +18,10 @@ import sys
 
 import numpy as np
 
-from .classify import (
-    GoResult,
-    GoVerdict,
-    NatRedResult,
-    classify_go,
-    classify_natred,
-    go_family,
-    go_report,
-    natred_from_dict,
-    natred_report,
-)
+from .classify import classify_go, go_family
 from .errors import InputError, LedgerObataError
-from .liealg import default_backend
-from .metrics import MetricForm, MetricT, T_to_form, power_of_two_scale
-from .oracle import _assess, _bracket_check, _certificate_check, assess_geodesic_orbit
+from .metrics import MetricT
+from .oracle import classify_report, verify_report
 from .reduce import decompose_report
 from .serialize import (
     dumps_numeric,
@@ -106,43 +97,9 @@ def _load_metric(args) -> tuple[MetricT, dict]:
     return metric_from_dict(data), data
 
 
-def _classified(args, metric: MetricT, form: MetricForm) -> tuple[dict, NatRedResult, GoResult]:
-    """The classification report of ``metric`` (whose form is ``form``) and both results.
-
-    Runs no oracle; ``_resolve`` completes the report.
-    """
-    nr = classify_natred(form, args.tol)
-    go = classify_go(metric, args.tol, args.cluster_tol)
-    report = {"m": metric.m, "natred": natred_report(nr), "go": go_report(go)}
-    return report, nr, go
-
-
-def _resolve(report: dict, nr: NatRedResult, go: GoResult, assessment) -> GoVerdict:
-    """Add the final GO verdict and the NR/GO agreement to ``report``, and return the verdict.
-
-    An indeterminate classifier is resolved by ``assessment``, the command's
-    oracle (word, report), which the report records as the fallback.
-    """
-    final = go.verdict
-    if final is GoVerdict.INDETERMINATE:
-        word, oracle_report = assessment
-        final = {"confirmed": GoVerdict.YES, "refuted": GoVerdict.NO}.get(word, final)
-        report["go_resolved_by"] = "oracle"
-        report["go_oracle_fallback"] = oracle_report.to_dict()
-    report["go_final"] = final.value
-    report["agreement"] = None
-    if final is not GoVerdict.INDETERMINATE:
-        report["agreement"] = bool(nr.is_naturally_reductive == (final is GoVerdict.YES))
-    return final
-
-
 def cmd_classify(args) -> int:
     metric, _ = _load_metric(args)
-    report, nr, go = _classified(args, metric, T_to_form(metric))
-    assessment = None
-    if go.verdict is GoVerdict.INDETERMINATE:
-        assessment = assess_geodesic_orbit(metric, default_backend(), args.samples, args.seed)
-    _resolve(report, nr, go, assessment)
+    report = classify_report(metric, args.tol, args.cluster_tol, args.samples, args.seed)
     _emit(args, report)
     return 0
 
@@ -156,59 +113,10 @@ def cmd_decompose(args) -> int:
 
 def cmd_verify(args) -> int:
     metric, raw = _load_metric(args)
-    backend = default_backend()
-    form = T_to_form(metric)
-    report, nr, go = _classified(args, metric, form)
-
-    if raw.get("natred_certificate") is not None:
-        certificate = natred_from_dict(raw["natred_certificate"])
-        source = "input file"
-    else:
-        # reported weights are rounded where subnormal: check the exact ones
-        # that the classifier finds on the form divided by its scale
-        form = MetricForm(form.a / power_of_two_scale(form.a))
-        certificate = classify_natred(form, args.tol)
-        source = "classifier"
-    # GO round 0 and these checks draw each sample once, in one pass; the
-    # bracket check reads the eigen data that the classifier computed
-    checks = [_bracket_check(go.eigen, backend, args.tol, args.centralizers)]
-    if certificate.is_naturally_reductive:
-        checks.insert(0, _certificate_check(form, certificate, backend, args.tol))
-    word, oracle_report, reports = _assess(metric, backend, args.samples, args.seed, checks)
-    checked = {check_report.kind: check_report for check_report in reports}
-    final = _resolve(report, nr, go, (word, oracle_report))
-    report["go_oracle"] = oracle_report.to_dict()
-    report["go_oracle_assessment"] = word
-
-    disagreements = []
-    if report["agreement"] is False:
-        disagreements.append(
-            f"classifiers split: natred case {report['natred']['case']}, "
-            f"go_final {final.value}"
-        )
-    if final is GoVerdict.YES and word == "refuted":
-        disagreements.append("classifier says geodesic orbit, oracle refutes")
-    if final is GoVerdict.NO and word == "confirmed":
-        disagreements.append("classifier denies geodesic orbit, oracle confirms")
-
-    if certificate.is_naturally_reductive:
-        cert_report = checked["naturally_reductive_certificate"]
-        report["natred_certificate"] = cert_report.to_dict()
-        report["natred_certificate_source"] = source
-        if not cert_report.verdict:
-            disagreements.append(
-                f"naturally-reductive certificate from {source} fails verification"
-            )
-
-    bracket_report = checked["bracket_properties"]
-    report["bracket_properties"] = bracket_report.to_dict()
-    if final is GoVerdict.YES and not bracket_report.verdict:
-        disagreements.append("bracket identities fail although classifier says GO")
-
-    report["disagreements"] = disagreements
-    report["ok"] = not disagreements
+    report = verify_report(metric, raw.get("natred_certificate"), args.tol, args.cluster_tol,
+                           args.samples, args.seed, args.centralizers)
     _emit(args, report)
-    return 2 if disagreements else 0
+    return 0 if report["ok"] else 2
 
 
 def cmd_generate(args) -> int:

@@ -5,7 +5,8 @@ bracket identities behind the classifier are all checked here by brute
 force: draw random tangent elements, reduce each claim to a small linear
 least-squares problem in the diagonal subalgebra, and record residuals.
 The checks share no code with the classifier beyond the structure-constant
-backend, so agreement between the two is meaningful evidence.
+backend, so agreement between the two is meaningful evidence.  Only the
+report builders at the end, ``classify_report`` and ``verify_report``, call both.
 
 Replay contract: sample i of a run with base seed ``seed`` is drawn from
 ``default_rng([seed, i])``, so any failing sample can be recomputed alone.
@@ -82,7 +83,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .classify import GoCertificate, NatRedCase, NatRedResult
+from .classify import (
+    GoCertificate, GoVerdict, NatRedCase, NatRedResult, classify_go, classify_natred, go_report,
+    natred_from_dict, natred_report,
+)
 from .coeff import _cluster_labels, _norms
 from .errors import InputError, ParameterError
 from .liealg import (
@@ -92,7 +96,7 @@ from .liealg import (
     killing_norms,
     product_bracket,
 )
-from .metrics import EigenData, MetricForm, MetricT, eigendecompose, power_of_two_scale
+from .metrics import EigenData, MetricForm, MetricT, T_to_form, eigendecompose, power_of_two_scale
 
 RIDGE = 1e-14
 # samples per chunk of an oracle pass: a default `lot verify` round (200
@@ -676,18 +680,13 @@ def _off_range(lhs: np.ndarray, rhs: np.ndarray, size) -> np.ndarray:
     return rhs - fit
 
 
-def _lstsq_residuals(root: np.ndarray, columns: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Minimal weighted norm of target - columns @ u over u, for each slice.
-
-    ``columns`` is (S, m, d, k), mapping the unknown u to row blocks, with
-    k <= m*d; ``target`` is (S, m, d); rows are weighted by the Gram matrix
-    ``root @ root.T``.
-    """
-    return _fit_residuals(root.T @ columns, target @ root)
-
-
 def _fit_residuals(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``_lstsq_residuals`` on columns ``lhs`` and target ``rhs`` already weighted by ``root``."""
+    """Minimal norm of rhs - lhs @ u over u, for each slice.
+
+    ``lhs`` is (S, m, d, k), mapping the unknown u to row blocks, with
+    k <= m*d, and ``rhs`` is (S, m, d).  For the norm of the Gram matrix
+    ``root @ root.T``, pass ``root.T @ columns`` and ``target @ root``.
+    """
     lhs = lhs.reshape(len(lhs), -1, lhs.shape[3])
     return np.linalg.norm(_off_range(lhs, rhs.reshape(len(rhs), -1), lhs.shape[1]), axis=1)
 
@@ -892,3 +891,96 @@ def _bracket_check(
         return worst
 
     return _Check("bracket_properties", tol, (length,), measure)
+
+
+# -- the reports of `lot classify` and `lot verify` ---------------------------
+
+
+def _classified(metric: MetricT, tol: float, cluster_tol: float, assess):
+    """The classification report of ``metric``, its final GO verdict and what ``assess`` returned.
+
+    ``assess(form, go)`` runs after both classifiers and returns None, or the oracle's (word,
+    report) first: that word resolves an indeterminate verdict, and that report is the fallback.
+    """
+    form = T_to_form(metric)
+    nr = classify_natred(form, tol)
+    go = classify_go(metric, tol, cluster_tol)
+    report = {"m": metric.m, "natred": natred_report(nr), "go": go_report(go)}
+    assessed = assess(form, go)
+    final = go.verdict
+    if final is GoVerdict.INDETERMINATE:
+        word, oracle_report = assessed[:2]
+        final = {"confirmed": GoVerdict.YES, "refuted": GoVerdict.NO}.get(word, final)
+        report["go_resolved_by"] = "oracle"
+        report["go_oracle_fallback"] = oracle_report.to_dict()
+    report["go_final"] = final.value
+    report["agreement"] = None
+    if final is not GoVerdict.INDETERMINATE:
+        report["agreement"] = bool(nr.is_naturally_reductive == (final is GoVerdict.YES))
+    return report, final, assessed
+
+
+def classify_report(
+    metric: MetricT, tol: float = 1e-8, cluster_tol: float = 1e-8, samples: int = 200,
+    seed: int = 42,
+) -> dict:
+    """JSON-ready report of ``lot classify``; the table is read only if GO is indeterminate."""
+
+    def fallback(form: MetricForm, go):
+        if go.verdict is GoVerdict.INDETERMINATE:
+            return assess_geodesic_orbit(metric, default_backend(), samples, seed)
+
+    return _classified(metric, tol, cluster_tol, fallback)[0]
+
+
+def verify_report(
+    metric: MetricT, certificate: dict | None = None, tol: float = 1e-8, cluster_tol: float = 1e-8,
+    samples: int = 200, seed: int = 42, include_centralizers: bool = False,
+) -> dict:
+    """JSON-ready report of ``lot verify``: the classification checked against the oracle.
+
+    ``certificate``, the JSON form of an NR certificate, is parsed after the
+    table is read and the metric classified; None checks the classifier's.
+    ``disagreements`` lists every claim that fails, and ``ok`` says none does.
+    """
+    sc = default_backend()
+
+    def assess(form: MetricForm, go):
+        if certificate is None:
+            # reported weights are rounded where subnormal: check the exact
+            # ones that the classifier finds on the form divided by its scale
+            form = MetricForm(form.a / power_of_two_scale(form.a))
+            claim, source = classify_natred(form, tol), "classifier"
+        else:
+            claim, source = natred_from_dict(certificate), "input file"
+        # GO round 0 and these checks draw each sample once, in one pass; the
+        # bracket check reads the eigen data that the classifier computed
+        checks = [_bracket_check(go.eigen, sc, tol, include_centralizers)]
+        if claim.is_naturally_reductive:
+            checks.insert(0, _certificate_check(form, claim, sc, tol))
+        return (*_assess(metric, sc, samples, seed, checks), source)
+
+    report, final, (word, last, reports, source) = _classified(metric, tol, cluster_tol, assess)
+    report["go_oracle"] = last.to_dict()
+    report["go_oracle_assessment"] = word
+    *certified, brackets = reports
+    if certified:
+        report["natred_certificate"] = certified[0].to_dict()
+        report["natred_certificate_source"] = source
+    report["bracket_properties"] = brackets.to_dict()
+
+    case, yes = report["natred"]["case"], final is GoVerdict.YES
+    # (failed, text) for each claim, in the order the report lists them
+    table = (
+        (report["agreement"] is False,
+         f"classifiers split: natred case {case}, go_final {final.value}"),
+        (yes and word == "refuted", "classifier says geodesic orbit, oracle refutes"),
+        (final is GoVerdict.NO and word == "confirmed",
+         "classifier denies geodesic orbit, oracle confirms"),
+        (bool(certified) and not certified[0].verdict,
+         f"naturally-reductive certificate from {source} fails verification"),
+        (yes and not brackets.verdict, "bracket identities fail although classifier says GO"),
+    )
+    report["disagreements"] = [text for failed, text in table if failed]
+    report["ok"] = not report["disagreements"]
+    return report

@@ -632,7 +632,7 @@ def test_indeterminate_falls_back_to_oracle(tmp_path, monkeypatch, capsys):
     path = tmp_path / "family.json"
     write_metric(metric, str(path))
 
-    monkeypatch.setattr(cli, "classify_go", forced_indeterminate)
+    monkeypatch.setattr(oracle, "classify_go", forced_indeterminate)
     code, report = run_json(
         capsys, ["classify", "--input", str(path), "--samples", "10"]
     )
@@ -938,7 +938,7 @@ def test_certificate_whose_samples_overflow_exits_1_in_the_shared_pass(
     t = [[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]]
     path.write_text(json.dumps({"m": 3, "repr": "T", "T": t, "natred_certificate": certificate}))
     if fallback:
-        monkeypatch.setattr(cli, "classify_go", forced_indeterminate)
+        monkeypatch.setattr(oracle, "classify_go", forced_indeterminate)
     argv = ["verify", "--input", str(path), "--samples", "131", "--centralizers"]
     code = cli.main(argv + ["--format", "json"])
     out, err = capsys.readouterr()
@@ -960,7 +960,7 @@ def test_verify_seeds_each_stream_once_and_reuses_the_eigen_data(tmp_path, capsy
     for indeterminate in (False, True):
         with monkeypatch.context() as patch:
             if indeterminate:
-                patch.setattr(cli, "classify_go", forced_indeterminate)
+                patch.setattr(oracle, "classify_go", forced_indeterminate)
             streams = recorded_streams(patch)
             code, report = run_json(capsys, argv)
         assert (code, report["go_oracle_assessment"]) == (0, "confirmed")

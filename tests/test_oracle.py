@@ -901,7 +901,7 @@ def test_off_range_matches_the_einsum_kernel_with_padded_columns():
     root = np.linalg.cholesky(skewed_so3().gram)
     columns = rng.standard_normal((CHUNK, 4, 3, 5))
     target = rng.standard_normal((CHUNK, 4, 3))
-    got = oracle._lstsq_residuals(root, columns, target)
+    got = oracle._fit_residuals(root.T @ columns, target @ root)
     assert np.max(np.abs(got - lstsq_residuals_by_einsum(root, columns, target))) <= 1e-12
 
 
