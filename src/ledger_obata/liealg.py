@@ -59,7 +59,8 @@ def product_bracket(sc: StructureConstants, u: np.ndarray, v: np.ndarray) -> np.
     if u.shape != v.shape:
         raise ValueError(f"shape mismatch {u.shape} vs {v.shape}")
     d = sc.dim
-    outer = (u[..., :, None] * v[..., None, :]).reshape(*u.shape[:-1], d * d)
+    # unlike a broadcast multiply, einsum takes no temporary as large as the products
+    outer = np.einsum("...i,...j->...ij", u, v).reshape(*u.shape[:-1], d * d)
     return outer @ sc.c.reshape(d * d, d)
 
 
