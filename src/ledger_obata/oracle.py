@@ -974,6 +974,8 @@ def verify_report(
     table = (
         (report["agreement"] is False,
          f"classifiers split: natred case {case}, go_final {final.value}"),
+        (metric.m == 3 and case == NatRedCase.NOT_NR.value,
+         f"natred case {case} at m = 3, where every metric is naturally reductive"),
         (yes and word == "refuted", "classifier says geodesic orbit, oracle refutes"),
         (final is GoVerdict.NO and word == "confirmed",
          "classifier denies geodesic orbit, oracle confirms"),

@@ -14,7 +14,14 @@ import numpy as np
 import pytest
 
 from ledger_obata import cli, oracle
-from ledger_obata.classify import GoResult, GoVerdict, go_family, natred_from_dict
+from ledger_obata.classify import (
+    GoResult,
+    GoVerdict,
+    NatRedCase,
+    NatRedResult,
+    go_family,
+    natred_from_dict,
+)
 from ledger_obata.errors import InputError, ParameterError
 from ledger_obata.liealg import so3
 from ledger_obata.metrics import T_to_form, eigendecompose, standard_metric
@@ -559,6 +566,21 @@ def test_verify_verdicts_do_not_depend_on_the_scale_of_the_table(
         file.write_text(json.dumps({"dim": 3, "c": entries}))
         monkeypatch.setenv("LOT_STRUCTURE_CONSTANTS", str(file))
         assert [verify_verdicts(capsys, path) for path in paths] == want, scale
+
+
+def test_verify_reports_a_not_nr_verdict_at_m3(tmp_path, capsys, monkeypatch):
+    # every metric at m = 3 is naturally reductive, so a classifier that says
+    # otherwise disagrees with the paper
+    def not_nr(form, tol=1e-8):
+        return NatRedResult(NatRedCase.NOT_NR, normal=False)
+
+    monkeypatch.setattr(oracle, "classify_natred", not_nr)
+    path = tmp_path / "standard3.json"
+    write_metric(standard_metric(3), str(path))
+    code, report = run_json(capsys, ["verify", "--input", str(path), "--samples", "10"])
+    assert (code, report["ok"]) == (2, False)
+    message = "natred case not_naturally_reductive at m = 3, where every metric is naturally"
+    assert f"{message} reductive" in report["disagreements"]
 
 
 def test_verify_tol_moves_the_checks_but_not_the_go_thresholds(tmp_path, capsys):
