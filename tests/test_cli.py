@@ -568,6 +568,24 @@ def test_verify_verdicts_do_not_depend_on_the_scale_of_the_table(
         assert [verify_verdicts(capsys, path) for path in paths] == want, scale
 
 
+def test_a_bad_table_is_reported_before_a_bad_certificate(tmp_path, capsys, monkeypatch):
+    # verify reads the table before it parses the certificate; classify reads
+    # it only when the GO classifier leaves the verdict to the oracle
+    table = tmp_path / "one-entry.json"
+    table.write_text(json.dumps({"dim": 3, "c": [[0, 1, 2, 1]]}))
+    monkeypatch.setenv("LOT_STRUCTURE_CONSTANTS", str(table))
+    t = (3.0 * np.eye(3) - 1.0).tolist()
+    path = tmp_path / "bogus.json"
+    bogus = {"case": "bogus"}
+    path.write_text(json.dumps({"m": 3, "repr": "T", "T": t, "natred_certificate": bogus}))
+    code = cli.main(["verify", "--input", str(path), "--format", "json"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", "error: structure constants are not antisymmetric\n")
+    code, report = run_json(capsys, ["classify", "--input", str(path)])
+    assert (code, report["go_final"]) == (0, "yes")
+    assert "go_resolved_by" not in report
+
+
 def test_verify_reports_a_not_nr_verdict_at_m3(tmp_path, capsys, monkeypatch):
     # every metric at m = 3 is naturally reductive, so a classifier that says
     # otherwise disagrees with the paper

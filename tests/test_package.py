@@ -77,6 +77,8 @@ def test_ci_workflow_runs_the_installed_lot_outside_the_checkout():
         "lot generate --z 1,2,3 --output g.json --format json",
         "lot verify --input g.json --format json",
         "lot verify --input g.json --samples 515 --centralizers --format json",
+        "lot classify --input g.json --format json",
+        "lot decompose --input g.json --format json",
     ]
 
 
