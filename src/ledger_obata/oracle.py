@@ -684,8 +684,8 @@ def _fit_residuals(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Minimal norm of rhs - lhs @ u over u, for each slice.
 
     ``lhs`` is (S, m, d, k), mapping the unknown u to row blocks, with
-    k <= m*d, and ``rhs`` is (S, m, d).  For the norm of the Gram matrix
-    ``root @ root.T``, pass ``root.T @ columns`` and ``target @ root``.
+    k <= m*d, and ``rhs`` is (S, m, d).  To weight rows by the Gram matrix
+    ``root @ root.T``, pass columns as ``root.T @ columns``, a target as ``target @ root``.
     """
     lhs = lhs.reshape(len(lhs), -1, lhs.shape[3])
     return np.linalg.norm(_off_range(lhs, rhs.reshape(len(rhs), -1), lhs.shape[1]), axis=1)
