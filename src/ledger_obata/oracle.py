@@ -9,13 +9,13 @@ backend, so agreement between the two is meaningful evidence.  Only the
 report builders at the end, ``classify_report`` and ``verify_report``, call both.
 
 Replay contract: sample i of a run with base seed ``seed`` is drawn from
-``default_rng([seed, i])``, so any failing sample can be recomputed alone.
-Each sample makes one draw, ``rng.standard_normal(out=row)`` in
-``_normals``.  The generators are not built one per sample (about 20-26 µs
-each): ``_seeded_generators`` runs SeedSequence's hashing for a whole chunk
-in one numpy pass and hands each sample's PCG64 state to one generator in
-turn.  Seeding and a (6, 3) draw then take 3.6 µs per sample (best of 300
-calls on one 256-sample chunk, 2-vCPU shared Xeon VM, numpy 2).
+``Generator(Philox(key=seed, counter=i << 64))``, so any failing sample can
+be recomputed alone with public numpy.  Each sample makes one draw,
+``rng.standard_normal(out=row)`` in ``_normals``.  Philox is counter-based,
+so ``_seeded_generators`` makes one generator per chunk and seeds each
+sample by setting its counter.  Seeding and a (6, 3) draw take 2.3 µs per
+sample (best of 300 calls on one 256-sample chunk, 2-vCPU shared Xeon VM,
+numpy 2.4).
 
 One driver, ``_sampled``, runs all three checks: it draws one chunk of
 ``CHUNK`` samples at a time and keeps only the residual vectors, so the
@@ -35,9 +35,9 @@ certificate check and the bracket check in one such pass (``_assess``), so
 each of its sample streams is drawn once per run, whether the GO verdict is
 the classifier's or the oracle's.  For a GO invariant form
 at m = 5 (draws of 15, 30 and 12 normals), seeding and drawing one
-256-sample chunk takes 3.6 µs per sample against 10.4 µs for three separate
+256-sample chunk takes 2.5 µs per sample against 6.9 µs for three separate
 draws, and the three checks at 200 samples take 17-18 µs per sample in one
-pass against 25 µs in three (best of 200 and of 60 calls, same machine).
+pass against 22-23 µs in three (best of 200 and of 60 calls, same machine).
 
 In the GO oracle and the certificate check each slice of a chunk goes
 through the same operations, in the same order, as a lone sample, so
@@ -61,7 +61,7 @@ kernels are 2-D or batched matmuls too, and the GO normal matrix is Y^T Y
 against a (d^2, d^2) table built per call (see ``_go_residuals``).  A
 batched matmul multiplies slice by slice, so a slice's digits do not
 depend on the chunk it sits in.  At m = 5 over so(3) the GO kernel takes
-1.3 µs per sample (best of 300 calls on one 256-sample chunk, same
+1.2 µs per sample (best of 300 calls on one 256-sample chunk, same
 machine).  Seeding and drawing, and the bracket check's batched SVD, cost
 more than the GO kernel.
 
@@ -75,7 +75,6 @@ tolerances would give verdicts that depend on the scale of the basis.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections.abc import Callable
@@ -109,25 +108,15 @@ CONFIRM_TOL = 1e-8
 REFUTE_TOL = 1e-4
 ROUNDS = 3
 
-# SeedSequence's hash constants (numpy/random/bit_generator.pyx), and the
-# multiplier of PCG64's 128-bit linear congruential step
-_POOL = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32 = 2**32 - 1
-_MASK128 = 2**128 - 1
-
 
 @dataclass(frozen=True)
 class OracleReport:
     """Residual summary of one verification run.
 
-    ``failures`` lists the per-sample seeds whose residual reached ``tol``
-    (replay with default_rng([seed, s])); structural problems (certificate
-    reconstruction, positive definiteness) are folded into ``max_residual``
-    and described in ``notes``.
+    ``failures`` lists the samples s whose residual reached ``tol``, each
+    replayable from Generator(Philox(key=seed, counter=s << 64)); structural
+    problems (certificate reconstruction, positive definiteness) are folded
+    into ``max_residual`` and described in ``notes``.
     """
 
     kind: str
@@ -148,90 +137,28 @@ class OracleReport:
         return data
 
 
-def _words(n: int) -> list[int]:
-    """The entropy words SeedSequence reads off an int: 32-bit little-endian, [0] for 0."""
-    words = [n & _MASK32]
-    while n >> 32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
-
-
-@functools.cache
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """init * mult**k mod 2**32 for k = 0..count-1, as a read-only (count, 1) uint32 column."""
-    consts = [init * pow(mult, k, 2**32) & _MASK32 for k in range(count)]
-    column = np.array(consts, dtype=np.uint32)[:, None]
-    column.setflags(write=False)
-    return column
-
-
 def _seeded_generators(seed: int, indices):
-    """Yield, for each i of ``indices``, a Generator in the state of default_rng([seed, i]).
+    """Yield, for each i of ``indices``, Generator(Philox(key=seed, counter=i << 64)).
 
-    default_rng([seed, i]) hashes the entropy words of seed and of i with
-    SeedSequence into four 64-bit words, and PCG64 turns them into its
-    128-bit state and increment.  Here SeedSequence's hashmix and mix steps
-    (numpy/random/bit_generator.pyx) run once for all of ``indices``, on a
-    (4, S) uint32 pool: each step of its mixing loop updates three or four
-    pool words with independent hashes, so it is one array operation.
-    PCG64's two seeding steps then run in Python ints.  One PCG64 is made
-    per call and each state is assigned to it in turn, so a sample's
-    generator is valid until the next one is yielded.  Every i must be
-    below 2**32 (one entropy word), which ``_require_draws`` ensures.
+    One generator serves the call: each sample sets word 1 of the counter in
+    a copy of the fresh generator's state, whose buffer is empty, and assigns
+    it, so a yielded generator is valid until the next is yielded.
     """
-    seed_words = _words(seed)
-    rows = max(len(seed_words) + 1, _POOL)
-    entropy = np.zeros((rows, len(indices)), dtype=np.uint32)
-    entropy[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
-    entropy[len(seed_words)] = indices
-    # hashmix call k xors with constant k and multiplies by constant k + 1
-    hash_a = _hash_constants(_INIT_A, _MULT_A, _POOL * rows + 1)
-    calls = 0
-
-    def hashmix(value, count):
-        nonlocal calls
-        value = (value ^ hash_a[calls : calls + count]) * hash_a[calls + 1 : calls + count + 1]
-        calls += count
-        return value ^ value >> 16
-
-    def mix(x, y):
-        value = x * _MIX_L - y * _MIX_R
-        return value ^ value >> 16
-
-    # rows past the entropy are zero: SeedSequence hashes zeros into the pool
-    pool = hashmix(entropy[:_POOL], _POOL)
-    for src in range(_POOL):
-        dst = [k for k in range(_POOL) if k != src]
-        pool[dst] = mix(pool[dst], hashmix(pool[src], _POOL - 1))
-    for word in entropy[_POOL:]:
-        pool = mix(pool, hashmix(word, _POOL))
-
-    # generate_state(4, np.uint64): eight words cycling over the pool, read
-    # as four little-endian 64-bit words
-    hash_b = _hash_constants(_INIT_B, _MULT_B, 9)
-    out = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ hash_b[:-1]) * hash_b[1:]
-    out = (out ^ out >> 16).astype(np.uint64)
-    words = (out[0::2] | out[1::2] << np.uint64(32)).tolist()
-
-    bits = np.random.PCG64(0)
+    bits = np.random.Philox(key=seed)
     rng = np.random.Generator(bits)
-    # the setter copies the values out, so one dict serves every sample
-    state = {"state": 0, "inc": 0}
-    full = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
-    for state_hi, state_lo, seq_hi, seq_lo in zip(*words):
-        inc = ((seq_hi << 65) | (seq_lo << 1) | 1) & _MASK128
-        state["state"] = (((state_hi << 64 | state_lo) + inc) * _PCG_MULT + inc) & _MASK128
-        state["inc"] = inc
-        bits.state = full
+    state = bits.state
+    counter = state["state"]["counter"]
+    for i in indices:
+        counter[1] = i
+        bits.state = state
         yield rng
 
 
 def _normals(seed: int, indices: range, shape: tuple[int, ...]) -> np.ndarray:
     """Standard normal draws of samples ``indices``, stacked to (S, *shape).
 
-    Row j is default_rng([seed, indices[j]]).standard_normal(shape), made by
-    one call per sample into the row.
+    Row j is the standard_normal(shape) of sample indices[j]'s stream, made
+    by one call per sample into the row.
     """
     draws = np.empty((len(indices), *shape))
     for row, rng in zip(draws, _seeded_generators(seed, indices)):
@@ -240,11 +167,10 @@ def _normals(seed: int, indices: range, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _require_draws(samples: int, seed: int) -> None:
-    """Reject fewer than one sample, more than 2**32, and a negative seed.
+    """Reject fewer than one sample, more than 2**32, and a seed outside 0..2**128 - 1.
 
-    A negative seed is one that default_rng([seed, i]) refuses; indices
-    from 2**32 on would take two entropy words, which _seeded_generators
-    does not handle (the residuals alone would take 32 GiB).
+    The seed is a Philox key, which takes 128 bits.  The residuals of 2**32
+    samples alone would take 32 GiB, so more are refused before any draw.
     """
     if samples < 1:
         raise ParameterError(f"samples must be at least 1, got {samples}")
@@ -252,6 +178,8 @@ def _require_draws(samples: int, seed: int) -> None:
         raise ParameterError(f"samples must be at most 2**32, got {samples}")
     if seed < 0:
         raise ParameterError(f"seed must be at least 0, got {seed}")
+    if seed >= 2**128:
+        raise ParameterError(f"seed must be below 2**128, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -314,10 +242,10 @@ def _sampled(checks, samples: int, seed: int) -> list[OracleReport]:
     The checks share one draw per sample: each chunk makes one ``_normals``
     draw in the shape of the largest check, and each check reads the first
     ``prod(shape)`` entries of every row, in its shape.  A row is filled in
-    C order, so those entries hold the bits of
-    default_rng([seed, i]).standard_normal(shape), and each report equals
-    that of a pass over its check alone.  Only the residual vectors outlive
-    a chunk.  Returns one report per check, in order.
+    C order, so those entries hold the bits of standard_normal(shape) from
+    sample i's stream, and each report equals that of a pass over its check
+    alone.  Only the residual vectors outlive a chunk.  Returns one report
+    per check, in order.
     """
     _require_draws(samples, seed)
     sizes = [math.prod(check.shape) for check in checks]
@@ -444,8 +372,9 @@ def go_oracle(
     Residuals are linear in the metric, so they are measured on the metric
     divided by its ``power_of_two_scale`` and do not change when it is
     scaled; the table is read at unit scale, as ``backend.unit``.
-    Sample i is drawn from default_rng([seed, i]) and replays through
-    ``go_sample_residual`` on the divided metric and ``backend.unit``.
+    Sample i is drawn from Generator(Philox(key=seed, counter=i << 64)) and
+    replays through ``go_sample_residual`` on the divided metric and
+    ``backend.unit``.
     """
     sc = backend if backend is not None else default_backend()
     (report,) = _sampled([_go_check(metric, sc, seed, tol)], samples, seed)
@@ -492,9 +421,14 @@ def _assess(
 
     Round 0 draws once per sample for the GO check and every shared check;
     rounds 1 and up, with seed ``seed + 7919 * round``, run ``go_oracle``
-    alone.  Returns the word, the last GO report and the shared checks'
-    reports.
+    alone.  The last round's seed is checked before round 0 draws, so an
+    assessment that starts also ends.  Returns the word, the last GO report
+    and the shared checks' reports.
     """
+    step = 7919 * (ROUNDS - 1)
+    if seed + step >= 2**128:
+        last = f"GO round {ROUNDS - 1} draws with seed + {step}"
+        raise ParameterError(f"seed must be below 2**128 - {step}, as {last}; got {seed}")
     round_zero = _go_check(metric, sc, seed, CONFIRM_TOL)
     report, *reports = _sampled([round_zero, *shared], samples, seed)
     for round_index in range(1, ROUNDS):

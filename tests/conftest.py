@@ -12,6 +12,11 @@ from ledger_obata.metrics import MetricForm, MetricT, form_to_T
 from ledger_obata.trees import PartitionPair
 
 
+def sample_stream(seed: int, i: int) -> np.random.Generator:
+    """The oracle's stream of sample ``i`` in a run with base seed ``seed``: its replay contract."""
+    return np.random.Generator(np.random.Philox(key=seed, counter=i << 64))
+
+
 def random_pd_form(rng: np.random.Generator, m: int, floor: float = 1e-2) -> MetricForm:
     """Random positive-definite (m-1)x(m-1) form."""
     n = m - 1

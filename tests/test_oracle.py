@@ -37,7 +37,7 @@ from ledger_obata.oracle import (
     natred_certificate_check,
 )
 
-from conftest import dense_nonreductive_metric, random_nodes, skewed_so3
+from conftest import dense_nonreductive_metric, random_nodes, sample_stream, skewed_so3
 
 
 def test_go_oracle_confirms_known_go_metrics(backend):
@@ -67,7 +67,7 @@ def test_residual_scales_exactly_with_metric(backend):
     metric = dense_nonreductive_metric(rng, 4)
     scaled = MetricT(4.0 * metric.matrix)
     for i in range(20):
-        sample_rng = np.random.default_rng([11, i])
+        sample_rng = sample_stream(11, i)
         x = sample_rng.standard_normal((4, 3))
         x -= x.mean(axis=0)
         x /= np.linalg.norm(x)
@@ -101,7 +101,7 @@ def test_go_oracle_sample_i_replays_from_its_own_seed(backend):
     scaled = MetricT(metric.matrix / power_of_two_scale(metric.matrix))
     residuals = []
     for i in range(6):
-        x = np.random.default_rng([9, i]).standard_normal((4, 3))
+        x = sample_stream(9, i).standard_normal((4, 3))
         x -= x.mean(axis=0)
         x /= np.linalg.norm(x)
         residuals.append(go_sample_residual(scaled, x, backend)[0])
@@ -125,7 +125,7 @@ def test_go_oracle_chunks_replay_sample_by_sample(backend, samples):
     scaled = MetricT(metric.matrix / power_of_two_scale(metric.matrix))
     residuals = []
     for i in range(samples):
-        x = np.random.default_rng([21, i]).standard_normal((5, 3))
+        x = sample_stream(21, i).standard_normal((5, 3))
         x -= x.mean(axis=0)
         x /= np.linalg.norm(x)
         residuals.append(go_sample_residual(scaled, x, backend)[0])
@@ -138,11 +138,13 @@ def test_go_oracle_chunks_replay_sample_by_sample(backend, samples):
         assert 0 < len(report.failures) < samples
 
 
-# seeds of 1 to 4 entropy words (and 42 + 2 * 7919, the third GO round's)
+# Philox keys of one and two 64-bit words (and 42 + 2 * 7919, the third GO round's)
 SEEDS = [0, 1, 42, 42 + 2 * 7919, 2**32 - 1, 2**32, 2**64 + 3, 10**30]
 INDICES = [0, 1, CHUNK - 1, CHUNK, 2**32 - 1]
 
 
+# this test and the next pin the oracle's generators to the replay contract,
+# Generator(Philox(key=seed, counter=i << 64))
 @pytest.mark.parametrize("seed", SEEDS)
 def test_seeded_generators_match_default_rng(seed):
     # one call for all indices, as in a chunk, and one call per index, as in a redraw
@@ -150,8 +152,9 @@ def test_seeded_generators_match_default_rng(seed):
     m, d = 6, 3
     for batch in batches:
         for i, rng in zip(batch, oracle._seeded_generators(seed, batch)):
-            reference = np.random.default_rng([seed, i])
-            assert rng.bit_generator.state == reference.bit_generator.state
+            reference = sample_stream(seed, i)
+            # the state holds arrays, whose repr shows every word
+            assert repr(rng.bit_generator.state) == repr(reference.bit_generator.state)
             assert np.array_equal(rng.standard_normal((m, d)), reference.standard_normal((m, d)))
             assert np.array_equal(
                 rng.standard_normal((2, m, d)), reference.standard_normal((2, m, d))
@@ -169,13 +172,44 @@ def test_normals_match_default_rng(seed, shape):
         assert draws.shape == (len(batch), *shape)
         for i, row in zip(batch, draws):
             # one draw per sample holds the bits of a run of smaller draws
-            reference = np.random.default_rng([seed, i])
+            reference = sample_stream(seed, i)
             pieces = [reference.standard_normal(3), reference.standard_normal(size - 3)]
             assert np.concatenate(pieces).tobytes() == row.tobytes()
 
 
+def test_normals_pin_the_bits_of_the_stream():
+    # a numpy whose Philox or standard_normal draws other bits fails here
+    draws = oracle._normals(42, [0, 2**32 - 1], (3,))
+    assert [[value.hex() for value in row] for row in draws.tolist()] == [
+        ["0x1.59ac544e811a3p-2", "-0x1.90766bb4bc3ccp-1", "-0x1.439c1c3837a89p-2"],
+        ["-0x1.1805aa31a1f3ep-2", "0x1.cb71953f2bf34p-2", "0x1.3cbdb830a9444p+0"],
+    ]
+
+
+def test_seed_must_fit_a_philox_key(backend, monkeypatch):
+    oracle._require_draws(1, 2**128 - 1)
+    with pytest.raises(ParameterError, match=rf"seed must be below 2\*\*128, got {2**128}$"):
+        oracle._require_draws(1, 2**128)
+    assert go_oracle(standard_metric(4), backend, samples=3, seed=2**128 - 1).verdict
+
+    def no_draws(seed, indices):
+        raise AssertionError("drew samples")
+
+    # an assessment checks the seed of its last round before round 0 draws
+    top = 2**128 - 2 * 7919
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_seeded_generators", no_draws)
+        with pytest.raises(ParameterError, match=rf"below 2\*\*128 - 15838, .* got {top}$"):
+            assess_geodesic_orbit(standard_metric(4), backend, seed=top)
+    # and the largest seed it accepts runs all three rounds
+    metric = perturbed_metric([0.8, 1.3, 2.1, 2.9])
+    word, report = assess_geodesic_orbit(metric, backend, samples=20, seed=top - 1)
+    assert (word, report.samples, report.seed) == ("marginal", 80, 2**128 - 1)
+
+
 def test_sample_indices_must_fit_one_entropy_word(backend, monkeypatch):
-    # index 2**32 would take two words; the limit is checked before any draw
+    # the residuals of 2**32 samples alone take 32 GiB, so more are refused
+    # before any draw
     oracle._require_draws(2**32, 0)
     with pytest.raises(ParameterError, match="samples must be at most 2[*][*]32"):
         oracle._require_draws(2**32 + 1, 0)
@@ -209,7 +243,7 @@ def test_go_oracle_replays_under_a_rescaled_table(table, scale):
     scaled = MetricT(metric.matrix / power_of_two_scale(metric.matrix))
     residuals = []
     for i in range(samples):
-        x = np.random.default_rng([21, i]).standard_normal((5, 3))
+        x = sample_stream(21, i).standard_normal((5, 3))
         x -= x.mean(axis=0)
         x /= np.linalg.norm(x)
         residuals.append(go_sample_residual(scaled, x, backend.unit)[0])
@@ -263,7 +297,7 @@ def test_go_oracle_redraws_a_sample_that_centres_to_zero(backend, monkeypatch):
     assert len(flattened) == 2
     assert np.array_equal(flattened[0], flattened[1])
     for i in range(samples):
-        rng = np.random.default_rng([seed, i])
+        rng = sample_stream(seed, i)
         x = rng.standard_normal((5, 3))
         if i == flat:
             x = rng.standard_normal((5, 3))
@@ -431,7 +465,7 @@ def certificate_residuals_by_loop(form, result, backend, samples, seed):
 
     residuals = np.empty(samples)
     for i in range(samples):
-        rng = np.random.default_rng([seed, i])
+        rng = sample_stream(seed, i)
         x = project(rng.standard_normal((m, d)))
         y = project(rng.standard_normal((m, d)))
         x /= max(np.linalg.norm(x), 1e-300)
@@ -466,7 +500,7 @@ def test_natred_certificate_check_replays_sample_by_sample(backend, form, certif
     check = oracle._certificate_check(form, result, backend, tol)
     shape = (1, *check.shape)
     residuals = np.concatenate([
-        check.measure(range(i, i + 1), np.random.default_rng([12, i]).standard_normal(shape))
+        check.measure(range(i, i + 1), sample_stream(12, i).standard_normal(shape))
         for i in range(samples)
     ])
     assert report.samples == samples
@@ -539,7 +573,7 @@ def bracket_residuals_by_loop(metric, sc, samples, seed, include_centralizers):
 
     residuals = np.empty(samples)
     for i in range(samples):
-        rng = np.random.default_rng([seed, i])
+        rng = sample_stream(seed, i)
         worst = 0.0
         if pairs:
             ca, cb = pairs[i % len(pairs)]
@@ -646,7 +680,7 @@ def test_bracket_draws_gather_the_four_draws_of_each_sample(backend, monkeypatch
     assert draws.shape == (4, samples, n, d)
     for i in range(samples):
         # x_a, y_b for the pair (a, b), then x_c and raw_c for the cluster c
-        rng = np.random.default_rng([seed, i])
+        rng = sample_stream(seed, i)
         owners = (*pairs[i % len(pairs)], i % len(clusters), i % len(clusters))
         expected = np.zeros((4, n, d))
         for k, owner in enumerate(owners):
