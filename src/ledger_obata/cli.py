@@ -22,7 +22,7 @@ from .classify import classify_go, go_family
 from .errors import InputError, LedgerObataError
 from .metrics import MetricT
 from .oracle import classify_report, verify_report
-from .reduce import decompose_report
+from .reduce import SPLIT_RTOL, decompose_report
 from .serialize import (
     dumps_numeric,
     metric_from_dict,
@@ -114,7 +114,7 @@ def cmd_decompose(args) -> int:
 def cmd_verify(args) -> int:
     metric, raw = _load_metric(args)
     report = verify_report(metric, raw.get("natred_certificate"), args.tol, args.cluster_tol,
-                           args.samples, args.seed, args.centralizers)
+                           args.samples, args.seed)
     _emit(args, report)
     return 0 if report["ok"] else 2
 
@@ -149,7 +149,7 @@ def cmd_generate(args) -> int:
 def cmd_trees(args) -> int:
     if args.m is None:
         raise InputError("--m INT is required for trees")
-    pairs = enumerate_partition_pairs(args.m, max_m=args.max_m)
+    pairs = enumerate_partition_pairs(args.m)
     report = {
         "m": args.m,
         "count": len(pairs),
@@ -175,23 +175,21 @@ _FLAGS = {
     "--format": dict(choices=("text", "json"), default="text"),
     "--tol": dict(type=float, default=1e-8),
     "--cluster-tol": dict(dest="cluster_tol", type=float, default=1e-8),
-    "--split-tol": dict(dest="split_tol", type=float, default=1e-9),
+    "--split-tol": dict(dest="split_tol", type=float, default=SPLIT_RTOL),
     "--samples": dict(type=int, default=200),
     "--seed": dict(type=int, default=42),
-    "--centralizers": dict(action="store_true", help="also check the centralizer identity"),
     "--z": dict(help="comma-separated nodes"),
     "--rho": dict(type=float, default=1.0),
     "--lambda": dict(dest="lam", type=float, default=0.0),
     "--m": dict(type=int, help="number of copies"),
-    "--max-m": dict(dest="max_m", type=int, default=8, help="enumeration cap"),
 }
 # the only flags each subcommand reads
 _COMMAND_FLAGS = {
     "classify": "--input --output --format --tol --cluster-tol --samples --seed",
     "decompose": "--input --output --format --tol --split-tol",
-    "verify": "--input --output --format --tol --cluster-tol --samples --seed --centralizers",
+    "verify": "--input --output --format --tol --cluster-tol --samples --seed",
     "generate": "--z --rho --lambda --tol --cluster-tol --output --format",
-    "trees": "--m --max-m --output --format",
+    "trees": "--m --output --format",
 }
 
 

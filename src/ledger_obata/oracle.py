@@ -51,8 +51,8 @@ report depends on the chunk size.
 The bracket check's largest arrays are its (S, m, d, d) ad stacks, 108 KB
 each at S = 256, m = 6 over so(3).  It builds its least-squares columns in
 place, drops each stack once read and holds only the weighted columns
-through an SVD (``_shared_lhs``, ``_centralizer_lhs``); in-place arithmetic
-gives the bits of the expression it replaces.
+through an SVD (``_shared_lhs``); in-place arithmetic gives the bits of
+the expression it replaces.
 
 The backend enters only through ``liealg``: brackets, ad matrices and
 minus-Killing norms come from ``product_bracket``, ``ad_rows`` and
@@ -660,18 +660,15 @@ def _cluster_gather(members: np.ndarray, pairs: np.ndarray, d: int):
     return length, gather
 
 
-def _pair_residuals(sc, x, y, alpha, beta, include_centralizers):
-    """Identities (i) and (ii) of the bracket check on stacks x, y (S, m, d).
+def _pair_residuals(sc, x, y, alpha, beta):
+    """Identity (i) of the bracket check on stacks x, y (S, m, d).
 
     x and y come from clusters with weights alpha and beta (S,).  Returns
-    the larger least-squares residual of the two identities per slice.
+    the least-squares residual of the identity per slice.
     """
     root = np.linalg.cholesky(sc.gram)
     rhs = product_bracket(sc, x, y) @ root
-    worst = _fit_residuals(_shared_lhs(sc, root, x, y, alpha, beta), rhs)
-    if include_centralizers:
-        worst = np.maximum(worst, _fit_residuals(_centralizer_lhs(sc, root, x, y), rhs))
-    return worst
+    return _fit_residuals(_shared_lhs(sc, root, x, y, alpha, beta), rhs)
 
 
 def _shared_lhs(sc, root: np.ndarray, x, y, alpha, beta) -> np.ndarray:
@@ -692,40 +689,8 @@ def _shared_lhs(sc, root: np.ndarray, x, y, alpha, beta) -> np.ndarray:
     return root.T @ np.negative(shared, out=shared)
 
 
-def _centralizer_lhs(sc, root: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The columns of identity (ii), weighted by ``root.T``: (S, m, d, 2d).
-
-    The columns are -[ad(y) @ null_x, ad(x) @ null_y], with null_x the
-    right null space of the stacked ad(x_l) (see ``_right_null``).  Each
-    stack is dropped once read, so at most four (S, m, d, d) stacks are held
-    at once, and only the weighted columns outlive the call.
-    """
-    count, m, d = x.shape
-    ads_x, ads_y = ad_rows(sc, x), ad_rows(sc, y)
-    null_x, null_y = _right_null(ads_x), _right_null(ads_y)
-    part = ads_y @ null_x[:, None]
-    del ads_y
-    columns = np.empty((count, m, d, 2 * d))
-    columns[..., :d] = part
-    del part
-    columns[..., d:] = ads_x @ null_y[:, None]
-    del ads_x
-    return root.T @ np.negative(columns, out=columns)
-
-
-def _right_null(ads: np.ndarray) -> np.ndarray:
-    """The right null space of each stack of ad matrices ``ads`` (S, m, d, d), as (S, d, d).
-
-    Taken at 1e-10 relative, as zero-padded columns, and all of f when ad
-    vanishes.  The batched SVD is slice-wise, so one call per element gives
-    the bits of one call over both elements of a pair.
-    """
-    _, svals, vt = np.linalg.svd(ads.reshape(len(ads), -1, ads.shape[-1]), full_matrices=False)
-    return vt.transpose(0, 2, 1) * (svals <= 1e-10 * svals[:, :1])[:, None, :]
-
-
 def _leak_residuals(sc, vectors, x, raw, mask):
-    """Identity (iii) of the bracket check on a stack x (S, m, d).
+    """Identity (ii) of the bracket check on a stack x (S, m, d).
 
     ``raw`` (S, m-1, d) holds coefficients over the eigenvectors
     ``vectors`` of a second element, zero off the rows that ``mask``
@@ -763,14 +728,12 @@ def brackets_property_check(
     seed: int = 42,
     tol: float = 1e-8,
     cluster_tol: float = 1e-8,
-    include_centralizers: bool = False,
 ) -> OracleReport:
     """Sample the bracket identities that geodesic-orbit metrics satisfy.
 
     Per sample: (i) for elements of two different eigenvalue clusters a
     common diagonal correction solves the weighted bracket identity;
-    optionally (ii) the same bracket splits through the two centralizers;
-    (iii) two same-cluster elements with vanishing paired brackets have
+    (ii) two same-cluster elements with vanishing paired brackets have
     their bracket's complement part inside the cluster.  On non-GO input
     some residual is expected to blow up, documenting necessity.
 
@@ -780,24 +743,31 @@ def brackets_property_check(
     weights, and the residual is |[X, Y]| times the distance of b^i <> b^j
     from span(b^i, b^j): swapping alpha and beta changes nothing.
 
+    A mutation probe found that the check misses changed weights.  It
+    mutated the GO metrics among the benchmark's ``verify`` inputs of seeds
+    1-10 over so(3) (110 metrics), and those of seeds 1-3 with m <= 5 over
+    so(5) (27 metrics).  Swapping the weights of two equal-size clusters,
+    or scaling the last cluster's weight by 1.01, never failed the check,
+    under either table; the GO oracle refutes such metrics.  Rotating two
+    eigenvectors of different clusters does fail it at m >= 4 (a test pins
+    this under both tables).
+
     Runs batched like the other two oracles.  ``_cluster_gather`` splits
     each sample's one draw into its four parts, and each part is lifted
     through the full eigenbasis with zeros off its cluster, so every sample
     of a chunk stacks into one (S, m, d) array whatever its cluster sizes.
     The brackets, the least-squares steps (batched SVD with ``lstsq``'s
-    default cutoff), the leak norm and the centralizers then run once per
-    chunk, as matmuls around the SVD.  Residuals agree with a
+    default cutoff) and the leak norm then run once per chunk, as matmuls
+    around the SVD.  Residuals agree with a
     one-sample-at-a-time loop over ``np.linalg.lstsq`` to rounding level.
     """
     sc = backend if backend is not None else default_backend()
-    check = _bracket_check(eigendecompose(metric, cluster_tol), sc, tol, include_centralizers)
+    check = _bracket_check(eigendecompose(metric, cluster_tol), sc, tol)
     (report,) = _sampled([check], samples, seed)
     return report
 
 
-def _bracket_check(
-    eigen: EigenData, sc: StructureConstants, tol: float, include_centralizers: bool
-) -> _Check:
+def _bracket_check(eigen: EigenData, sc: StructureConstants, tol: float) -> _Check:
     """The check of ``brackets_property_check`` on the metric's eigen data ``eigen``."""
     sc = sc.unit
     vectors = eigen.system.vectors
@@ -821,7 +791,7 @@ def _bracket_check(
             alpha, beta = pair_gammas[index % len(pairs)].T
             x, y = lift(parts[0]), lift(parts[1])
             del parts
-            worst = np.maximum(worst, _pair_residuals(sc, x, y, alpha, beta, include_centralizers))
+            worst = np.maximum(worst, _pair_residuals(sc, x, y, alpha, beta))
         return worst
 
     return _Check("bracket_properties", tol, (length,), measure)
@@ -869,7 +839,7 @@ def classify_report(
 
 def verify_report(
     metric: MetricT, certificate: dict | None = None, tol: float = 1e-8, cluster_tol: float = 1e-8,
-    samples: int = 200, seed: int = 42, include_centralizers: bool = False,
+    samples: int = 200, seed: int = 42,
 ) -> dict:
     """JSON-ready report of ``lot verify``: the classification checked against the oracle.
 
@@ -889,7 +859,7 @@ def verify_report(
             claim, source = natred_from_dict(certificate), "input file"
         # GO round 0 and these checks draw each sample once, in one pass; the
         # bracket check reads the eigen data that the classifier computed
-        checks = [_bracket_check(go.eigen, sc, tol, include_centralizers)]
+        checks = [_bracket_check(go.eigen, sc, tol)]
         if claim.is_naturally_reductive:
             checks.insert(0, _certificate_check(form, claim, sc, tol))
         return (*_assess(metric, sc, samples, seed, checks), source)

@@ -30,7 +30,7 @@ from .errors import ParameterError
 Partition = tuple[tuple[int, ...], ...]
 Vertices = Sequence[tuple[int, ...]]  # each vertex's index set
 
-MAX_M_DEFAULT = 8
+MAX_M = 8
 
 
 def _canon(parts: Iterable[Iterable[int]]) -> Partition:
@@ -159,23 +159,18 @@ def _enumerate_cached(m: int) -> tuple[PartitionPair, ...]:
     return tuple(sorted(pairs, key=lambda p: (p.first, p.second)))
 
 
-def enumerate_partition_pairs(
-    m: int, max_m: int = MAX_M_DEFAULT
-) -> list[PartitionPair]:
+def enumerate_partition_pairs(m: int) -> list[PartitionPair]:
     """All admissible partition pairs for F^m/diag(F), canonically ordered.
 
     There are (m + 1)^(m - 2) - 1 pairs, one per edge-labeled tree that is
-    not a star, so m is capped (default 8) to keep enumeration affordable;
-    raise ``max_m`` to go higher.  On a 2-core machine m = 7 (32 767 pairs)
-    takes about 1.2 s cold, and m = 8 (531 440 pairs) about 22 s and
-    520 MB.
+    not a star, so m is capped at ``MAX_M``.  On a 2-core machine m = 7
+    (32 767 pairs) takes about 1.2 s cold, and m = 8 (531 440 pairs) about
+    22 s and 520 MB.
     """
     if m < 2:
         raise ParameterError("m must be at least 2")
-    if m > max_m:
-        raise ParameterError(
-            f"m = {m} exceeds the enumeration cap {max_m}; pass a larger max_m"
-        )
+    if m > MAX_M:
+        raise ParameterError(f"m = {m} exceeds the enumeration cap {MAX_M}")
     if m == 2:
         return []
     return list(_enumerate_cached(m))

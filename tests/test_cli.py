@@ -40,11 +40,11 @@ CLASSIFY_FLAGS = {
 COMMAND_FLAGS = {
     "classify": CLASSIFY_FLAGS,
     "decompose": {"--input", "--output", "--format", "--tol", "--split-tol"},
-    "verify": CLASSIFY_FLAGS | {"--centralizers"},
+    "verify": CLASSIFY_FLAGS,
     "generate": {
         "--z", "--rho", "--lambda", "--tol", "--cluster-tol", "--output", "--format"
     },
-    "trees": {"--m", "--max-m", "--output", "--format"},
+    "trees": {"--m", "--output", "--format"},
 }
 
 SO3_ENTRIES = [
@@ -402,18 +402,6 @@ def test_verify_corrupted_certificate_exits_two(tmp_path, capsys):
     assert report["natred_certificate_source"] == "input file"
     assert report["natred_certificate"]["verdict"] is False
     assert any("certificate" in d for d in report["disagreements"])
-
-
-def test_verify_with_centralizer_identity(tmp_path, capsys):
-    metric, _, _ = go_family(np.array([1.0, 2.0, 3.0]), rho=1.0, lam=0.2)
-    path = tmp_path / "family.json"
-    write_metric(metric, str(path))
-    code, report = run_json(
-        capsys,
-        ["verify", "--input", str(path), "--samples", "15", "--centralizers"],
-    )
-    assert code == 0
-    assert report["ok"] is True
 
 
 # forms on the first m - 1 copies: an invariant form (alpha_sum -4), a dense
@@ -790,8 +778,14 @@ def test_unread_flag_is_reported_with_the_subcommand_usage(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["decompose", "--input", "F", "--samples", "5"], ["generate", "--input", "F"]],
-    ids=["decompose-samples", "generate-input"],
+    [
+        ["decompose", "--input", "F", "--samples", "5"],
+        ["generate", "--input", "F"],
+        # flags that lot no longer has
+        ["verify", "--centralizers"],
+        ["trees", "--max-m", "8"],
+    ],
+    ids=["decompose-samples", "generate-input", "verify-centralizers", "trees-max-m"],
 )
 def test_unread_flag_exits_1_from_the_console(argv):
     env = dict(os.environ)
@@ -973,7 +967,7 @@ def test_certificate_whose_samples_overflow_exits_1_in_the_shared_pass(
     path.write_text(json.dumps({"m": 3, "repr": "T", "T": t, "natred_certificate": certificate}))
     if fallback:
         monkeypatch.setattr(oracle, "classify_go", forced_indeterminate)
-    argv = ["verify", "--input", str(path), "--samples", "131", "--centralizers"]
+    argv = ["verify", "--input", str(path), "--samples", "131"]
     code = cli.main(argv + ["--format", "json"])
     out, err = capsys.readouterr()
     assert (code, out) == (1, "")
@@ -988,7 +982,7 @@ def test_verify_seeds_each_stream_once_and_reuses_the_eigen_data(tmp_path, capsy
         raise AssertionError("the bracket check decomposed the metric again")
 
     monkeypatch.setattr(oracle, "eigendecompose", no_eigendecompose)
-    argv = ["verify", "--input", str(path), "--samples", "131", "--centralizers"]
+    argv = ["verify", "--input", str(path), "--samples", "131"]
     # the classifier decides, or leaves the verdict to the oracle's fallback:
     # either way verify runs one GO assessment
     for indeterminate in (False, True):

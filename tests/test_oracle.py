@@ -16,17 +16,19 @@ from ledger_obata.classify import (
     classify_natred,
     go_family,
 )
+from ledger_obata.coeff import AdaptedSystem
 from ledger_obata.errors import ParameterError
 from ledger_obata.metrics import (
     MetricForm,
     MetricT,
     T_to_form,
     eigendecompose,
+    metric_from_system,
     power_of_two_scale,
     standard_metric,
     zero_sum_basis,
 )
-from ledger_obata.liealg import StructureConstants, ad_rows, product_bracket, so3
+from ledger_obata.liealg import StructureConstants, ad_rows, from_entries, product_bracket, so3
 from ledger_obata.oracle import (
     CHUNK,
     assess_geodesic_orbit,
@@ -37,7 +39,9 @@ from ledger_obata.oracle import (
     natred_certificate_check,
 )
 
-from conftest import dense_nonreductive_metric, random_nodes, sample_stream, skewed_so3
+from conftest import (
+    dense_nonreductive_metric, random_nodes, sample_stream, skewed_so3, so_n_entries,
+)
 
 
 def test_go_oracle_confirms_known_go_metrics(backend):
@@ -115,6 +119,8 @@ def test_go_oracle_sample_i_replays_from_its_own_seed(backend):
 # sample counts that a pass covers with one partial chunk, then counts at the
 # boundaries of the oracle's chunk
 SAMPLE_COUNTS = [1, 63, 64, 65, 131, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]
+# keeps the ids of the bracket check's cases stable: each ends in "plain"
+PLAIN = pytest.mark.parametrize("identities", ["plain"])
 
 
 @pytest.mark.parametrize("samples", SAMPLE_COUNTS)
@@ -519,10 +525,6 @@ def test_bracket_properties_on_go_and_dense_metrics(backend):
     metric, _, _ = go_family(np.array([0.7, 1.4, 2.2, 3.0]), rho=1.0, lam=0.1)
     report = brackets_property_check(metric, backend, samples=30, seed=6)
     assert report.verdict
-    with_centralizers = brackets_property_check(
-        metric, backend, samples=30, seed=6, include_centralizers=True
-    )
-    assert with_centralizers.verdict
 
     assert brackets_property_check(
         standard_metric(5), backend, samples=20, seed=6
@@ -542,17 +544,7 @@ def _weighted_norm(gram, u):
     return float(np.sqrt(max(np.einsum("la,ab,lb->", u, gram, u), 0.0)))
 
 
-def _null_space(mat, rtol=1e-10):
-    _, svals, vt = np.linalg.svd(mat)
-    if svals.size == 0 or svals[0] == 0.0:
-        return np.eye(mat.shape[1])
-    rank = int(np.sum(svals > rtol * svals[0]))
-    return vt[rank:].T
-
-
 def _weighted_lstsq(gram, columns, target):
-    if columns.shape[2] == 0:
-        return _weighted_norm(gram, target)
     root = np.linalg.cholesky(gram)
     lhs = np.einsum("ab,lbk->lak", root.T, columns).reshape(-1, columns.shape[2])
     rhs = (target @ root).reshape(-1)
@@ -560,7 +552,7 @@ def _weighted_lstsq(gram, columns, target):
     return float(np.linalg.norm(rhs - lhs @ solution))
 
 
-def bracket_residuals_by_loop(metric, sc, samples, seed, include_centralizers):
+def bracket_residuals_by_loop(metric, sc, samples, seed):
     """The bracket check's residuals, one sample at a time with np.linalg.lstsq."""
     eigen = eigendecompose(metric)
     vectors, gammas, clusters = eigen.system.vectors, eigen.system.gammas, eigen.clusters
@@ -584,15 +576,6 @@ def bracket_residuals_by_loop(metric, sc, samples, seed, include_centralizers):
             ads_x, ads_y = _ad_rows(sc, x), _ad_rows(sc, y)
             shared = -(alpha / (beta - alpha) * ads_x + beta / (beta - alpha) * ads_y)
             worst = max(worst, _weighted_lstsq(gram, shared, target))
-            if include_centralizers:
-                null_x = _null_space(ads_x.reshape(-1, d))
-                null_y = _null_space(ads_y.reshape(-1, d))
-                columns = np.concatenate(
-                    [-np.einsum("lab,bk->lak", ads_y, null_x),
-                     -np.einsum("lab,bk->lak", ads_x, null_y)],
-                    axis=2,
-                )
-                worst = max(worst, _weighted_lstsq(gram, columns, target))
         cluster = clusters[i % len(clusters)]
         basis = vectors[list(cluster)]
         x = sample_in(rng, cluster)
@@ -631,20 +614,18 @@ BRACKET_METRICS = {
     "standard-m5": (standard_metric(5), 1e-8),
     # a tolerance inside the residual range makes failures a proper subset
     "dense-m5": (dense_nonreductive_metric(np.random.default_rng(8), 5), 0.1),
-    # a generic eigenplane: identity (iii) fails and sets part of the residuals
+    # a generic eigenplane: identity (ii) fails and sets part of the residuals
     "dense-repeated-cluster": (generic_eigenspace_metric([1.0, 1.0, 2.0, 3.0]), 0.3),
 }
 
 
-@pytest.mark.parametrize("centralizers", [False, True], ids=["plain", "centralizers"])
+@PLAIN
 @pytest.mark.parametrize("samples", SAMPLE_COUNTS)
 @pytest.mark.parametrize("name", sorted(BRACKET_METRICS))
-def test_brackets_property_check_chunks_match_sample_loop(backend, name, samples, centralizers):
+def test_brackets_property_check_chunks_match_sample_loop(backend, name, samples, identities):
     metric, tol = BRACKET_METRICS[name]
-    report = brackets_property_check(
-        metric, backend, samples=samples, seed=17, tol=tol, include_centralizers=centralizers
-    )
-    residuals = bracket_residuals_by_loop(metric, backend, samples, 17, centralizers)
+    report = brackets_property_check(metric, backend, samples=samples, seed=17, tol=tol)
+    residuals = bracket_residuals_by_loop(metric, backend, samples, 17)
     assert report.samples == samples
     assert report.failures == tuple(int(i) for i in np.nonzero(residuals >= tol)[0])
     assert abs(report.max_residual - residuals.max()) <= 1e-12
@@ -701,9 +682,9 @@ def test_identity_i_ignores_a_weight_swap_only_between_one_dimensional_clusters(
     pair_residuals = oracle._pair_residuals
     seen = []
 
-    def both_ways(sc, x, y, alpha, beta, include_centralizers):
-        out = pair_residuals(sc, x, y, alpha, beta, include_centralizers)
-        seen.append((out, pair_residuals(sc, x, y, beta, alpha, include_centralizers)))
+    def both_ways(sc, x, y, alpha, beta):
+        out = pair_residuals(sc, x, y, alpha, beta)
+        seen.append((out, pair_residuals(sc, x, y, beta, alpha)))
         return out
 
     monkeypatch.setattr(oracle, "_pair_residuals", both_ways)
@@ -716,15 +697,60 @@ def test_identity_i_ignores_a_weight_swap_only_between_one_dimensional_clusters(
         assert gap > 1e-3
 
 
-@pytest.mark.parametrize("centralizers", [False, True], ids=["plain", "centralizers"])
-def test_brackets_property_check_working_set_does_not_grow_with_samples(backend, centralizers):
+def rotated(metric, i, j, angle=0.3):
+    """``metric`` with its eigenvectors b^i and b^j turned by ``angle`` in their plane."""
+    system = eigendecompose(metric).system
+    vectors = system.vectors.copy()
+    c, s = np.cos(angle), np.sin(angle)
+    vectors[[i, j]] = np.array([[c, s], [-s, c]]) @ system.vectors[[i, j]]
+    return metric_from_system(AdaptedSystem(vectors, system.gammas))
+
+
+# GO metrics, the rotations of two eigenvectors that the bracket check must
+# catch, and those that it must pass.  Across clusters at m >= 4 a rotation
+# gives a metric that is not GO.  Inside an eigenspace it leaves the metric
+# as it was, and at m = 3, where every metric is GO, it gives another GO metric.
+# Eigenvectors 2 and 3 of the invariant form are left out: turning them gives
+# a metric that is not GO (the GO oracle refutes it), yet the check passes it.
+MUTATIONS = {
+    "go-m3": (go_family(np.array([0.7, 1.4, 2.2]), rho=1.0, lam=0.1)[0], [], [(0, 1)]),
+    "go-m4": (
+        go_family(np.array([0.7, 1.4, 2.2, 3.0]), rho=1.0, lam=0.1)[0],
+        [(0, 1), (0, 2), (1, 2)],
+        [],
+    ),
+    "go-m5": (
+        go_family(np.array([0.6, 1.1, 1.9, 2.6, 3.4]), rho=1.0, lam=0.2)[0],
+        [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
+        [],
+    ),
+    # equal weights give the two-dimensional eigenspace of b^0 and b^1
+    "go-repeated-cluster": (
+        BRACKET_METRICS["go-repeated-cluster"][0], [(0, 2), (0, 3), (1, 2), (1, 3)], [(0, 1)]
+    ),
+}
+
+
+@pytest.mark.parametrize("table", ["so3", "so5"])
+def test_bracket_check_catches_eigenvector_rotations_across_clusters(table):
+    sc = so3() if table == "so3" else from_entries(*so_n_entries(5))
+    for name, (metric, caught, passed) in MUTATIONS.items():
+        assert brackets_property_check(metric, sc, samples=20, seed=3).verdict, name
+        for i, j in caught + passed:
+            report = brackets_property_check(rotated(metric, i, j), sc, samples=20, seed=3)
+            if (i, j) in caught:
+                assert report.max_residual > 1e-2, (name, i, j)
+            else:
+                assert report.max_residual < 1e-12, (name, i, j)
+
+
+@PLAIN
+def test_brackets_property_check_working_set_does_not_grow_with_samples(backend, identities):
     metric = dense_nonreductive_metric(np.random.default_rng(3), 6)
     brackets_property_check(metric, backend, samples=CHUNK, seed=1)
     tracemalloc.start()
     try:
-        report = brackets_property_check(
-            metric, backend, samples=3200, seed=1, include_centralizers=centralizers
-        )
+        report = brackets_property_check(metric, backend, samples=3200, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -820,7 +846,7 @@ def lstsq_residuals_by_einsum(root, columns, target):
     return np.linalg.norm(off_range_by_einsum(lhs, rhs, lhs.shape[1]), axis=1)
 
 
-def pair_residuals_by_einsum(sc, x, y, alpha, beta, include_centralizers):
+def pair_residuals_by_einsum(sc, x, y, alpha, beta):
     root = np.linalg.cholesky(sc.gram)
     target = product_bracket_by_einsum(sc, x, y)
     ads_x, ads_y = _ad_rows(sc, x), _ad_rows(sc, y)
@@ -828,20 +854,7 @@ def pair_residuals_by_einsum(sc, x, y, alpha, beta, include_centralizers):
         (alpha / (beta - alpha))[:, None, None, None] * ads_x
         + (beta / (beta - alpha))[:, None, None, None] * ads_y
     )
-    worst = lstsq_residuals_by_einsum(root, shared, target)
-    if include_centralizers:
-        d = sc.dim
-        ads = np.stack([ads_x, ads_y]).reshape(2 * len(x), -1, d)
-        _, svals, vt = np.linalg.svd(ads, full_matrices=False)
-        null = vt.transpose(0, 2, 1) * (svals <= 1e-10 * svals[:, :1])[:, None, :]
-        null_x, null_y = null.reshape(2, len(x), d, d)
-        columns = -np.concatenate(
-            [np.einsum("slab,sbk->slak", ads_y, null_x),
-             np.einsum("slab,sbk->slak", ads_x, null_y)],
-            axis=3,
-        )
-        worst = np.maximum(worst, lstsq_residuals_by_einsum(root, columns, target))
-    return worst
+    return lstsq_residuals_by_einsum(root, shared, target)
 
 
 def leak_residuals_by_einsum(sc, vectors, x, raw, mask):
@@ -905,15 +918,12 @@ def test_matmul_kernels_match_the_einsum_kernels(table, m):
     assert np.median(want) > 1e-3
 
     alpha, beta = rng.uniform(0.5, 1.0, size=count), rng.uniform(1.5, 3.0, size=count)
-    # generic x and y centralize nothing, so their centralizer columns are
-    # all padding; rank-one b (x) X centralizes X
+    # generic x and y, and rank-one elements b (x) X
     rank_one = [rng.standard_normal((count, m, 1)) * rng.standard_normal((count, 1, d))
                 for _ in range(2)]
     for u, v in [(x, y), rank_one]:
-        for centralizers in (False, True):
-            got = oracle._pair_residuals(sc, u, v, alpha, beta, centralizers)
-            want = pair_residuals_by_einsum(sc, u, v, alpha, beta, centralizers)
-            assert np.max(np.abs(got - want)) <= 1e-12
+        got = oracle._pair_residuals(sc, u, v, alpha, beta)
+        assert np.max(np.abs(got - pair_residuals_by_einsum(sc, u, v, alpha, beta))) <= 1e-12
 
     # eigenvectors of a generic metric, and clusters of one to m-1 of them
     vectors = eigendecompose(metric).system.vectors
@@ -950,7 +960,7 @@ def test_oracles_confirm_the_standard_metric_in_a_skewed_basis():
     form = T_to_form(metric)
     certificate = natred_certificate_check(form, classify_natred(form), sc)
     assert certificate.verdict, certificate.notes
-    assert brackets_property_check(metric, sc, include_centralizers=True).verdict
+    assert brackets_property_check(metric, sc).verdict
     # and a dense metric stays refuted
     dense = dense_nonreductive_metric(np.random.default_rng(8), 5)
     assert assess_geodesic_orbit(dense, sc)[0] == "refuted"
@@ -993,18 +1003,16 @@ SHARED_PASS = {
 }
 
 
-def shared_checks(name, backend, centralizers):
+def shared_checks(name, backend):
     """The checks that `lot verify` runs beside GO round 0, and their standalone calls."""
     metric, certificate, bracket_tol, _ = SHARED_PASS[name]
     form = T_to_form(metric)
     if certificate == "own":
         certificate = classify_natred(form)
     eigen = eigendecompose(metric)
-    checks = [oracle._bracket_check(eigen, backend, bracket_tol, centralizers)]
+    checks = [oracle._bracket_check(eigen, backend, bracket_tol)]
     calls = [
-        lambda samples, seed: brackets_property_check(
-            metric, backend, samples, seed, bracket_tol, include_centralizers=centralizers
-        )
+        lambda samples, seed: brackets_property_check(metric, backend, samples, seed, bracket_tol)
     ]
     if certificate is not None:
         checks.insert(0, oracle._certificate_check(form, certificate, backend, 1e-8))
@@ -1014,11 +1022,11 @@ def shared_checks(name, backend, centralizers):
     return metric, checks, calls
 
 
-@pytest.mark.parametrize("centralizers", [False, True], ids=["plain", "centralizers"])
+@PLAIN
 @pytest.mark.parametrize("samples", SAMPLE_COUNTS)
 @pytest.mark.parametrize("name", sorted(SHARED_PASS))
-def test_shared_pass_reports_equal_standalone_calls(backend, name, samples, centralizers):
-    metric, checks, calls = shared_checks(name, backend, centralizers)
+def test_shared_pass_reports_equal_standalone_calls(backend, name, samples, identities):
+    metric, checks, calls = shared_checks(name, backend)
     seed = 17
     alone = [call(samples, seed) for call in calls]
     # with GO round 0, as when the classifier decided
@@ -1031,10 +1039,10 @@ def test_shared_pass_reports_equal_standalone_calls(backend, name, samples, cent
         assert word == SHARED_PASS[name][3]
 
 
-@pytest.mark.parametrize("centralizers", [False, True], ids=["plain", "centralizers"])
+@PLAIN
 @pytest.mark.parametrize("name", ["go-invariant", "dense-m5", "perturbed-m4"])
-def test_reports_do_not_depend_on_the_chunk_size(backend, monkeypatch, name, centralizers):
-    metric, checks, _ = shared_checks(name, backend, centralizers)
+def test_reports_do_not_depend_on_the_chunk_size(backend, monkeypatch, name, identities):
+    metric, checks, _ = shared_checks(name, backend)
     if name == "perturbed-m4":
         # the certificate of the form before the perturbation
         unperturbed = certified([0.8, 1.3, 2.1, 2.9])
@@ -1060,7 +1068,7 @@ def test_shared_pass_draws_each_sample_once(backend, monkeypatch):
 
     monkeypatch.setattr(oracle, "_seeded_generators", recording)
     samples, seed = 2 * CHUNK + 3, 17
-    metric, checks, _ = shared_checks("perturbed-m4", backend, True)
+    metric, checks, _ = shared_checks("perturbed-m4", backend)
     word, report, _ = oracle._assess(metric, backend, samples, seed, checks)
     assert word == "marginal"
     # round 0 seeds each stream once for all checks; rounds 1 and 2 run GO alone
@@ -1074,7 +1082,7 @@ def test_shared_pass_working_set_does_not_grow_with_samples(backend):
     certificate = certified(np.linspace(0.6, 2.4, 8))
     checks = [
         oracle._certificate_check(form, certificate, backend, 1e-8),
-        oracle._bracket_check(eigendecompose(metric), backend, 1e-8, False),
+        oracle._bracket_check(eigendecompose(metric), backend, 1e-8),
     ]
     oracle._assess(metric, backend, CHUNK, 1, checks)
     tracemalloc.start()

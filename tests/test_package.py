@@ -76,9 +76,10 @@ def test_ci_workflow_runs_the_installed_lot_outside_the_checkout():
     assert lines == [
         "lot generate --z 1,2,3 --output g.json --format json",
         "lot verify --input g.json --format json",
-        "lot verify --input g.json --samples 515 --centralizers --format json",
+        "lot verify --input g.json --samples 515 --format json",
         "lot classify --input g.json --format json",
         "lot decompose --input g.json --format json",
+        "lot trees --m 5 --format json",
     ]
 
 
@@ -111,6 +112,8 @@ def test_ci_workflow_lot_steps_run_with_warnings_as_errors(tmp_path):
         assert report["ok"] is True
         for key in ("go_oracle", "natred_certificate", "bracket_properties"):
             assert report[key]["samples"] == samples
+    # 6^3 - 1 pairs: one per edge-labelled tree on five edges that is not a star
+    assert (reports[-1]["m"], reports[-1]["count"]) == (5, 215)
 
 
 def requirement_names(requirements):

@@ -6,7 +6,7 @@ import pytest
 
 from ledger_obata.errors import ParameterError
 from ledger_obata.trees import (
-    MAX_M_DEFAULT,
+    MAX_M,
     PartitionPair,
     enumerate_partition_pairs,
 )
@@ -172,7 +172,5 @@ def test_enumeration_bounds():
     assert enumerate_partition_pairs(2) == []
     with pytest.raises(ParameterError):
         enumerate_partition_pairs(1)
-    with pytest.raises(ParameterError, match="cap"):
-        enumerate_partition_pairs(MAX_M_DEFAULT + 1)
-    # the cap is adjustable
-    assert len(enumerate_partition_pairs(3, max_m=3)) == 3
+    with pytest.raises(ParameterError, match="^m = 9 exceeds the enumeration cap 8$"):
+        enumerate_partition_pairs(MAX_M + 1)
