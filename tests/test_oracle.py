@@ -121,6 +121,9 @@ def test_go_oracle_sample_i_replays_from_its_own_seed(backend):
 SAMPLE_COUNTS = [1, 63, 64, 65, 131, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]
 # keeps the ids of the bracket check's cases stable: each ends in "plain"
 PLAIN = pytest.mark.parametrize("identities", ["plain"])
+# the "centralizers" twin of a case also replays the centralizer identity,
+# which the check no longer runs, and asserts that it changes no verdict
+IDENTITIES = pytest.mark.parametrize("identities", ["plain", "centralizers"])
 
 
 @pytest.mark.parametrize("samples", SAMPLE_COUNTS)
@@ -544,7 +547,17 @@ def _weighted_norm(gram, u):
     return float(np.sqrt(max(np.einsum("la,ab,lb->", u, gram, u), 0.0)))
 
 
+def _null_space(mat, rtol=1e-10):
+    _, svals, vt = np.linalg.svd(mat)
+    if svals.size == 0 or svals[0] == 0.0:
+        return np.eye(mat.shape[1])
+    rank = int(np.sum(svals > rtol * svals[0]))
+    return vt[rank:].T
+
+
 def _weighted_lstsq(gram, columns, target):
+    if columns.shape[2] == 0:
+        return _weighted_norm(gram, target)
     root = np.linalg.cholesky(gram)
     lhs = np.einsum("ab,lbk->lak", root.T, columns).reshape(-1, columns.shape[2])
     rhs = (target @ root).reshape(-1)
@@ -552,8 +565,13 @@ def _weighted_lstsq(gram, columns, target):
     return float(np.linalg.norm(rhs - lhs @ solution))
 
 
-def bracket_residuals_by_loop(metric, sc, samples, seed):
-    """The bracket check's residuals, one sample at a time with np.linalg.lstsq."""
+def bracket_residuals_by_loop(metric, sc, samples, seed, include_centralizers=False):
+    """The bracket check's residuals, one sample at a time with np.linalg.lstsq.
+
+    With ``include_centralizers`` each cluster pair also takes the residual of
+    the centralizer identity, the split of [x, y] through the centralizers of
+    x and y, which the check no longer runs.
+    """
     eigen = eigendecompose(metric)
     vectors, gammas, clusters = eigen.system.vectors, eigen.system.gammas, eigen.clusters
     d, gram = sc.dim, sc.gram
@@ -576,6 +594,15 @@ def bracket_residuals_by_loop(metric, sc, samples, seed):
             ads_x, ads_y = _ad_rows(sc, x), _ad_rows(sc, y)
             shared = -(alpha / (beta - alpha) * ads_x + beta / (beta - alpha) * ads_y)
             worst = max(worst, _weighted_lstsq(gram, shared, target))
+            if include_centralizers:
+                null_x = _null_space(ads_x.reshape(-1, d))
+                null_y = _null_space(ads_y.reshape(-1, d))
+                columns = np.concatenate(
+                    [-np.einsum("lab,bk->lak", ads_y, null_x),
+                     -np.einsum("lab,bk->lak", ads_x, null_y)],
+                    axis=2,
+                )
+                worst = max(worst, _weighted_lstsq(gram, columns, target))
         cluster = clusters[i % len(clusters)]
         basis = vectors[list(cluster)]
         x = sample_in(rng, cluster)
@@ -592,6 +619,14 @@ def bracket_residuals_by_loop(metric, sc, samples, seed):
             worst = max(worst, _weighted_norm(gram, rest - (basis.T @ basis) @ rest))
         residuals[i] = worst
     return residuals
+
+
+def keeps_verdict_with_centralizers(report, metric, sc, seed, tol):
+    """Whether the centralizer identity, on ``report``'s samples, leaves its verdict as it is."""
+    residuals = bracket_residuals_by_loop(
+        metric, sc, report.samples, seed, include_centralizers=True
+    )
+    return report.verdict == bool(residuals.max() < tol)
 
 
 def generic_eigenspace_metric(gammas):
@@ -619,7 +654,7 @@ BRACKET_METRICS = {
 }
 
 
-@PLAIN
+@IDENTITIES
 @pytest.mark.parametrize("samples", SAMPLE_COUNTS)
 @pytest.mark.parametrize("name", sorted(BRACKET_METRICS))
 def test_brackets_property_check_chunks_match_sample_loop(backend, name, samples, identities):
@@ -634,6 +669,8 @@ def test_brackets_property_check_chunks_match_sample_loop(backend, name, samples
     assert report.verdict == bool(residuals.max() < tol)
     if name.startswith("dense") and samples > CHUNK:
         assert 0 < len(report.failures) < samples
+    if identities == "centralizers":
+        assert keeps_verdict_with_centralizers(report, metric, backend, 17, tol)
 
 
 def test_bracket_draws_gather_the_four_draws_of_each_sample(backend, monkeypatch):
@@ -1039,7 +1076,7 @@ def test_shared_pass_reports_equal_standalone_calls(backend, name, samples, iden
         assert word == SHARED_PASS[name][3]
 
 
-@PLAIN
+@IDENTITIES
 @pytest.mark.parametrize("name", ["go-invariant", "dense-m5", "perturbed-m4"])
 def test_reports_do_not_depend_on_the_chunk_size(backend, monkeypatch, name, identities):
     metric, checks, _ = shared_checks(name, backend)
@@ -1056,6 +1093,9 @@ def test_reports_do_not_depend_on_the_chunk_size(backend, monkeypatch, name, ide
     assert runs[0][0] == SHARED_PASS[name][3]
     # repr tells every bit of a float apart, -0.0 from 0.0 too
     assert all(repr(run) == repr(runs[0]) for run in runs[1:])
+    if identities == "centralizers":
+        bracket, tol = runs[0][2][-1], SHARED_PASS[name][2]
+        assert keeps_verdict_with_centralizers(bracket, metric, backend, seed, tol)
 
 
 def test_shared_pass_draws_each_sample_once(backend, monkeypatch):
