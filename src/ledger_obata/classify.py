@@ -9,11 +9,12 @@ reported as ``ideal`` with ``ideal_index`` k.  The second is the
 restriction of an ad-invariant form with weights alpha_1..alpha_m,
 T = diag(alpha) - alpha alpha^T / S with S = sum(alpha), reported as
 ``invariant_form``.  Its weights are read off T symmetrically in the
-copies: alpha_i is the mean of T_ii - T_ij T_ik / T_jk and S the mean of
--alpha_i alpha_j / T_ij over distinct i, j, k.  Both families are matched
-on the form divided by ``power_of_two_scale``, which is exact, so ``tol``
-bounds the reconstruction residual relative to the largest form entry
-and verdicts do not change when the metric is scaled.
+copies, by least squares: alpha_i from T_ij T_ik = (T_ii - alpha_i) T_jk
+over distinct j, k other than i, then S from T_ij = -alpha_i alpha_j / S
+over i != j; no single entry is held against a floor.  Both families are
+matched on the form divided by ``power_of_two_scale``, which is exact, so
+``tol`` bounds the reconstruction residual relative to the largest form
+entry and verdicts do not change when the metric is scaled.
 Geodesic-orbit metrics are detected through the eigen data: every
 eigenspace must be self-saturated, the combined system super-adapted, and
 the weighted projection coefficients must collapse to one constant per
@@ -86,11 +87,14 @@ def solve_invariant_form(
 
     m = 2 admits every form with the canonical weights (2a, 2a).  For
     m >= 3, T = diag(alpha) - alpha alpha^T / S gives
-    alpha_i = T_ii - T_ij T_ik / T_jk and S = -alpha_i alpha_j / T_ij for
-    any distinct i, j, k; each is the mean over all choices, taken on the
-    coefficient matrix of the scaled form.  The weights are accepted when
-    they rebuild the form to ``tol`` relative to its largest entry, are
-    nonzero, and meet the sign condition.
+    T_ij T_ik = (T_ii - alpha_i) T_jk and T_ij = -alpha_i alpha_j / S for
+    distinct i, j, k.  On the scaled form, with U the off-diagonal part of
+    T, N = J - I and p = alpha alpha^T, the least-squares solutions are
+    alpha_i = T_ii - (U^3)_ii / (N (U o U) N)_ii and
+    S = -sum p_ij^2 / sum p_ij T_ij over i != j, in O(m^2) memory.  No entry
+    is held against a floor: the weights are refused when a denominator is
+    0, and accepted when they are nonzero, rebuild the form to ``tol``
+    relative to its largest entry and meet the sign condition.
     """
     a = form.a
     m = form.m
@@ -100,25 +104,21 @@ def solve_invariant_form(
 
     scale = power_of_two_scale(a)
     a = a / scale
-    small = tol * float(np.max(np.abs(a)))
     t = bordered(a)
-    off = ~np.eye(m, dtype=bool)
-    if np.any(np.abs(t[off]) <= small):
-        return None
-
-    # ratios[i, j, k] = T_ij T_ik / T_jk, averaged over distinct i, j, k
-    ratios = t[:, :, None] * t[:, None, :] / t[None, :, :]
-    distinct = off[:, :, None] & off[:, None, :] & off[None, :, :]
-    alphas = np.diag(t) - np.where(distinct, ratios, 0.0).sum(axis=(1, 2)) / (
-        (m - 1) * (m - 2)
-    )
-    alpha_sum = float(np.mean(-np.outer(alphas, alphas)[off] / t[off]))
-
-    if np.any(np.abs(alphas) <= small) or abs(alpha_sum) <= small:
-        return None
-    rebuilt = np.diag(alphas) - np.outer(alphas, alphas) / alpha_sum
-    if np.max(np.abs(a - rebuilt[:-1, :-1])) > small:
-        return None
+    u = t - np.diag(np.diag(t))
+    n = 1.0 - np.eye(m)
+    # row i of (N (U o U)) o N sums T_jk^2 over distinct j, k other than i
+    squares = np.sum(n @ (u * u) * n, axis=1)
+    with np.errstate(all="ignore"):  # a nonsensical estimate fails the rebuild
+        alphas = np.diag(t) - np.sum(u @ u * u, axis=1) / squares
+        p = np.outer(alphas, alphas) * n
+        pairs = float(np.sum(p * u))
+        alpha_sum = -float(np.sum(p * p)) / pairs if pairs else 0.0
+        if not (np.all(squares) and np.all(alphas) and alpha_sum):
+            return None
+        rebuilt = np.diag(alphas) - np.outer(alphas, alphas) / alpha_sum
+        if not np.max(np.abs(a - rebuilt[:-1, :-1])) <= tol * np.max(np.abs(a)):
+            return None
     negatives = int(np.sum(alphas < 0))
     if negatives > 1 or (negatives == 1 and alpha_sum >= 0):
         return None

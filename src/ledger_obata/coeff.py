@@ -89,7 +89,9 @@ def cluster_indices(values: np.ndarray, cluster_tol: float = 1e-8) -> list[list[
     """
     values = np.asarray(values, dtype=float)
     order = np.argsort(values, kind="stable")
-    scale = np.max(np.abs(values)) if values.size else 0.0
+    # a Python float, so that a huge cluster_tol gives an infinite gap without
+    # numpy's overflow warning
+    scale = float(np.max(np.abs(values))) if values.size else 0.0
     gap = cluster_tol * scale
     clusters: list[list[int]] = []
     for idx in order:

@@ -214,6 +214,10 @@ def load_structure_constants(path: str) -> StructureConstants:
         name = str(data.get("name", os.path.basename(path)))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise StructureConstantError(f"malformed structure-constant file {path}: {exc}") from None
+    except RecursionError:
+        raise StructureConstantError(
+            f"malformed structure-constant file {path}: JSON nested too deeply"
+        ) from None
     return from_entries(dim, entries, name=name)
 
 

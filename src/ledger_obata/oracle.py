@@ -734,8 +734,12 @@ def brackets_property_check(
     Per sample: (i) for elements of two different eigenvalue clusters a
     common diagonal correction solves the weighted bracket identity;
     (ii) two same-cluster elements with vanishing paired brackets have
-    their bracket's complement part inside the cluster.  On non-GO input
-    some residual is expected to blow up, documenting necessity.
+    their bracket's complement part inside the cluster.  Both are necessary
+    conditions for GO, checked on the classifier's eigen data; passing them
+    does not show GO.  Rotating the two simple eigenvectors of the invariant
+    form with weights (1, 1, 1, 2, 3) by 0.3 rad gives a metric that
+    ``classify_go`` and the GO oracle call not GO, and the check passes it.
+    So ``verify_report`` reads this verdict only when the classifier says GO.
 
     Identity (i) tests the weights only where a cluster has dimension two
     or more.  Between one-dimensional clusters over so(3), x = b^i (x) X

@@ -128,14 +128,19 @@ def metric_from_dict(data: dict) -> MetricT:
 
 
 def read_json(path: str) -> Any:
-    """Parse a JSON file; an unreadable or malformed file is an ``InputError``."""
+    """Parse a JSON file; an unreadable, undecodable, malformed or too deeply
+    nested file is an ``InputError``."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}")
+    except RecursionError:
+        raise InputError(f"{path} nests JSON too deeply to read") from None
 
 
 def read_metric(path: str) -> MetricT:

@@ -1,5 +1,6 @@
 """Tests for the naturally-reductive and geodesic-orbit classifiers."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,10 +23,12 @@ from ledger_obata.coeff import AdaptedSystem, is_adapted, is_super_adapted
 from ledger_obata.errors import InputError, ParameterError
 from ledger_obata.metrics import (
     MetricForm,
+    MetricT,
     T_to_form,
     metric_from_system,
     standard_metric,
 )
+from ledger_obata.oracle import classify_report
 
 from conftest import dense_nonreductive_metric, random_nodes
 
@@ -34,6 +37,99 @@ def invariant_form_from_weights(alphas):
     alphas = np.asarray(alphas, dtype=float)
     head = alphas[:-1]
     return MetricForm(np.diag(head) - np.outer(head, head) / alphas.sum())
+
+
+def exact_invariant_form(weights):
+    """The invariant form with integer ``weights``, built in exact arithmetic.
+
+    Their sum must be plus or minus a power of two, so each entry
+    alpha_i [i = j] - alpha_i alpha_j / S is a dyadic rational; the helper
+    asserts that each is a double, so the form carries no rounding.
+    """
+    total = sum(weights)
+    assert total and abs(total) & (abs(total) - 1) == 0, "the sum must be +-2**k"
+    n = len(weights) - 1
+    exact = [
+        [Fraction(weights[i] * (i == j)) - Fraction(weights[i] * weights[j], total)
+         for j in range(n)]
+        for i in range(n)
+    ]
+    assert all(Fraction(float(x)) == x for row in exact for x in row), weights
+    return MetricForm(np.array(exact, dtype=float))
+
+
+def dyadic_weights(m, bits, normal=True):
+    """Integer weights 1, 2**b_2 - 1, .., 2**b_m - 2**b_(m-1), spread about 2**bits.
+
+    0 = b_1 < .. < b_m = bits, spaced as evenly as integers allow, so the
+    partial sums are 2**b_i.  The non-normal twin turns the last weight into
+    -(2**b_m + 2**b_(m-1)), one negative weight with the sum -2**bits.
+    """
+    b = [i + (bits - m + 1) * i // (m - 1) for i in range(m)]
+    weights = [1] + [2 ** b[i] - 2 ** b[i - 1] for i in range(1, m)]
+    if not normal:
+        weights[-1] = -(2 ** b[-1] + 2 ** b[-2])
+    return weights
+
+
+EXACT_WEIGHTS = [(1, 3, 4), (3, 5, -16), (1, 2**10, 2**20 - 2**10 - 1)] + [
+    dyadic_weights(m, bits, normal)
+    for m in range(3, 13)
+    for bits in sorted({m - 1, 16, 32})
+    for normal in (True, False)
+]
+
+
+@pytest.mark.parametrize(
+    "weights",
+    EXACT_WEIGHTS,
+    ids=[
+        f"m{len(w)}-spread{max(map(abs, w)) / min(map(abs, w)):.3g}"
+        + ("" if min(w) > 0 else "-nonnormal")
+        for w in EXACT_WEIGHTS
+    ],
+)
+def test_solve_invariant_form_recovers_exact_weights(weights):
+    # the form is exact, so only the solver rounds: to 1e-12 relative, at
+    # weight spreads up to 2**32 and for normal and non-normal forms alike
+    solved = solve_invariant_form(exact_invariant_form(weights))
+    assert solved is not None
+    alphas, alpha_sum = solved
+    assert np.all(np.abs(alphas - weights) <= 1e-12 * np.abs(weights))
+    assert alpha_sum == pytest.approx(sum(weights), rel=1e-12, abs=0.0)
+
+
+def test_invariant_forms_keep_both_classifiers_agreeing_up_to_eight_decades():
+    # weights 10**(k i / (m - 1)): the first split comes at k = 8.5 or more
+    # for m = 4..12 (README), on the GO side; at m = 3 the wide forms are
+    # within tol of the dropped-copy product, which is also NR
+    for m in range(3, 13):
+        for k in np.arange(0.0, 8.5, 0.5):
+            alphas = 10.0 ** (k * np.arange(m) / (m - 1))
+            t = np.diag(alphas) - np.outer(alphas, alphas) / alphas.sum()
+            report = classify_report(MetricT(t))
+            assert report["agreement"] is True, (m, k)
+            assert report["go_final"] == "yes", (m, k)
+            if report["natred"]["case"] == "invariant_form":
+                found = np.array(report["natred"]["alphas"])
+                assert np.all(np.abs(found - alphas) <= 1e-12 * alphas), (m, k)
+            else:
+                assert (m, report["natred"]["case"]) == (3, "diagonal"), k
+
+
+def test_solve_invariant_form_memory_is_quadratic_in_m():
+    # no (m, m, m) array: at m = 200 one such array of doubles alone is 64 MB
+    alphas = np.linspace(1.0, 3.0, 200)
+    form = invariant_form_from_weights(alphas)
+    tracemalloc.start()
+    try:
+        result = classify_natred(form)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.case is NatRedCase.INVARIANT_FORM
+    assert np.allclose(result.alphas, alphas, rtol=1e-12, atol=0.0)
+    assert peak < 10 * 2**20
 
 
 def test_m2_every_form_is_invariant():

@@ -999,8 +999,8 @@ def test_verify_seeds_each_stream_once_and_reuses_the_eigen_data(tmp_path, capsy
 
 
 def test_verify_never_exits_0_when_the_classifiers_split(tmp_path, capsys):
-    # weights spread over six decades: the invariant-form solver misses the
-    # form while the GO classifier says yes
+    # weights spread over six decades, where the invariant-form solver once
+    # missed the form while the GO classifier said yes: a split must exit 2
     alphas = np.array([1.0, 1e2, 1e4, 1e6])
     t = np.diag(alphas) - np.outer(alphas, alphas) / alphas.sum()
     path = tmp_path / "spread.json"
@@ -1016,6 +1016,96 @@ def test_verify_never_exits_0_when_the_classifiers_split(tmp_path, capsys):
         assert split in report["disagreements"]
     else:
         assert report["agreement"] is True
+
+
+def spread_metric_file(tmp_path, alphas):
+    alphas = np.asarray(alphas, dtype=float)
+    t = np.diag(alphas) - np.outer(alphas, alphas) / alphas.sum()
+    path = tmp_path / "spread.json"
+    path.write_text(json.dumps({"m": alphas.size, "repr": "T", "T": t.tolist()}))
+    return str(path)
+
+
+def test_weights_six_decades_apart_are_an_invariant_form(tmp_path, capsys):
+    # what `lot generate --z 1,100,10000,1000000` writes; the solver has no
+    # floor on single entries, so T_12 = -1e2 / S, about 1e-4, does not block it
+    path = spread_metric_file(tmp_path, [1.0, 1e2, 1e4, 1e6])
+    code, report = run_json(capsys, ["classify", "--input", path])
+    assert code == 0
+    assert report["natred"]["case"] == "invariant_form"
+    assert report["natred"]["alphas"] == pytest.approx([1.0, 1e2, 1e4, 1e6], rel=1e-12)
+    assert (report["go_final"], report["agreement"]) == ("yes", True)
+    code, report = run_json(capsys, ["verify", "--input", path, "--samples", "20"])
+    assert (code, report["ok"], report["disagreements"]) == (0, True, [])
+
+
+@pytest.mark.parametrize(
+    "m, reason",
+    [(4, "compatibility values for direction"), (12, "eigenspace of weight")],
+    ids=["m4-compatibility", "m12-cluster"],
+)
+def test_past_the_documented_spread_the_split_is_on_the_go_side(tmp_path, capsys, m, reason):
+    # weights 10**(11 i / (m - 1)), beyond the first split of the README
+    # table: NR still finds the form, GO says no (rounded eigenvectors spread
+    # the compatibility values, or close eigenvalues merge into a cluster),
+    # and lot verify exits 2 naming the split
+    path = spread_metric_file(tmp_path, 10.0 ** (11.0 * np.arange(m) / (m - 1)))
+    code, report = run_json(capsys, ["verify", "--input", path, "--samples", "20"])
+    assert code == 2
+    assert (report["natred"]["case"], report["go_final"]) == ("invariant_form", "no")
+    assert report["go"]["reason"].startswith(reason)
+    assert (
+        "classifiers split: natred case invariant_form, go_final no"
+        in report["disagreements"]
+    )
+
+
+def run_console(argv, **env_vars):
+    """Run the lot console on this checkout's sources; returns the finished process."""
+    env = {**os.environ, **env_vars}
+    path = [str(ROOT / "src"), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in path if p)
+    argv = [sys.executable, "-m", "ledger_obata.cli", *argv]
+    return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+
+
+def assert_typed_error(proc, message):
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {message}")
+    assert "Traceback" not in proc.stderr
+
+
+def test_input_file_that_is_not_utf8_exits_1(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"m": 2}'.encode("utf-16-le"))
+    proc = run_console(["classify", "--input", str(path)])
+    assert_typed_error(proc, f"{path} is not UTF-8 text")
+
+
+# 2 000 brackets pass the interpreter's recursion limit
+@pytest.mark.parametrize("text", ["[" * 2000, "[" * 100_000, "[" * 2000 + "]" * 2000],
+                         ids=["open-2000", "open-100000", "closed-2000"])
+def test_deeply_nested_json_exits_1(tmp_path, text):
+    deep = tmp_path / "deep.json"
+    deep.write_text(text)
+    proc = run_console(["classify", "--input", str(deep)])
+    assert_typed_error(proc, f"{deep} nests JSON too deeply to read")
+    metric = tmp_path / "standard3.json"
+    write_metric(standard_metric(3), str(metric))
+    proc = run_console(["verify", "--input", str(metric)], LOT_STRUCTURE_CONSTANTS=str(deep))
+    assert_typed_error(proc, f"malformed structure-constant file {deep}: JSON nested too deeply")
+
+
+def test_huge_cluster_tol_runs_without_an_overflow_warning(tmp_path, capsys):
+    # cluster_tol * max|gamma| is 3e310: an infinite gap, not an overflow
+    # warning (the suite turns warnings into errors)
+    path = tmp_path / "huge.json"
+    t = 1e10 * (3.0 * np.eye(3) - np.ones((3, 3)))
+    path.write_text(json.dumps({"m": 3, "repr": "T", "T": t.tolist()}))
+    code, report = run_json(capsys, ["classify", "--input", str(path), "--cluster-tol", "1e300"])
+    assert code == 0
+    assert report["go"]["clusters"] == [[0, 1]]
 
 
 IDEAL = {"case": "ideal", "betas": {"2": 1.0, "3": 1.0}}

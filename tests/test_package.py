@@ -80,6 +80,8 @@ def test_ci_workflow_runs_the_installed_lot_outside_the_checkout():
         "lot classify --input g.json --format json",
         "lot decompose --input g.json --format json",
         "lot trees --m 5 --format json",
+        "lot generate --z 1,100,10000,1000000 --output wide.json --format json",
+        "lot verify --input wide.json --format json",
     ]
 
 
@@ -113,7 +115,11 @@ def test_ci_workflow_lot_steps_run_with_warnings_as_errors(tmp_path):
         for key in ("go_oracle", "natred_certificate", "bracket_properties"):
             assert report[key]["samples"] == samples
     # 6^3 - 1 pairs: one per edge-labelled tree on five edges that is not a star
-    assert (reports[-1]["m"], reports[-1]["count"]) == (5, 215)
+    assert (reports[5]["m"], reports[5]["count"]) == (5, 215)
+    # weights spread over six decades: both classifiers must see the invariant form
+    wide = reports[7]
+    assert (wide["natred"]["case"], wide["go_final"]) == ("invariant_form", "yes")
+    assert wide["agreement"] is True and wide["ok"] is True
 
 
 def requirement_names(requirements):
