@@ -205,10 +205,11 @@ def from_entries(dim: int, entries, name: str = "anonymous") -> StructureConstan
 def load_structure_constants(path: str) -> StructureConstants:
     """Load {"dim": d, "c": [[i,j,k,value],...], "name": ...} from JSON.
 
-    A file that is not JSON of that shape is a StructureConstantError.
+    The file is read as UTF-8 whatever the locale.  A file that is not UTF-8
+    JSON of that shape is a StructureConstantError.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
         dim, entries = int(data["dim"]), data["c"]
         name = str(data.get("name", os.path.basename(path)))

@@ -10,6 +10,7 @@ import pytest
 
 from ledger_obata import oracle
 from ledger_obata.classify import (
+    GoVerdict,
     NatRedCase,
     NatRedResult,
     classify_go,
@@ -1096,6 +1097,36 @@ def test_reports_do_not_depend_on_the_chunk_size(backend, monkeypatch, name, ide
     if identities == "centralizers":
         bracket, tol = runs[0][2][-1], SHARED_PASS[name][2]
         assert keeps_verdict_with_centralizers(bracket, metric, backend, seed, tol)
+
+
+# metrics that the GO classifier says no on, so that `lot verify` leaves the
+# bracket check out of its pass: name: (metric, certificate or None)
+CLASSIFIER_NO = {
+    # a certificate of another form on five copies
+    "dense-m5": SHARED_PASS["dense-m5"][:2],
+    "dense-m6": SHARED_PASS["dense-m6"][:2],
+    # a generic three-dimensional eigenspace: the bracket draw (30,) is the
+    # longest of the pass, so leaving it out shortens every row
+    "dense-repeated-cluster": (generic_eigenspace_metric([1.0, 1.0, 1.0, 2.0]), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIFIER_NO))
+def test_leaving_out_the_bracket_check_moves_no_other_digit(backend, name):
+    metric, certificate = CLASSIFIER_NO[name]
+    assert classify_go(metric).verdict is GoVerdict.NO
+    checks = []
+    if certificate is not None:
+        checks.append(oracle._certificate_check(T_to_form(metric), certificate, backend, 1e-8))
+    bracket = oracle._bracket_check(eigendecompose(metric), backend, 1e-8)
+    if name == "dense-repeated-cluster":
+        assert bracket.shape[0] > metric.m * backend.dim
+    samples, seed = 2 * CHUNK + 3, 17
+    word, report, reports = oracle._assess(metric, backend, samples, seed, [*checks, bracket])
+    without = oracle._assess(metric, backend, samples, seed, checks)
+    assert word == "refuted"
+    # repr tells every bit of a float apart, -0.0 from 0.0 too
+    assert repr(without) == repr((word, report, reports[:-1]))
 
 
 def test_shared_pass_draws_each_sample_once(backend, monkeypatch):
