@@ -205,14 +205,16 @@ def from_entries(dim: int, entries, name: str = "anonymous") -> StructureConstan
 def load_structure_constants(path: str) -> StructureConstants:
     """Load {"dim": d, "c": [[i,j,k,value],...], "name": ...} from JSON.
 
-    The file is read as UTF-8 whatever the locale.  A file that is not UTF-8
-    JSON of that shape is a StructureConstantError.
+    The file is read as UTF-8 whatever the locale.  A file that cannot be
+    read, or is not UTF-8 JSON of that shape, is a StructureConstantError.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
         dim, entries = int(data["dim"]), data["c"]
         name = str(data.get("name", os.path.basename(path)))
+    except OSError as exc:
+        raise StructureConstantError(f"cannot read structure-constant file {path}: {exc}") from None
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise StructureConstantError(f"malformed structure-constant file {path}: {exc}") from None
     except RecursionError:

@@ -25,9 +25,9 @@ a sample's draw and measures a whole chunk in numpy:
 - ``go_oracle`` draws (m, d), a tangent element to centre and normalise; a
   draw that centres to zero is replaced by the next draw of its stream;
 - ``natred_certificate_check`` draws (2, m, d), the elements x and y;
-- ``brackets_property_check`` draws x and y over the eigenvectors of a
-  cluster pair, then x and a raw second element over one cluster, and
-  gathers the four from the one row with zeros off each cluster's rows.
+- ``brackets_property_check`` draws (4, m-1, d), the coefficients over the
+  eigenvectors of x and y for a cluster pair, then of x and a raw second
+  element for one cluster, each part masked to zero off its cluster's rows.
 Checks that share ``(samples, seed)`` share one pass: each sample is seeded
 and drawn once, at the largest shape, and each check reads the prefix of
 the draw that its own shape takes.  ``lot verify`` runs GO round 0, the
@@ -38,11 +38,11 @@ naturally reductive claim, and the bracket check only when the GO
 classifier says yes or indeterminate: the bracket verdict is read only when
 the final GO verdict is yes, which a classifier no rules out.  Leaving a
 check out moves no digit of the others, since each reads its own prefix of
-the draw.  For a GO invariant form
-at m = 5 (draws of 15, 30 and 12 normals), seeding and drawing one
-256-sample chunk takes 2.5 µs per sample against 6.9 µs for three separate
-draws, and the three checks at 200 samples take 17-18 µs per sample in one
-pass against 22-23 µs in three (best of 200 and of 60 calls, same machine).
+the draw.  For a GO invariant form at m = 5 (draws of 15, 30 and 48
+normals), seeding and drawing one 256-sample chunk takes 2.4 µs per sample
+against 6.6-6.7 µs for three separate draws, and the three checks at 200
+samples take 15 µs per sample in one pass against 19.5 µs in three (best
+of 200 and of 60 calls, same machine).
 
 In the GO oracle and the certificate check each slice of a chunk goes
 through the same operations, in the same order, as a lone sample, so
@@ -606,10 +606,11 @@ def _off_range(lhs: np.ndarray, rhs: np.ndarray, size) -> np.ndarray:
 
     ``lhs`` is (S, M, N) and ``rhs`` (S, M).  Singular values up to
     eps * size times the largest count as zero: with ``size`` the larger
-    dimension of the unpadded problem this is the cutoff of
-    ``np.linalg.lstsq(..., rcond=None)``.  Zero columns of ``lhs`` change
-    neither the fit nor the singular values kept, so callers may pad with
-    them.
+    dimension of the unpadded problem, one number or one per slice as
+    (S, 1), this is the cutoff of ``np.linalg.lstsq(..., rcond=None)``.
+    Rows that are zero in both ``lhs`` and ``rhs`` change neither the fit nor
+    the singular values, so ``_leak_residuals`` pads each slice's rows to a
+    common M and passes the unpadded sizes.
     """
     u, svals, _ = np.linalg.svd(lhs, full_matrices=False)
     keep = svals > np.finfo(float).eps * size * svals[:, :1]
@@ -628,41 +629,6 @@ def _fit_residuals(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """
     lhs = lhs.reshape(len(lhs), -1, lhs.shape[3])
     return np.linalg.norm(_off_range(lhs, rhs.reshape(len(rhs), -1), lhs.shape[1]), axis=1)
-
-
-def _cluster_gather(members: np.ndarray, pairs: np.ndarray, d: int):
-    """The draw length of a bracket-check sample and the gather of its parts.
-
-    ``members`` (R, n) marks the eigenvectors of each cluster, runs of
-    consecutive rows, and ``pairs`` (P, 2) lists the cluster pairs.  Sample
-    i makes one draw: x and y for the pair i % P (when there are pairs),
-    then x and a raw second element for the cluster i % R, each a
-    (size, d) block of coefficients over its cluster's eigenvectors.
-    ``gather(index, draws)`` lays the draws (S, length) of samples
-    ``index`` out as four (S, n, d) parts, zero off each part's cluster
-    rows.
-    """
-    count, n = members.shape
-    # row ``count`` is no cluster: the pair parts of a sample when P = 0
-    members = np.vstack([members, np.zeros(n, dtype=bool)])
-    sizes = d * members.sum(axis=1)
-    # the place of coefficient (q, k) in a block over the cluster of row q
-    first = members.argmax(axis=1)[members.argmax(axis=0)]
-    within = (np.arange(n) - first)[:, None] * d + np.arange(d)
-    length = int(sizes[pairs].sum(axis=1).max(initial=0) + 2 * sizes.max())
-
-    def gather(index: np.ndarray, draws: np.ndarray) -> list[np.ndarray]:
-        pair = pairs[index % len(pairs)].T if len(pairs) else np.full((2, len(index)), count)
-        owner = np.vstack([pair, index % count, index % count])
-        start = np.cumsum(sizes[owner], axis=0) - sizes[owner]
-        rows = np.arange(len(index))[:, None, None]
-        # every place stays below ``length``, off the cluster rows too
-        return [
-            np.where(members[own][..., None], draws[rows, first[:, None, None] + within], 0.0)
-            for first, own in zip(start, owner)
-        ]
-
-    return length, gather
 
 
 def _pair_residuals(sc, x, y, alpha, beta):
@@ -763,13 +729,13 @@ def brackets_property_check(
     eigenvectors of different clusters does fail it at m >= 4 (a test pins
     this under both tables).
 
-    Runs batched like the other two oracles.  ``_cluster_gather`` splits
-    each sample's one draw into its four parts, and each part is lifted
-    through the full eigenbasis with zeros off its cluster, so every sample
-    of a chunk stacks into one (S, m, d) array whatever its cluster sizes.
-    The brackets, the least-squares steps (batched SVD with ``lstsq``'s
-    default cutoff) and the leak norm then run once per chunk, as matmuls
-    around the SVD.  Residuals agree with a
+    Runs batched like the other two oracles.  Each sample draws (4, m-1, d),
+    the coefficients of its four parts over the eigenvectors; each part is
+    masked to zero off its cluster's rows and lifted through the full
+    eigenbasis, so every sample of a chunk stacks into one (S, m, d) array
+    whatever its cluster sizes.  The brackets, the least-squares steps
+    (batched SVD with ``lstsq``'s default cutoff) and the leak norm then run
+    once per chunk, as matmuls around the SVD.  Residuals agree with a
     one-sample-at-a-time loop over ``np.linalg.lstsq`` to rounding level.
     """
     sc = backend if backend is not None else default_backend()
@@ -786,7 +752,6 @@ def _bracket_check(eigen: EigenData, sc: StructureConstants, tol: float) -> _Che
     members = _cluster_labels(eigen.clusters, len(vectors)) == np.arange(count)[:, None]
     pairs = np.array(list(itertools.combinations(range(count), 2)), dtype=int).reshape(-1, 2)
     pair_gammas = eigen.system.gammas[[cluster[0] for cluster in eigen.clusters]][pairs]
-    length, gather = _cluster_gather(members, pairs, sc.dim)
 
     def lift(part: np.ndarray) -> np.ndarray:
         # to (S, m, d), normalised; a zero draw stays zero
@@ -794,18 +759,21 @@ def _bracket_check(eigen: EigenData, sc: StructureConstants, tol: float) -> _Che
         lifted /= np.maximum(np.linalg.norm(lifted, axis=(1, 2)), 1e-300)[:, None, None]
         return lifted
 
-    def measure(chunk: range, flat: np.ndarray) -> np.ndarray:
+    def measure(chunk: range, draws: np.ndarray) -> np.ndarray:
+        # each part, (S, n, d), is zero off the rows of its cluster
         index = np.arange(chunk.start, chunk.stop)
-        parts = gather(index, flat)
-        worst = _leak_residuals(sc, vectors, lift(parts[2]), parts[3], members[index % count])
+        own = members[index % count]
+        x, raw = draws[:, 2] * own[..., None], draws[:, 3] * own[..., None]
+        worst = _leak_residuals(sc, vectors, lift(x), raw, own)
         if len(pairs):
-            alpha, beta = pair_gammas[index % len(pairs)].T
-            x, y = lift(parts[0]), lift(parts[1])
-            del parts
+            pair = index % len(pairs)
+            alpha, beta = pair_gammas[pair].T
+            first, second = members[pairs[pair].T]
+            x, y = lift(draws[:, 0] * first[..., None]), lift(draws[:, 1] * second[..., None])
             worst = np.maximum(worst, _pair_residuals(sc, x, y, alpha, beta))
         return worst
 
-    return _Check("bracket_properties", tol, (length,), measure)
+    return _Check("bracket_properties", tol, (4, len(vectors), sc.dim), measure)
 
 
 # -- the reports of `lot classify` and `lot verify` ---------------------------

@@ -426,8 +426,8 @@ PINNED_VERIFY = {
         "natred_certificate": (200, 42, [], True,
                                6.071532165918825e-17, 0.0, 1.021860547567588e-17),
         "bracket_properties": (200, 42, [], True,
-                               5.692867121346686e-14, 9.168507092017202e-17,
-                               3.9909614835798225e-16),
+                               2.595947149487004e-14, 5.668832733709798e-17,
+                               4.044561003056648e-16),
     }),
     "dense-m5": (DENSE_M5, "refuted", {
         "go_oracle": (200, 42, list(range(200)), False,
@@ -1132,6 +1132,17 @@ def test_deeply_nested_json_exits_1(tmp_path, text):
     write_metric(standard_metric(3), str(metric))
     proc = run_console(["verify", "--input", str(metric)], LOT_STRUCTURE_CONSTANTS=str(deep))
     assert_typed_error(proc, f"malformed structure-constant file {deep}: JSON nested too deeply")
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_table_file_exits_1(tmp_path, kind):
+    table = tmp_path / "table.json"
+    if kind == "directory":
+        table.mkdir()
+    metric = tmp_path / "standard3.json"
+    write_metric(standard_metric(3), str(metric))
+    proc = run_console(["verify", "--input", str(metric)], LOT_STRUCTURE_CONSTANTS=str(table))
+    assert_typed_error(proc, f"cannot read structure-constant file {table}: ")
 
 
 def test_huge_cluster_tol_runs_without_an_overflow_warning(tmp_path, capsys):

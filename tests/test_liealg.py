@@ -271,6 +271,19 @@ def test_load_structure_constants_round_trip(tmp_path):
         load_structure_constants(str(bad))
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_table_file_is_a_structure_constant_error(tmp_path, monkeypatch, kind):
+    path = tmp_path / "table.json"
+    if kind == "directory":
+        path.mkdir()
+    message = f"cannot read structure-constant file {path}: "
+    with pytest.raises(StructureConstantError, match=re.escape(message)):
+        load_structure_constants(str(path))
+    monkeypatch.setenv(ENV_TABLE, str(path))
+    with pytest.raises(StructureConstantError, match=re.escape(message)):
+        default_backend()
+
+
 def test_default_backend_env_override(tmp_path, monkeypatch):
     monkeypatch.delenv(ENV_TABLE, raising=False)
     assert default_backend().name == "so3"

@@ -1,5 +1,6 @@
 """Tests for the brute-force numeric verification oracles."""
 
+import math
 import sys
 import threading
 import tracemalloc
@@ -578,18 +579,20 @@ def bracket_residuals_by_loop(metric, sc, samples, seed, include_centralizers=Fa
     d, gram = sc.dim, sc.gram
     pairs = [(a, b) for a in range(len(clusters)) for b in range(len(clusters)) if a < b]
 
-    def sample_in(rng, cluster):
-        x = vectors[list(cluster)].T @ rng.standard_normal((len(cluster), d))
-        return x / max(np.linalg.norm(x), 1e-300)
-
     residuals = np.empty(samples)
     for i in range(samples):
-        rng = sample_stream(seed, i)
+        # x and y of the pair i % P, then x and raw of the cluster i % R
+        draw = sample_stream(seed, i).standard_normal((4, len(vectors), d))
+
+        def sample_in(part, cluster):
+            x = vectors[list(cluster)].T @ draw[part, list(cluster)]
+            return x / max(np.linalg.norm(x), 1e-300)
+
         worst = 0.0
         if pairs:
             ca, cb = pairs[i % len(pairs)]
-            x = sample_in(rng, clusters[ca])
-            y = sample_in(rng, clusters[cb])
+            x = sample_in(0, clusters[ca])
+            y = sample_in(1, clusters[cb])
             alpha, beta = gammas[clusters[ca][0]], gammas[clusters[cb][0]]
             target = product_bracket(sc, x, y)
             ads_x, ads_y = _ad_rows(sc, x), _ad_rows(sc, y)
@@ -606,8 +609,8 @@ def bracket_residuals_by_loop(metric, sc, samples, seed, include_centralizers=Fa
                 worst = max(worst, _weighted_lstsq(gram, columns, target))
         cluster = clusters[i % len(clusters)]
         basis = vectors[list(cluster)]
-        x = sample_in(rng, cluster)
-        raw = rng.standard_normal((len(cluster), d))
+        x = sample_in(2, cluster)
+        raw = draw[3, list(cluster)]
         constraint = np.einsum("al,lbc->bac", basis, _ad_rows(sc, x)).reshape(d, -1)
         flat = raw.reshape(-1)
         correction, *_ = np.linalg.lstsq(constraint, constraint @ flat, rcond=None)
@@ -655,57 +658,40 @@ BRACKET_METRICS = {
 }
 
 
-@IDENTITIES
-@pytest.mark.parametrize("samples", SAMPLE_COUNTS)
-@pytest.mark.parametrize("name", sorted(BRACKET_METRICS))
-def test_brackets_property_check_chunks_match_sample_loop(backend, name, samples, identities):
-    metric, tol = BRACKET_METRICS[name]
-    report = brackets_property_check(metric, backend, samples=samples, seed=17, tol=tol)
-    residuals = bracket_residuals_by_loop(metric, backend, samples, 17)
+def assert_bracket_check_matches_sample_loop(metric, sc, samples, tol):
+    """Compare the bracket check's report at seed 17 with the loop's; returns the report."""
+    report = brackets_property_check(metric, sc, samples=samples, seed=17, tol=tol)
+    residuals = bracket_residuals_by_loop(metric, sc, samples, 17)
     assert report.samples == samples
     assert report.failures == tuple(int(i) for i in np.nonzero(residuals >= tol)[0])
     assert abs(report.max_residual - residuals.max()) <= 1e-12
     assert abs(report.residual_min - residuals.min()) <= 1e-12
     assert abs(report.residual_median - np.median(residuals)) <= 1e-12
     assert report.verdict == bool(residuals.max() < tol)
+    return report
+
+
+@IDENTITIES
+@pytest.mark.parametrize("samples", SAMPLE_COUNTS)
+@pytest.mark.parametrize("name", sorted(BRACKET_METRICS))
+def test_brackets_property_check_chunks_match_sample_loop(backend, name, samples, identities):
+    metric, tol = BRACKET_METRICS[name]
+    report = assert_bracket_check_matches_sample_loop(metric, backend, samples, tol)
     if name.startswith("dense") and samples > CHUNK:
         assert 0 < len(report.failures) < samples
     if identities == "centralizers":
         assert keeps_verdict_with_centralizers(report, metric, backend, 17, tol)
 
 
-def test_bracket_draws_gather_the_four_draws_of_each_sample(backend, monkeypatch):
+def test_brackets_property_check_chunks_match_sample_loop_under_so5():
+    # d = 10: each part of a sample's (4, m - 1, d) draw spans ten columns
     metric, _ = BRACKET_METRICS["dense-repeated-cluster"]
-    clusters = eigendecompose(metric).clusters
-    assert sorted(len(cluster) for cluster in clusters) == [1, 1, 2]
-    pairs = [(a, b) for a in range(len(clusters)) for b in range(len(clusters)) if a < b]
-    n, d = metric.m - 1, backend.dim
-    cluster_gather = oracle._cluster_gather
-    gathered = []
-
-    def recording(*args):
-        length, gather = cluster_gather(*args)
-
-        def recorded(index, draws):
-            gathered.append(gather(index, draws))
-            return gathered[-1]
-
-        return length, recorded
-
-    monkeypatch.setattr(oracle, "_cluster_gather", recording)
-    samples, seed = 2 * CHUNK + 3, 17
-    brackets_property_check(metric, backend, samples=samples, seed=seed)
-    draws = np.concatenate(gathered, axis=1)
-    assert draws.shape == (4, samples, n, d)
-    for i in range(samples):
-        # x_a, y_b for the pair (a, b), then x_c and raw_c for the cluster c
-        rng = sample_stream(seed, i)
-        owners = (*pairs[i % len(pairs)], i % len(clusters), i % len(clusters))
-        expected = np.zeros((4, n, d))
-        for k, owner in enumerate(owners):
-            cluster = list(clusters[owner])
-            expected[k, cluster] = rng.standard_normal((len(cluster), d))
-        assert draws[:, i].tobytes() == expected.tobytes()
+    assert sorted(len(cluster) for cluster in eigendecompose(metric).clusters) == [1, 1, 2]
+    # a tolerance inside the residual range makes failures a proper subset
+    samples = CHUNK + 1
+    sc = from_entries(*so_n_entries(5))
+    report = assert_bracket_check_matches_sample_loop(metric, sc, samples, 0.6)
+    assert 0 < len(report.failures) < samples
 
 
 @pytest.mark.parametrize(
@@ -975,11 +961,28 @@ def test_matmul_kernels_match_the_einsum_kernels(table, m):
 def test_off_range_matches_the_einsum_kernel_with_padded_columns():
     rng = np.random.default_rng(29)
     lhs = rng.standard_normal((CHUNK, 12, 6))
-    lhs[:, :, 4:] = 0.0  # zero columns, as the callers pad with
+    lhs[:, :, 4:] = 0.0  # zero columns
     lhs[: CHUNK // 2, :, 3] = lhs[: CHUNK // 2, :, 0]  # rank-deficient slices
     rhs = rng.standard_normal((CHUNK, 12))
     got = oracle._off_range(lhs, rhs, 12)
     assert np.max(np.abs(got - off_range_by_einsum(lhs, rhs, 12))) <= 1e-12
+    # padded rows, as in the leak constraint: blocks of 3 rows zero in lhs
+    # and rhs, and each slice's unpadded size as (S, 1)
+    blocks = rng.random((CHUNK, 4)) < 0.5
+    blocks[np.arange(CHUNK), rng.integers(0, 4, size=CHUNK)] = True
+    rows = np.repeat(blocks, 3, axis=1)
+    lhs = rng.standard_normal((CHUNK, 12, 3)) * rows[..., None]
+    lhs[: CHUNK // 2, :, 2] = lhs[: CHUNK // 2, :, 0]
+    rhs = rng.standard_normal((CHUNK, 12)) * rows
+    sizes = 3 * blocks.sum(axis=1)[:, None]
+    got = oracle._off_range(lhs, rhs, sizes)
+    assert np.max(np.abs(got - off_range_by_einsum(lhs, rhs, sizes))) <= 1e-12
+    for s in range(CHUNK):
+        # the unpadded problem, solved alone
+        a, b = lhs[s, rows[s]], rhs[s, rows[s]]
+        expected = np.zeros(12)
+        expected[rows[s]] = b - a @ np.linalg.lstsq(a, b, rcond=None)[0]
+        assert np.max(np.abs(got[s] - expected)) <= 1e-12
     root = np.linalg.cholesky(skewed_so3().gram)
     columns = rng.standard_normal((CHUNK, 4, 3, 5))
     target = rng.standard_normal((CHUNK, 4, 3))
@@ -1036,7 +1039,7 @@ SHARED_PASS = {
     ),
     # GO rounds 1 and 2 run after the shared pass
     "perturbed-m4": (perturbed_metric([0.8, 1.3, 2.1, 2.9]), None, 1e-8, "marginal"),
-    # no certificate, and the GO draw (6, 3) is longer than the bracket draw (12,)
+    # no certificate: the bracket draw (4, 5, 3) is longer than the GO draw (6, 3)
     "dense-m6": (dense_nonreductive_metric(np.random.default_rng(3), 6), None, 0.1, "refuted"),
 }
 
@@ -1105,8 +1108,8 @@ CLASSIFIER_NO = {
     # a certificate of another form on five copies
     "dense-m5": SHARED_PASS["dense-m5"][:2],
     "dense-m6": SHARED_PASS["dense-m6"][:2],
-    # a generic three-dimensional eigenspace: the bracket draw (30,) is the
-    # longest of the pass, so leaving it out shortens every row
+    # a generic three-dimensional eigenspace: the bracket draw (4, 3, 3) is
+    # the longest of the pass, so leaving it out shortens every row
     "dense-repeated-cluster": (generic_eigenspace_metric([1.0, 1.0, 1.0, 2.0]), None),
 }
 
@@ -1120,7 +1123,7 @@ def test_leaving_out_the_bracket_check_moves_no_other_digit(backend, name):
         checks.append(oracle._certificate_check(T_to_form(metric), certificate, backend, 1e-8))
     bracket = oracle._bracket_check(eigendecompose(metric), backend, 1e-8)
     if name == "dense-repeated-cluster":
-        assert bracket.shape[0] > metric.m * backend.dim
+        assert math.prod(bracket.shape) > metric.m * backend.dim
     samples, seed = 2 * CHUNK + 3, 17
     word, report, reports = oracle._assess(metric, backend, samples, seed, [*checks, bracket])
     without = oracle._assess(metric, backend, samples, seed, checks)

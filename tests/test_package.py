@@ -60,6 +60,13 @@ def test_ci_workflow_runs_both_suites_on_two_pythons():
     assert "python -m pytest -q perfbench/selftest.py" in commands
 
 
+# the form on the first four copies of the invariant form with weights (1, 1, 1, 2, 3)
+INVARIANT_M5 = [
+    [0.875, -0.125, -0.125, -0.25], [-0.125, 0.875, -0.125, -0.25],
+    [-0.125, -0.125, 0.875, -0.25], [-0.25, -0.25, -0.25, 1.5],
+]
+
+
 def test_ci_workflow_runs_the_installed_lot_outside_the_checkout():
     yaml = pytest.importorskip("yaml")
     steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tests"]["steps"]
@@ -77,6 +84,8 @@ def test_ci_workflow_runs_the_installed_lot_outside_the_checkout():
         "lot generate --z 1,2,3 --output g.json --format json",
         "lot verify --input g.json --format json",
         "lot verify --input g.json --samples 515 --format json",
+        "echo '" + json.dumps({"m": 5, "repr": "form", "a": INVARIANT_M5}) + "' > invariant5.json",
+        "lot verify --input invariant5.json --samples 515 --format json",
         "lot classify --input g.json --format json",
         "lot decompose --input g.json --format json",
         "lot trees --m 5 --format json",
@@ -105,19 +114,26 @@ def test_ci_workflow_lot_steps_run_with_warnings_as_errors(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(p for p in [str(ROOT / "src"), env.get("PYTHONPATH")] if p)
     reports = []
     for line in lot_steps[0]["run"].splitlines():
+        written = re.fullmatch(r"echo '(.*)' > (\S+)", line)
+        if written:
+            text, path = written.groups()
+            (tmp_path / path).write_text(text + "\n")
+            continue
         argv = [sys.executable, "-m", "ledger_obata.cli", *line.split()[1:]]
         proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
         assert (proc.returncode, proc.stderr) == (0, ""), line
         reports.append(json.loads(proc.stdout))
     assert reports[0]["go_verdict"] == "yes"
-    for report, samples in zip(reports[1:], (200, 515)):
+    for report, samples in zip(reports[1:4], (200, 515, 515)):
         assert report["ok"] is True
         for key in ("go_oracle", "natred_certificate", "bracket_properties"):
             assert report[key]["samples"] == samples
+    # the bracket check masks eigenvalue clusters of two sizes
+    assert reports[3]["go"]["clusters"] == [[0, 1], [2], [3]]
     # 6^3 - 1 pairs: one per edge-labelled tree on five edges that is not a star
-    assert (reports[5]["m"], reports[5]["count"]) == (5, 215)
+    assert (reports[6]["m"], reports[6]["count"]) == (5, 215)
     # weights spread over six decades: both classifiers must see the invariant form
-    wide = reports[7]
+    wide = reports[8]
     assert (wide["natred"]["case"], wide["go_final"]) == ("invariant_form", "yes")
     assert wide["agreement"] is True and wide["ok"] is True
 
@@ -146,8 +162,10 @@ def run_table_step(name, after, tmp_path):
     its tables, to the file its stdout is redirected to or by itself, and
     each line after the heredoc verifies a metric under one table; g.json
     is the metric that the installed lot generated a few steps before.  The
-    sources of this checkout stand in for the installed lot.  Returns the
-    loaded table and the finished process of each verify line.
+    heredoc runs under the step's environment, with a directory of the
+    checkout on its path where it names one.  The sources of this checkout
+    stand in for the installed lot.  Returns the loaded table and the
+    finished process of each verify line.
     """
     yaml = pytest.importorskip("yaml")
     steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tests"]["steps"]
@@ -156,8 +174,10 @@ def run_table_step(name, after, tmp_path):
     step = steps[names.index(name)]
     assert step["working-directory"] == "${{ runner.temp }}"
     lines = step["run"].splitlines()
-    head = re.fullmatch(r"python - (?:> (\S+) )?<<'PY'", lines[0])
+    head = re.fullmatch(r"""(?:PYTHONPATH="\$GITHUB_WORKSPACE/(\S+)" )?python - (?:> (\S+) )?<<'PY'""",
+                        lines[0])
     assert head, lines[0]
+    checkout, output = head.groups()
     verifies = [
         re.fullmatch(r"LOT_STRUCTURE_CONSTANTS=(\S+) lot verify --input (\S+) --format json", line)
         for line in lines[lines.index("PY") + 1:]
@@ -165,12 +185,16 @@ def run_table_step(name, after, tmp_path):
     assert verifies and all(verifies)
 
     script = "\n".join(lines[1:lines.index("PY")])
-    argv = [sys.executable, "-c", script]
-    written = subprocess.run(argv, cwd=tmp_path, capture_output=True, text=True, check=True)
-    if head.group(1):
-        (tmp_path / head.group(1)).write_text(written.stdout)
     env = {**os.environ, **step["env"]}
     env["PYTHONPATH"] = os.pathsep.join(p for p in [str(ROOT / "src"), env.get("PYTHONPATH")] if p)
+    script_env = dict(env)
+    if checkout:
+        script_env["PYTHONPATH"] = os.pathsep.join([str(ROOT / checkout), env["PYTHONPATH"]])
+    argv = [sys.executable, "-c", script]
+    written = subprocess.run(argv, cwd=tmp_path, env=script_env, capture_output=True, text=True,
+                             check=True)
+    if output:
+        (tmp_path / output).write_text(written.stdout)
     lot = [sys.executable, "-m", "ledger_obata.cli"]
     generate = ["generate", "--z", "1,2,3", "--output", "g.json", "--format", "json"]
     subprocess.run(lot + generate, cwd=tmp_path, env=env, capture_output=True, check=True)
