@@ -8,14 +8,18 @@ The checks share no code with the classifier beyond the structure-constant
 backend, so agreement between the two is meaningful evidence.  Only the
 report builders at the end, ``classify_report`` and ``verify_report``, call both.
 
-Replay contract: sample i of a run with base seed ``seed`` is drawn from
-``Generator(Philox(key=seed, counter=i << 64))``, so any failing sample can
-be recomputed alone with public numpy.  Each sample makes one draw,
-``rng.standard_normal(out=row)`` in ``_normals``.  Philox is counter-based,
-so ``_seeded_generators`` makes one generator per chunk and seeds each
-sample by setting its counter.  Seeding and a (6, 3) draw take 2.3 µs per
-sample (best of 300 calls on one 256-sample chunk, 2-vCPU shared Xeon VM,
-numpy 2.4).
+Replay contract: sample i of a run with base seed ``seed`` draws from its
+own splitmix64 stream (Steele, Lea & Flood, OOPSLA 2014), a counter hash:
+``_streams`` derives the stream's state from the seed's two 64-bit key
+words and i, ``_words`` hashes the state with a word counter, and
+``_normals`` turns words 2p and 2p + 1 into normal entries 2p and 2p + 1
+by Box-Muller.  Entry k of sample i depends on (seed, i, k) alone, so any
+failing sample can be recomputed alone; ``tests/conftest.py`` holds an
+independent pure-Python copy of the stream.  A chunk is drawn at once in
+wrapping uint64 arrays, with no loop over samples: a (6, 3) draw takes
+0.62 µs per sample (best of 5 x 300 calls on one 256-sample chunk,
+2-vCPU shared Xeon VM, numpy 2.4), against 2.4 µs for the per-sample
+Philox generators it replaced.
 
 One driver, ``_sampled``, runs all three checks: it draws one chunk of
 ``CHUNK`` samples at a time and keeps only the residual vectors, so the
@@ -28,9 +32,9 @@ a sample's draw and measures a whole chunk in numpy:
 - ``brackets_property_check`` draws (4, m-1, d), the coefficients over the
   eigenvectors of x and y for a cluster pair, then of x and a raw second
   element for one cluster, each part masked to zero off its cluster's rows.
-Checks that share ``(samples, seed)`` share one pass: each sample is seeded
-and drawn once, at the largest shape, and each check reads the prefix of
-the draw that its own shape takes.  ``lot verify`` runs GO round 0, the
+Checks that share ``(samples, seed)`` share one pass: each sample is
+drawn once, at the largest shape, and each check reads the prefix of the
+draw that its own shape takes.  ``lot verify`` runs GO round 0, the
 certificate check and the bracket check in one such pass (``_assess``), so
 each of its sample streams is drawn once per run, whether the GO verdict is
 the classifier's or the oracle's.  It runs the certificate check only on a
@@ -39,10 +43,10 @@ classifier says yes or indeterminate: the bracket verdict is read only when
 the final GO verdict is yes, which a classifier no rules out.  Leaving a
 check out moves no digit of the others, since each reads its own prefix of
 the draw.  For a GO invariant form at m = 5 (draws of 15, 30 and 48
-normals), seeding and drawing one 256-sample chunk takes 2.4 µs per sample
-against 6.6-6.7 µs for three separate draws, and the three checks at 200
-samples take 15 µs per sample in one pass against 19.5 µs in three (best
-of 200 and of 60 calls, same machine).
+normals), drawing one 256-sample chunk takes 1.4 µs per sample against
+3.1 µs for three separate draws, and the three checks at 200 samples take
+14.8 µs per sample in one pass against 17.2 µs in three (best of 5 x 200
+and of 5 x 60 calls, same machine).
 
 In the GO oracle and the certificate check each slice of a chunk goes
 through the same operations, in the same order, as a lone sample, so
@@ -67,8 +71,7 @@ against a (d^2, d^2) table built per call (see ``_go_residuals``).  A
 batched matmul multiplies slice by slice, so a slice's digits do not
 depend on the chunk it sits in.  At m = 5 over so(3) the GO kernel takes
 1.2 µs per sample (best of 300 calls on one 256-sample chunk, same
-machine).  Seeding and drawing, and the bracket check's batched SVD, cost
-more than the GO kernel.
+machine).  The bracket check's batched SVD costs more than the GO kernel.
 
 Every check measures on the metric divided by ``power_of_two_scale``, as a
 plain matrix, and on ``sc.unit``, the table divided by ``liealg.unit_scale``
@@ -112,16 +115,20 @@ CHUNK = 256
 CONFIRM_TOL = 1e-8
 REFUTE_TOL = 1e-4
 ROUNDS = 3
+# failing samples that a report's JSON form lists; it counts all of them
+FIRST_FAILURES = 5
 
 
 @dataclass(frozen=True)
 class OracleReport:
     """Residual summary of one verification run.
 
-    ``failures`` lists the samples s whose residual reached ``tol``, each
-    replayable from Generator(Philox(key=seed, counter=s << 64)); structural
-    problems (certificate reconstruction, positive definiteness) are folded
-    into ``max_residual`` and described in ``notes``.
+    ``failures`` lists the samples whose residual reached ``tol``; each
+    replays alone from its seeded stream (``_normals``).  The JSON form,
+    ``to_dict``, gives their count as ``failed`` and the first
+    ``FIRST_FAILURES`` of them as ``first_failures``.  Structural problems
+    (certificate reconstruction, positive definiteness) are folded into
+    ``max_residual`` and described in ``notes``.
     """
 
     kind: str
@@ -137,44 +144,99 @@ class OracleReport:
 
     def to_dict(self) -> dict:
         # every field but ``failures`` is a scalar, so no deep copy is needed
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        data["failures"] = list(self.failures)
+        data = {}
+        for f in fields(self):
+            if f.name == "failures":
+                data["failed"] = len(self.failures)
+                data["first_failures"] = list(self.failures[:FIRST_FAILURES])
+            else:
+                data[f.name] = getattr(self, f.name)
         return data
 
 
-def _seeded_generators(seed: int, indices):
-    """Yield, for each i of ``indices``, Generator(Philox(key=seed, counter=i << 64)).
+# splitmix64 (Steele, Lea & Flood, OOPSLA 2014): the golden-ratio step of its
+# state and the two multipliers of its output function
+GAMMA = np.uint64(0x9E3779B97F4A7C15)
+MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
 
-    One generator serves the call: each sample sets word 1 of the counter in
-    a copy of the fresh generator's state, whose buffer is empty, and assigns
-    it, so a yielded generator is valid until the next is yielded.
+
+def _mix(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The splitmix64 output function of the uint64 array ``z``, in place; returns z.
+
+    ``tmp`` is scratch of z's shape.  Array arithmetic wraps modulo 2**64
+    without a warning.
     """
-    bits = np.random.Philox(key=seed)
-    rng = np.random.Generator(bits)
-    state = bits.state
-    counter = state["state"]["counter"]
-    for i in indices:
-        counter[1] = i
-        bits.state = state
-        yield rng
+    for shift, factor in zip((30, 27), MIX):
+        z ^= np.right_shift(z, shift, out=tmp)
+        z *= factor
+    z ^= np.right_shift(z, 31, out=tmp)
+    return z
 
 
-def _normals(seed: int, indices: range, shape: tuple[int, ...]) -> np.ndarray:
-    """Standard normal draws of samples ``indices``, stacked to (S, *shape).
+def _streams(seed: int, indices) -> np.ndarray:
+    """The splitmix64 state of the stream of each sample of ``indices``, (S,) uint64.
 
-    Row j is the standard_normal(shape) of sample indices[j]'s stream, made
-    by one call per sample into the row.
+    The seed enters as its key words k1 = seed >> 64 and k0 = seed mod 2**64,
+    through h = mix(k0 ^ mix(k1 + GAMMA)); sample i starts from
+    mix(h + (i + 1) GAMMA), word i of a splitmix64 stream in state h.
     """
-    draws = np.empty((len(indices), *shape))
-    for row, rng in zip(draws, _seeded_generators(seed, indices)):
-        rng.standard_normal(out=row)
-    return draws
+    one = np.empty(1, np.uint64)
+    h = _mix(np.array([seed >> 64], np.uint64) + GAMMA, one)
+    h ^= np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    _mix(h, one)
+    states = np.array(indices, np.uint64) + np.uint64(1)
+    states *= GAMMA
+    states += h
+    return _mix(states, np.empty_like(states))
+
+
+def _words(states: np.ndarray, counters: np.ndarray, out: np.ndarray, tmp: np.ndarray):
+    """Word ``counters[j]`` of the stream in state ``states[s]``, into ``out[s, j]``; returns out.
+
+    Word c of a splitmix64 stream in state z is mix(z + (c + 1) GAMMA).
+    ``out`` and ``tmp`` are uint64 arrays of shape (S, len(counters)).
+    """
+    np.add(states[:, None], (counters + np.uint64(1)) * GAMMA, out=out)
+    return _mix(out, tmp)
+
+
+def _normals(seed: int, indices, shape: tuple[int, ...], start: int = 0) -> np.ndarray:
+    """Normal entries ``start`` on of the samples ``indices``, stacked to (S, *shape).
+
+    Entries 2p and 2p + 1 of a sample are the Box-Muller pair of its words
+    2p and 2p + 1, each read as u = (w >> 11) 2**-53 in [0, 1): with
+    r = sqrt(-2 log1p(-u_2p)) and t = 2 pi u_2p+1, they are r cos(t) and
+    r sin(t).  The pairs of the whole chunk are drawn at once, in two
+    (S, pairs) uint64 buffers besides the output.
+    """
+    size = math.prod(shape)
+    first = start // 2
+    pairs = (start + size + 1) // 2 - first
+    states = _streams(seed, indices)
+    draws = np.empty((len(states), 2 * pairs))
+    words, tmp = np.empty((2, len(states), pairs), np.uint64)
+    counters = np.arange(2 * first, 2 * (first + pairs), 2, dtype=np.uint64)
+    # r fills the odd entries and t the even ones until both are read
+    radius, angle = draws[:, 1::2], draws[:, 0::2]
+    # scaling by a power of two is exact: the products are -u and 2 pi u
+    np.right_shift(_words(states, counters, words, tmp), 11, out=words)
+    np.log1p(np.multiply(words, -(2.0**-53), out=radius), out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    np.right_shift(_words(states, counters + np.uint64(1), words, tmp), 11, out=words)
+    np.multiply(words, 2.0 * math.pi * 2.0**-53, out=angle)
+    cos = np.cos(angle, out=words.view(np.float64))
+    sin = np.sin(angle, out=tmp.view(np.float64))
+    np.multiply(radius, cos, out=angle)
+    radius *= sin
+    skip = start - 2 * first
+    return draws[:, skip : skip + size].reshape(len(states), *shape)
 
 
 def _require_draws(samples: int, seed: int) -> None:
     """Reject fewer than one sample, more than 2**32, and a seed outside 0..2**128 - 1.
 
-    The seed is a Philox key, which takes 128 bits.  The residuals of 2**32
+    The seed enters the hash as two 64-bit key words.  The residuals of 2**32
     samples alone would take 32 GiB, so more are refused before any draw.
     """
     if samples < 1:
@@ -246,11 +308,11 @@ def _sampled(checks, samples: int, seed: int) -> list[OracleReport]:
 
     The checks share one draw per sample: each chunk makes one ``_normals``
     draw in the shape of the largest check, and each check reads the first
-    ``prod(shape)`` entries of every row, in its shape.  A row is filled in
-    C order, so those entries hold the bits of standard_normal(shape) from
-    sample i's stream, and each report equals that of a pass over its check
-    alone.  Only the residual vectors outlive a chunk.  Returns one report
-    per check, in order.
+    ``prod(shape)`` entries of every row, in its shape.  Those are entries
+    0 to prod(shape) - 1 of sample i's stream in C order, its draw in that
+    shape, so each report equals that of a pass over its check alone.
+    Only the residual vectors outlive a chunk.  Returns one report per
+    check, in order.
     """
     _require_draws(samples, seed)
     sizes = [math.prod(check.shape) for check in checks]
@@ -270,15 +332,15 @@ def _unit_tangents(seed: int, indices: range, x: np.ndarray) -> np.ndarray:
     """Centre and normalise the draws x (S, m, d) of samples ``indices`` into a new array.
 
     A draw whose centred norm is below 1e-12 is replaced by the next draw of
-    its stream: sample i is seeded alone, the same way, past its first draw.
+    its stream, the next (m, d) entries of sample i past its first draw.
     """
     x = x - x.mean(axis=1, keepdims=True)
     norm = _norms(x)
     for j in np.flatnonzero(norm < 1e-12):
-        (rng,) = _seeded_generators(seed, [indices[j]])
-        rng.standard_normal(x.shape[1:])
+        start = 0
         while norm[j] < 1e-12:
-            rng.standard_normal(out=x[j])
+            start += x[j].size
+            x[j] = _normals(seed, [indices[j]], x.shape[1:], start)[0]
             x[j] -= x[j].mean(axis=0)
             norm[j] = np.linalg.norm(x[j])
     return x / norm[:, None, None]
@@ -377,7 +439,7 @@ def go_oracle(
     Residuals are linear in the metric, so they are measured on the metric
     divided by its ``power_of_two_scale`` and do not change when it is
     scaled; the table is read at unit scale, as ``backend.unit``.
-    Sample i is drawn from Generator(Philox(key=seed, counter=i << 64)) and
+    Sample i is ``_normals(seed, [i], (m, d))``, centred and normalised, and
     replays through ``go_sample_residual`` on the divided metric and
     ``backend.unit``.
     """

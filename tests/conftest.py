@@ -4,6 +4,8 @@ Everything is seed-driven so failures reproduce; builders return fresh
 arrays each call and never share state.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,58 @@ from ledger_obata.metrics import MetricForm, MetricT, form_to_T
 from ledger_obata.trees import PartitionPair
 
 
-def sample_stream(seed: int, i: int) -> np.random.Generator:
-    """The oracle's stream of sample ``i`` in a run with base seed ``seed``: its replay contract."""
-    return np.random.Generator(np.random.Philox(key=seed, counter=i << 64))
+# splitmix64 (Steele, Lea & Flood, OOPSLA 2014), on Python integers
+WORD = 2**64 - 1
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def splitmix64_mix(z: int) -> int:
+    """The splitmix64 output function of a 64-bit word."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & WORD
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & WORD
+    return z ^ (z >> 31)
+
+
+class SampleStream:
+    """The oracle's stream of sample ``i`` in a run with base seed ``seed``: its replay contract.
+
+    The stream is a splitmix64 generator: its word c is
+    mix(state + (c + 1) GAMMA), and the state of sample i is word i of a
+    generator in state h = mix(k0 ^ mix(k1 + GAMMA)), with k1 and k0 the
+    high and low 64 bits of the seed.  Normal entries 2p and 2p + 1 are the
+    Box-Muller pair of words 2p and 2p + 1.  ``standard_normal`` returns the
+    next entries in C order, as numpy's generators do.
+    """
+
+    def __init__(self, seed: int, i: int):
+        h = splitmix64_mix((seed & WORD) ^ splitmix64_mix(((seed >> 64) + GAMMA) & WORD))
+        self.state = splitmix64_mix((h + (i + 1) * GAMMA) & WORD)
+        self.entry = 0
+
+    def word(self, c: int) -> int:
+        return splitmix64_mix((self.state + (c + 1) * GAMMA) & WORD)
+
+    def normals(self, start: int, count: int) -> np.ndarray:
+        """Entries start .. start + count - 1, without moving the stream."""
+        entries = range(start, start + count)
+        # the top 53 bits of a word, as a float in [0, 1)
+        first = np.array([(self.word(k - k % 2) >> 11) * 2.0**-53 for k in entries])
+        second = np.array([(self.word(k - k % 2 + 1) >> 11) * 2.0**-53 for k in entries])
+        radius = np.sqrt(-2.0 * np.log1p(-first))
+        angle = second * (2.0 * math.pi)
+        odd = np.array([k % 2 == 1 for k in entries], dtype=bool)
+        return radius * np.where(odd, np.sin(angle), np.cos(angle))
+
+    def standard_normal(self, shape) -> np.ndarray:
+        shape = (shape,) if isinstance(shape, int) else tuple(shape)
+        draw = self.normals(self.entry, math.prod(shape)).reshape(shape)
+        self.entry += draw.size
+        return draw
+
+
+def sample_stream(seed: int, i: int) -> SampleStream:
+    """The oracle's stream of sample ``i`` in a run with base seed ``seed``."""
+    return SampleStream(seed, i)
 
 
 def random_pd_form(rng: np.random.Generator, m: int, floor: float = 1e-2) -> MetricForm:

@@ -415,27 +415,28 @@ PERTURBED_M4 = [
 ]
 
 # `lot verify` at its defaults (200 samples, seed 42): the GO assessment, and
-# per oracle (samples, seed, failures, verdict, max_residual, residual_min,
-# residual_median); the marginal GO report is its third round.  The GO
+# per oracle (samples, seed, failed, first_failures, verdict, max_residual,
+# residual_min, residual_median); the marginal GO report is its third round.  The GO
 # classifier says no on the dense and perturbed forms, so their reports have
 # no bracket check
 PINNED_VERIFY = {
     "invariant-m4": (INVARIANT_M4, "confirmed", {
-        "go_oracle": (200, 42, [], True,
-                      4.846236613611869e-13, 4.283903267931287e-16, 4.213505915637169e-14),
-        "natred_certificate": (200, 42, [], True,
-                               6.071532165918825e-17, 0.0, 1.021860547567588e-17),
-        "bracket_properties": (200, 42, [], True,
-                               2.595947149487004e-14, 5.668832733709798e-17,
-                               4.044561003056648e-16),
+        "go_oracle": (200, 42, 0, [], True,
+                      7.896067350696504e-13, 1.1693244990951495e-16, 4.359571870662964e-14),
+        "natred_certificate": (200, 42, 0, [], True,
+                               7.025630077706069e-17, 4.336808689942018e-19,
+                               8.348356728138384e-18),
+        "bracket_properties": (200, 42, 0, [], True,
+                               2.1452614532484988e-14, 1.009033475407516e-16,
+                               4.1119136932992136e-16),
     }),
     "dense-m5": (DENSE_M5, "refuted", {
-        "go_oracle": (200, 42, list(range(200)), False,
-                      0.07014917606993304, 0.00816357779011543, 0.03481313431094313),
+        "go_oracle": (200, 42, 200, [0, 1, 2, 3, 4], False,
+                      0.06707159076398676, 0.004741163215629526, 0.03496353910552137),
     }),
     "perturbed-m4": (PERTURBED_M4, "marginal", {
-        "go_oracle": (800, 42 + 2 * 7919, list(range(800)), False,
-                      3.146698182871076e-07, 1.3778800458526e-08, 1.6816627603251867e-07),
+        "go_oracle": (800, 42 + 2 * 7919, 798, [0, 1, 2, 3, 4], False,
+                      3.1143719719781145e-07, 4.975179205293464e-09, 1.736095712277472e-07),
     }),
 }
 
@@ -451,11 +452,12 @@ def test_verify_reports_are_pinned(tmp_path, capsys, name):
     assert report["go_oracle_assessment"] == assessment
     oracles = {"go_oracle", "natred_certificate", "bracket_properties"}
     assert oracles & set(report) == set(pinned)
-    for key, (samples, seed, failures, verdict, *residuals) in pinned.items():
+    for key, (samples, seed, failed, first, verdict, *residuals) in pinned.items():
         got = report[key]
-        assert (got["samples"], got["seed"], got["failures"], got["verdict"]) == (
-            samples, seed, failures, verdict
+        assert (got["samples"], got["seed"], got["failed"], got["first_failures"]) == (
+            samples, seed, failed, first
         )
+        assert got["verdict"] is verdict
         for field, value in zip(("max_residual", "residual_min", "residual_median"), residuals):
             assert got[field] == pytest.approx(value, rel=1e-12, abs=0.0), (key, field)
 
@@ -648,14 +650,14 @@ def forced_indeterminate(metric, tol=1e-8, cluster_tol=1e-8):
 
 def recorded_streams(monkeypatch) -> list:
     """Record the (seed, index) of every sample stream that the oracle seeds."""
-    seeded = oracle._seeded_generators
+    normals = oracle._normals
     streams = []
 
-    def recording(seed, indices):
+    def recording(seed, indices, shape, start=0):
         streams.extend((seed, int(i)) for i in indices)
-        return seeded(seed, indices)
+        return normals(seed, indices, shape, start)
 
-    monkeypatch.setattr(oracle, "_seeded_generators", recording)
+    monkeypatch.setattr(oracle, "_normals", recording)
     return streams
 
 
@@ -926,10 +928,10 @@ def test_certificate_whose_form_overflows_exits_1(tmp_path, capsys, monkeypatch)
     assert "overflows" in err
 
     # the certificate check raises before it draws a sample
-    def no_draws(seed, indices):
+    def no_draws(*args):
         raise AssertionError("drew samples")
 
-    monkeypatch.setattr(oracle, "_seeded_generators", no_draws)
+    monkeypatch.setattr(oracle, "_normals", no_draws)
     form, claimed = T_to_form(read_metric(str(path))), natred_from_dict(certificate)
     with pytest.raises(InputError, match="certificate does not fit m = 3: "):
         oracle.natred_certificate_check(form, claimed, samples=5)
@@ -1019,6 +1021,29 @@ def test_verify_seeds_each_stream_once_and_reuses_the_eigen_data(tmp_path, capsy
         assert ("go_resolved_by" in report) is indeterminate
         # GO round 0, the certificate check and the bracket check share each draw
         assert streams == [(42, i) for i in range(131)]
+
+
+def test_verify_does_not_import_numpy_random(tmp_path):
+    # the oracle draws from its own splitmix64 hash, so numpy's generators,
+    # about 6 MB of RSS per process, stay unloaded
+    path = tmp_path / "invariant.json"
+    path.write_text(json.dumps({"m": 4, "repr": "form", "a": INVARIANT_M4}))
+    script = "; ".join([
+        "import sys, ledger_obata.cli",
+        "loaded = 'numpy.random' in sys.modules",
+        f"code = ledger_obata.cli.main(['verify', '--input', {str(path)!r}, '--format', 'json'])",
+        "print(loaded, code, 'numpy.random' in sys.modules, file=sys.stderr)",
+    ])
+    env = {**os.environ}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in [str(ROOT / "src"), env.get("PYTHONPATH")] if p)
+    argv = [sys.executable, "-W", "error", "-c", script]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    loaded, code, after = proc.stderr.split()
+    if loaded == "True":
+        # numpy before 2.0 imports numpy.random with numpy itself
+        pytest.skip("this numpy loads numpy.random on import")
+    assert (code, after) == ("0", "False")
+    assert json.loads(proc.stdout)["ok"] is True
 
 
 def test_verify_never_exits_0_when_the_classifiers_split(tmp_path, capsys):
@@ -1252,7 +1277,7 @@ DENSE_FORM = {"m": 4, "repr": "form", "a": [[2.0, 0.3, 0.1], [0.3, 1.5, 0.2], [0
         (["verify", "--tol", "nan"], "--tol must be finite and positive"),
         (["verify", "--seed", "-1"], "--seed must be at least 0"),
         (["classify", "--seed", "-1"], "--seed must be at least 0"),
-        # a Philox key takes 128 bits, and GO round 2 draws with seed + 2 * 7919
+        # a seed is two 64-bit key words, and GO round 2 draws with seed + 2 * 7919
         (["verify", "--seed", str(2**128)], "seed must be below 2**128 - 15838, "),
         (["generate", "--z", "1,2,3", "--rho", "nan"], "rho must be finite, got nan"),
         (["generate", "--z", "1,2,3", "--lambda", "inf"], "lambda must be finite, got inf"),

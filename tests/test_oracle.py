@@ -149,52 +149,85 @@ def test_go_oracle_chunks_replay_sample_by_sample(backend, samples):
         assert 0 < len(report.failures) < samples
 
 
-# Philox keys of one and two 64-bit words (and 42 + 2 * 7919, the third GO round's)
+# seeds of one and two 64-bit key words (and 42 + 2 * 7919, the third GO round's)
 SEEDS = [0, 1, 42, 42 + 2 * 7919, 2**32 - 1, 2**32, 2**64 + 3, 10**30]
 INDICES = [0, 1, CHUNK - 1, CHUNK, 2**32 - 1]
 
 
-# this test and the next pin the oracle's generators to the replay contract,
-# Generator(Philox(key=seed, counter=i << 64))
+# this test and the next pin the oracle's draws to the replay contract, the
+# pure-Python splitmix64 streams of ``sample_stream``
 @pytest.mark.parametrize("seed", SEEDS)
 def test_seeded_generators_match_default_rng(seed):
     # one call for all indices, as in a chunk, and one call per index, as in a redraw
     batches = [INDICES] + [[i] for i in INDICES]
-    m, d = 6, 3
+    counters = np.array([0, 1, 2, 35, 2**20 + 7], dtype=np.uint64)
     for batch in batches:
-        for i, rng in zip(batch, oracle._seeded_generators(seed, batch)):
+        states = oracle._streams(seed, batch)
+        words = np.empty((len(batch), len(counters)), np.uint64)
+        oracle._words(states, counters, words, np.empty_like(words))
+        for i, state, row in zip(batch, states.tolist(), words.tolist()):
             reference = sample_stream(seed, i)
-            # the state holds arrays, whose repr shows every word
-            assert repr(rng.bit_generator.state) == repr(reference.bit_generator.state)
-            assert np.array_equal(rng.standard_normal((m, d)), reference.standard_normal((m, d)))
-            assert np.array_equal(
-                rng.standard_normal((2, m, d)), reference.standard_normal((2, m, d))
-            )
+            assert state == reference.state
+            assert row == [reference.word(int(c)) for c in counters]
 
 
 @pytest.mark.parametrize("shape", [(6, 3), (2, 6, 3), (7,)], ids=["go", "certificate", "flat"])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_normals_match_default_rng(seed, shape):
     # a chunk, indices that cross a chunk boundary, and one index alone; (7,)
-    # is not a multiple of d = 3
+    # is not a multiple of d = 3, and odd, so its last pair is cut
     size = int(np.prod(shape))
     for batch in [INDICES, range(CHUNK - 3, CHUNK + 2), [2**32 - 1]]:
         draws = oracle._normals(seed, batch, shape)
         assert draws.shape == (len(batch), *shape)
         for i, row in zip(batch, draws):
-            # one draw per sample holds the bits of a run of smaller draws
+            # one draw per sample holds the bits of a run of smaller draws,
+            # the first of them odd, so the second starts inside a pair
             reference = sample_stream(seed, i)
             pieces = [reference.standard_normal(3), reference.standard_normal(size - 3)]
             assert np.concatenate(pieces).tobytes() == row.tobytes()
+            # and the entries past it, as a redraw reads them
+            again = oracle._normals(seed, [i], shape, start=size)
+            assert again.tobytes() == reference.standard_normal(shape).tobytes()
+
+
+# words 0 and 1, and normal entries 0 to 2, of samples 0 and 2**32 - 1 at seed 42
+WORDS_AT_SEED_42 = [
+    ["0x8c4bd0d0c7ce0b36", "0x3544f6262e771952"],
+    ["0xe4ba4ff66abdade6", "0x8d0c8035ff19e97f"],
+]
+NORMALS_AT_SEED_42 = [
+    ["0x1.4ff796edf49c9p-2", "0x1.378147e067bf9p+0", "0x1.f5ee120838e4dp-2"],
+    ["-0x1.011bf162f054dp+1", "-0x1.551e0139c4302p-1", "0x1.fe6991d17cad0p-5"],
+]
 
 
 def test_normals_pin_the_bits_of_the_stream():
-    # a numpy whose Philox or standard_normal draws other bits fails here
+    # the splitmix64 words pin the hash; the normals also pin numpy's log1p,
+    # sin and cos, so a numpy whose functions round otherwise fails here
+    states = oracle._streams(42, [0, 2**32 - 1])
+    words = oracle._words(states, np.arange(2, dtype=np.uint64), *np.empty((2, 2, 2), np.uint64))
+    assert [[hex(word) for word in row] for row in words.tolist()] == WORDS_AT_SEED_42
     draws = oracle._normals(42, [0, 2**32 - 1], (3,))
-    assert [[value.hex() for value in row] for row in draws.tolist()] == [
-        ["0x1.59ac544e811a3p-2", "-0x1.90766bb4bc3ccp-1", "-0x1.439c1c3837a89p-2"],
-        ["-0x1.1805aa31a1f3ep-2", "0x1.cb71953f2bf34p-2", "0x1.3cbdb830a9444p+0"],
-    ]
+    assert [[value.hex() for value in row] for row in draws.tolist()] == NORMALS_AT_SEED_42
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**64 + 3])
+def test_normals_have_unit_moments_and_no_adjacent_correlation(seed):
+    # fixed seeds make the test deterministic; each bound is 5 standard
+    # errors of its statistic, set before the draws were looked at
+    samples, entries = 4096, 16
+    draws = oracle._normals(seed, range(samples), (entries,))
+    n = draws.size
+    assert abs(draws.mean()) < 5 / math.sqrt(n)
+    assert abs(draws.var() - 1.0) < 5 * math.sqrt(2 / n)
+    # each entry position alone: the cos and the sin halves of the pairs
+    assert np.all(np.abs(draws.mean(axis=0)) < 5 / math.sqrt(samples))
+    assert np.all(np.abs(draws.var(axis=0) - 1.0) < 5 * math.sqrt(2 / samples))
+    # adjacent entries of one sample (a pair's halves among them), and the
+    # same entry of adjacent samples
+    for a, b in [(draws[:, :-1], draws[:, 1:]), (draws[:-1], draws[1:])]:
+        assert abs(np.corrcoef(a.ravel(), b.ravel())[0, 1]) < 5 / math.sqrt(a.size)
 
 
 def test_seed_must_fit_a_philox_key(backend, monkeypatch):
@@ -203,13 +236,13 @@ def test_seed_must_fit_a_philox_key(backend, monkeypatch):
         oracle._require_draws(1, 2**128)
     assert go_oracle(standard_metric(4), backend, samples=3, seed=2**128 - 1).verdict
 
-    def no_draws(seed, indices):
+    def no_draws(*args):
         raise AssertionError("drew samples")
 
     # an assessment checks the seed of its last round before round 0 draws
     top = 2**128 - 2 * 7919
     with monkeypatch.context() as patch:
-        patch.setattr(oracle, "_seeded_generators", no_draws)
+        patch.setattr(oracle, "_normals", no_draws)
         with pytest.raises(ParameterError, match=rf"below 2\*\*128 - 15838, .* got {top}$"):
             assess_geodesic_orbit(standard_metric(4), backend, seed=top)
     # and the largest seed it accepts runs all three rounds
@@ -225,10 +258,10 @@ def test_sample_indices_must_fit_one_entropy_word(backend, monkeypatch):
     with pytest.raises(ParameterError, match="samples must be at most 2[*][*]32"):
         oracle._require_draws(2**32 + 1, 0)
 
-    def no_draws(seed, indices):
+    def no_draws(*args):
         raise AssertionError("drew samples")
 
-    monkeypatch.setattr(oracle, "_seeded_generators", no_draws)
+    monkeypatch.setattr(oracle, "_normals", no_draws)
     form = MetricForm(np.diag([1.0, 2.0, 3.0]))
     calls = [
         lambda samples: go_oracle(standard_metric(4), backend, samples=samples),
@@ -271,42 +304,34 @@ def test_go_oracle_redraws_a_sample_that_centres_to_zero(backend, monkeypatch):
     metric = dense_nonreductive_metric(np.random.default_rng(8), 5)
     scaled = MetricT(metric.matrix / power_of_two_scale(metric.matrix))
     seed, samples, flat = 21, CHUNK + 9, CHUNK + 4
-    seeded = oracle._seeded_generators
+    normals = oracle._normals
     go_residuals = oracle._go_residuals
-    flattened, measured = [], []
+    flattened, redrawn, measured = [], [], []
 
-    class FlatFirstDraw:
-        """A generator whose first draw is made the same on every copy."""
-
-        def __init__(self, rng):
-            self.rng = rng
-            self.first = True
-
-        def standard_normal(self, size=None, out=None):
-            draw = self.rng.standard_normal(size, out=out)
-            if self.first:
-                draw[:] = draw[0]
-                flattened.append(draw.copy())
-                self.first = False
-            return draw
-
-    def flat_at_sample(seed, indices):
-        for i, rng in zip(indices, seeded(seed, indices)):
-            yield FlatFirstDraw(rng) if i == flat else rng
+    def flat_at_sample(seed, indices, shape, start=0):
+        draws = normals(seed, indices, shape, start)
+        if start == 0 and flat in indices:
+            # the first draw of sample ``flat`` is made the same on every copy
+            row = draws[list(indices).index(flat)]
+            row[:] = row[0]
+            flattened.append(row.copy())
+        elif start:
+            redrawn.append((list(indices), start))
+        return draws
 
     def measuring(*args):
         out = go_residuals(*args)
         measured.append(out[0])
         return out
 
-    monkeypatch.setattr(oracle, "_seeded_generators", flat_at_sample)
+    monkeypatch.setattr(oracle, "_normals", flat_at_sample)
     monkeypatch.setattr(oracle, "_go_residuals", measuring)
     go_oracle(metric, backend, samples=samples, seed=seed)
     residuals = np.concatenate(measured)
 
-    # the chunk's draw and the skipped first draw of the reseeded stream
-    assert len(flattened) == 2
-    assert np.array_equal(flattened[0], flattened[1])
+    # the chunk's draw was flattened, and only that sample drew again, past it
+    assert len(flattened) == 1 and np.ptp(flattened[0], axis=0).max() == 0.0
+    assert redrawn == [([flat], 15)]
     for i in range(samples):
         rng = sample_stream(seed, i)
         x = rng.standard_normal((5, 3))
@@ -806,8 +831,8 @@ def test_oracle_report_round_trip(backend):
     assert data["samples"] == 5
     assert data["seed"] == 1
     assert data["verdict"] is True
-    assert data["failures"] == []
-    assert set(data) >= {
+    assert (data["failed"], data["first_failures"]) == (0, [])
+    assert list(data) == [
         "kind",
         "samples",
         "seed",
@@ -816,9 +841,17 @@ def test_oracle_report_round_trip(backend):
         "max_residual",
         "residual_min",
         "residual_median",
-        "failures",
+        "failed",
+        "first_failures",
         "notes",
-    }
+    ]
+    # the JSON form counts every failing sample and lists the first five
+    dense = dense_nonreductive_metric(np.random.default_rng(77), 4)
+    report = go_oracle(dense, backend, samples=12, seed=5)
+    assert len(report.failures) > oracle.FIRST_FAILURES
+    data = report.to_dict()
+    assert data["failed"] == len(report.failures)
+    assert data["first_failures"] == list(report.failures[: oracle.FIRST_FAILURES])
 
 
 # -- the einsum kernels that the matmul kernels replaced ----------------------
@@ -1133,14 +1166,14 @@ def test_leaving_out_the_bracket_check_moves_no_other_digit(backend, name):
 
 
 def test_shared_pass_draws_each_sample_once(backend, monkeypatch):
-    seeded = oracle._seeded_generators
+    normals = oracle._normals
     streams = []
 
-    def recording(seed, indices):
+    def recording(seed, indices, shape, start=0):
         streams.extend((seed, int(i)) for i in indices)
-        return seeded(seed, indices)
+        return normals(seed, indices, shape, start)
 
-    monkeypatch.setattr(oracle, "_seeded_generators", recording)
+    monkeypatch.setattr(oracle, "_normals", recording)
     samples, seed = 2 * CHUNK + 3, 17
     metric, checks, _ = shared_checks("perturbed-m4", backend)
     word, report, _ = oracle._assess(metric, backend, samples, seed, checks)
