@@ -277,8 +277,8 @@ def classify_go(
     No is definitive: each failed test is a necessary condition and holds
     for every admissible choice of eigenbasis.  Indeterminate arises only
     when a repeated eigenvalue is present and the canonical bases fail the
-    cross-cluster span test; callers should then fall back to the naturally
-    reductive classifier and the numeric oracle.
+    cross-cluster span test; ``lot verify`` then resolves the verdict with
+    the numeric oracle, and ``lot classify`` reports it as it stands.
     """
     eigen = eigendecompose(metric, cluster_tol)
     gammas = eigen.system.gammas

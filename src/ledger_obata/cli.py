@@ -99,8 +99,7 @@ def _load_metric(args) -> tuple[MetricT, dict]:
 
 def cmd_classify(args) -> int:
     metric, _ = _load_metric(args)
-    report = classify_report(metric, args.tol, args.cluster_tol, args.samples, args.seed)
-    _emit(args, report)
+    _emit(args, classify_report(metric, args.tol, args.cluster_tol))
     return 0
 
 
@@ -185,7 +184,7 @@ _FLAGS = {
 }
 # the only flags each subcommand reads
 _COMMAND_FLAGS = {
-    "classify": "--input --output --format --tol --cluster-tol --samples --seed",
+    "classify": "--input --output --format --tol --cluster-tol",
     "decompose": "--input --output --format --tol --split-tol",
     "verify": "--input --output --format --tol --cluster-tol --samples --seed",
     "generate": "--z --rho --lambda --tol --cluster-tol --output --format",
@@ -201,14 +200,15 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices
     commands = {
-        "classify": (cmd_classify, "naturally-reductive case and geodesic-orbit verdict"),
+        "classify": (cmd_classify, "naturally-reductive case and geodesic-orbit verdict; "
+                     "lot verify resolves an indeterminate one"),
         "decompose": (cmd_decompose, "irreducible factors and the isometry group"),
         "verify": (cmd_verify, "numeric oracle cross-checks (exit 2 on disagreement)"),
         "generate": (cmd_generate, "write a geodesic-orbit family metric"),
         "trees": (cmd_trees, "list admissible partition pairs"),
     }
     for name, (func, help_text) in commands.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, description=help_text)
         p.set_defaults(func=func)
         for flag in _COMMAND_FLAGS[name].split():
             p.add_argument(flag, **_FLAGS[flag])

@@ -5,8 +5,8 @@ bracket identities behind the classifier are all checked here by brute
 force: draw random tangent elements, reduce each claim to a small linear
 least-squares problem in the diagonal subalgebra, and record residuals.
 The checks share no code with the classifier beyond the structure-constant
-backend, so agreement between the two is meaningful evidence.  Only the
-report builders at the end, ``classify_report`` and ``verify_report``, call both.
+backend, so agreement between the two is meaningful evidence.  Only
+``verify_report`` at the end calls both; ``classify_report`` runs the classifiers.
 
 Replay contract: sample i of a run with base seed ``seed`` draws from its
 own splitmix64 stream (Steele, Lea & Flood, OOPSLA 2014), a counter hash:
@@ -37,16 +37,12 @@ drawn once, at the largest shape, and each check reads the prefix of the
 draw that its own shape takes.  ``lot verify`` runs GO round 0, the
 certificate check and the bracket check in one such pass (``_assess``), so
 each of its sample streams is drawn once per run, whether the GO verdict is
-the classifier's or the oracle's.  It runs the certificate check only on a
-naturally reductive claim, and the bracket check only when the GO
-classifier says yes or indeterminate: the bracket verdict is read only when
-the final GO verdict is yes, which a classifier no rules out.  Leaving a
-check out moves no digit of the others, since each reads its own prefix of
-the draw.  For a GO invariant form at m = 5 (draws of 15, 30 and 48
-normals), drawing one 256-sample chunk takes 1.4 µs per sample against
-3.1 µs for three separate draws, and the three checks at 200 samples take
-14.8 µs per sample in one pass against 17.2 µs in three (best of 5 x 200
-and of 5 x 60 calls, same machine).
+the classifier's or the oracle's; a check that ``verify_report`` leaves out
+moves no digit of the others.  For a GO invariant form at m = 5 (draws of
+15, 30 and 48 normals), drawing one 256-sample chunk takes 1.4 µs per
+sample against 3.1 µs for three separate draws, and the three checks at
+200 samples take 14.8 µs per sample in one pass against 17.2 µs in three
+(best of 5 x 200 and of 5 x 60 calls, same machine).
 
 In the GO oracle and the certificate check each slice of a chunk goes
 through the same operations, in the same order, as a lone sample, so
@@ -86,7 +82,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -772,15 +768,17 @@ def brackets_property_check(
     does not show GO.  Rotating the two simple eigenvectors of the invariant
     form with weights (1, 1, 1, 2, 3) by 0.3 rad gives a metric that
     ``classify_go`` and the GO oracle call not GO, and the check passes it.
-    So ``verify_report`` reads this verdict only when the final GO verdict is
-    yes, and runs the check only when the classifier says yes or
-    indeterminate; on a classifier no its report has no ``bracket_properties``.
+    So ``verify_report`` reads this verdict only when the final GO verdict is yes.
 
-    Identity (i) tests the weights only where a cluster has dimension two
-    or more.  Between one-dimensional clusters over so(3), x = b^i (x) X
-    and y = b^j (x) Y, the correction's parts along X and Y absorb both
-    weights, and the residual is |[X, Y]| times the distance of b^i <> b^j
-    from span(b^i, b^j): swapping alpha and beta changes nothing.
+    On one-dimensional clusters both identities have closed forms, over any
+    table (a test pins them per sample).  Identity (ii) vanishes: for
+    x = b^i (x) X the constraint forces [X, Y] = 0, so every copy's bracket
+    b_l^2 [X, Y] is zero.  Identity (i) between x = b^i (x) X and
+    y = b^j (x) Y, both of unit norm, leaves |[X, Y]|_K times the distance
+    of b^i <> b^j from span(b^i, b^j), ``is_super_adapted``'s residual for
+    the pair: u = lambda Y + mu X fits the part in the span exactly, whatever
+    the weights, and the rest is orthogonal to every column.  So identity (i)
+    tests the weights only where a cluster has dimension two or more.
 
     A mutation probe found that the check misses changed weights.  It
     mutated the GO metrics among the benchmark's ``verify`` inputs of seeds
@@ -841,41 +839,43 @@ def _bracket_check(eigen: EigenData, sc: StructureConstants, tol: float) -> _Che
 # -- the reports of `lot classify` and `lot verify` ---------------------------
 
 
-def _classified(metric: MetricT, tol: float, cluster_tol: float, assess):
-    """The classification report of ``metric``, its final GO verdict and what ``assess`` returned.
+def _classified(metric: MetricT, tol: float, cluster_tol: float):
+    """The report's first sections, the form over its scale, the NR result on it and the GO result.
 
-    ``assess(form, go)`` runs after both classifiers and returns None, or the oracle's (word,
-    report) first: that word resolves an indeterminate verdict, and that report is the fallback.
+    ``classify_natred`` divides by that scale anyway; the report multiplies its weights back.
     """
-    form = T_to_form(metric)
-    nr = classify_natred(form, tol)
+    # the form is T's leading block (``T_to_form``); it is validated once, divided
+    block = metric.matrix[:-1, :-1]
+    scale = power_of_two_scale(block)
+    unit = MetricForm(block / scale)
+    nr = classify_natred(unit, tol)
     go = classify_go(metric, tol, cluster_tol)
-    report = {"m": metric.m, "natred": natred_report(nr), "go": go_report(go)}
-    assessed = assess(form, go)
-    final = go.verdict
-    if final is GoVerdict.INDETERMINATE:
-        word, oracle_report = assessed[:2]
-        final = {"confirmed": GoVerdict.YES, "refuted": GoVerdict.NO}.get(word, final)
-        report["go_resolved_by"] = "oracle"
-        report["go_oracle_fallback"] = oracle_report.to_dict()
+    report = {"m": metric.m, "natred": natred_report(_times(nr, scale)), "go": go_report(go)}
+    return report, unit, nr, go
+
+
+def _times(result: NatRedResult, scale: float) -> NatRedResult:
+    """``result`` with its weights times ``scale``, and ``normal`` read again: one may underflow."""
+    if result.alphas is None:
+        betas = result.betas and {k: float(w * scale) for k, w in result.betas.items()}
+        return replace(result, betas=betas)
+    alphas = result.alphas * scale
+    normal = bool(np.all(alphas > 0))
+    return replace(result, alphas=alphas, alpha_sum=result.alpha_sum * scale, normal=normal)
+
+
+def _concluded(report: dict, final: GoVerdict) -> dict:
+    """``report`` with the final GO verdict, and whether its NR verdict agrees with it."""
+    agree = report["natred"]["naturally_reductive"] == (final is GoVerdict.YES)
     report["go_final"] = final.value
-    report["agreement"] = None
-    if final is not GoVerdict.INDETERMINATE:
-        report["agreement"] = bool(nr.is_naturally_reductive == (final is GoVerdict.YES))
-    return report, final, assessed
+    report["agreement"] = None if final is GoVerdict.INDETERMINATE else agree
+    return report
 
 
-def classify_report(
-    metric: MetricT, tol: float = 1e-8, cluster_tol: float = 1e-8, samples: int = 200,
-    seed: int = 42,
-) -> dict:
-    """JSON-ready report of ``lot classify``; the table is read only if GO is indeterminate."""
-
-    def fallback(form: MetricForm, go):
-        if go.verdict is GoVerdict.INDETERMINATE:
-            return assess_geodesic_orbit(metric, default_backend(), samples, seed)
-
-    return _classified(metric, tol, cluster_tol, fallback)[0]
+def classify_report(metric: MetricT, tol: float = 1e-8, cluster_tol: float = 1e-8) -> dict:
+    """JSON-ready report of ``lot classify``: the classifiers alone; an indeterminate GO stays so."""
+    report, _, _, go = _classified(metric, tol, cluster_tol)
+    return _concluded(report, go.verdict)
 
 
 def verify_report(
@@ -886,6 +886,7 @@ def verify_report(
 
     ``certificate``, the JSON form of an NR certificate, is parsed after the
     table is read and the metric classified; None checks the classifier's.
+    The GO assessment resolves an indeterminate GO verdict (``go_oracle_fallback``).
     ``disagreements`` lists every claim that fails, and ``ok`` says none does.
     The report has ``natred_certificate`` only when the claim is naturally
     reductive, and ``bracket_properties`` only when the GO classifier says
@@ -893,27 +894,26 @@ def verify_report(
     bracket verdict is read only when it is yes.
     """
     sc = default_backend()
-
-    def assess(form: MetricForm, go):
-        if certificate is None:
-            # reported weights are rounded where subnormal: check the exact
-            # ones that the classifier finds on the form divided by its scale
-            form = MetricForm(form.a / power_of_two_scale(form.a))
-            claim, source = classify_natred(form, tol), "classifier"
-        else:
-            claim, source = natred_from_dict(certificate), "input file"
-        # GO round 0 and these checks draw each sample once, in one pass
-        checks = []
-        if claim.is_naturally_reductive:
-            checks.append(_certificate_check(form, claim, sc, tol))
-        # the bracket verdict is read only when the final GO verdict is yes,
-        # which a classifier "no" rules out; the check reads the classifier's
-        # eigen data
-        if go.verdict is not GoVerdict.NO:
-            checks.append(_bracket_check(go.eigen, sc, tol))
-        return (*_assess(metric, sc, samples, seed, checks), source)
-
-    report, final, (word, last, reports, source) = _classified(metric, tol, cluster_tol, assess)
+    report, unit, nr, go = _classified(metric, tol, cluster_tol)
+    # reported weights are rounded where subnormal: check the exact ones,
+    # found on the form divided by its scale
+    form, claim, source = unit, nr, "classifier"
+    if certificate is not None:
+        form, claim, source = T_to_form(metric), natred_from_dict(certificate), "input file"
+    # GO round 0 and these checks draw each sample once, in one pass
+    checks = []
+    if claim.is_naturally_reductive:
+        checks.append(_certificate_check(form, claim, sc, tol))
+    # the bracket check reads the classifier's eigen data
+    if go.verdict is not GoVerdict.NO:
+        checks.append(_bracket_check(go.eigen, sc, tol))
+    word, last, reports = _assess(metric, sc, samples, seed, checks)
+    final = go.verdict
+    if final is GoVerdict.INDETERMINATE:
+        final = {"confirmed": GoVerdict.YES, "refuted": GoVerdict.NO}.get(word, final)
+        report["go_resolved_by"] = "oracle"
+        report["go_oracle_fallback"] = last.to_dict()
+    _concluded(report, final)
     report["go_oracle"] = last.to_dict()
     report["go_oracle_assessment"] = word
     reports = {checked.kind: checked for checked in reports}

@@ -34,13 +34,11 @@ ROOT = Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
 README = ROOT / "README.md"
 
-CLASSIFY_FLAGS = {
-    "--input", "--output", "--format", "--tol", "--cluster-tol", "--samples", "--seed"
-}
+CLASSIFY_FLAGS = {"--input", "--output", "--format", "--tol", "--cluster-tol"}
 COMMAND_FLAGS = {
     "classify": CLASSIFY_FLAGS,
     "decompose": {"--input", "--output", "--format", "--tol", "--split-tol"},
-    "verify": CLASSIFY_FLAGS,
+    "verify": CLASSIFY_FLAGS | {"--samples", "--seed"},
     "generate": {
         "--z", "--rho", "--lambda", "--tol", "--cluster-tol", "--output", "--format"
     },
@@ -57,8 +55,8 @@ SO3_ENTRIES = [
 ]
 
 
-# decompose draws no samples, so it does not take --samples
-SAMPLES_FLAG = {"classify": ["--samples", "5"], "decompose": [], "verify": ["--samples", "5"]}
+# classify and decompose draw no samples, so they do not take --samples
+SAMPLES_FLAG = {"classify": [], "decompose": [], "verify": ["--samples", "5"]}
 
 
 def run_json(capsys, argv):
@@ -360,7 +358,7 @@ def test_exit_code_1_on_bad_inputs(tmp_path, capsys):
     write_metric(standard_metric(3), str(good))
     assert cli.main(["classify", "--input", str(good), "--tol", "-1"]) == 1
     capsys.readouterr()
-    assert cli.main(["classify", "--input", str(good), "--samples", "0"]) == 1
+    assert cli.main(["verify", "--input", str(good), "--samples", "0"]) == 1
     capsys.readouterr()
 
     with pytest.raises(SystemExit) as exc:
@@ -563,8 +561,8 @@ def test_verify_verdicts_do_not_depend_on_the_scale_of_the_table(
 
 
 def test_a_bad_table_is_reported_before_a_bad_certificate(tmp_path, capsys, monkeypatch):
-    # verify reads the table before it parses the certificate; classify reads
-    # it only when the GO classifier leaves the verdict to the oracle
+    # verify reads the table before it parses the certificate; classify runs
+    # no oracle and reads no table
     table = tmp_path / "one-entry.json"
     table.write_text(json.dumps({"dim": 3, "c": [[0, 1, 2, 1]]}))
     monkeypatch.setenv("LOT_STRUCTURE_CONSTANTS", str(table))
@@ -641,7 +639,7 @@ def test_near_overflow_metrics_end_without_a_warning(tmp_path, data):
 
 
 def forced_indeterminate(metric, tol=1e-8, cluster_tol=1e-8):
-    """A ``classify_go`` stand-in that leaves every metric to the oracle's fallback."""
+    """A ``classify_go`` stand-in that leaves every GO verdict to the oracle."""
     # classify_go attaches its eigen data to every verdict, and verify's
     # bracket check reads them
     eigen = eigendecompose(metric, cluster_tol)
@@ -666,25 +664,49 @@ def test_indeterminate_falls_back_to_oracle(tmp_path, monkeypatch, capsys):
     path = tmp_path / "family.json"
     write_metric(metric, str(path))
 
-    monkeypatch.setattr(oracle, "classify_go", forced_indeterminate)
-    code, report = run_json(
-        capsys, ["classify", "--input", str(path), "--samples", "10"]
-    )
-    assert code == 0
-    assert report["go"]["verdict"] == "indeterminate"
-    assert report["go_resolved_by"] == "oracle"
-    assert report["go_oracle_fallback"]["verdict"] is True
-    assert report["go_final"] == "yes"
-    assert report["agreement"] is True
-
     # verify's one GO assessment is the fallback: round 0 confirms, and its
     # pass draws each stream once for the other checks too
+    monkeypatch.setattr(oracle, "classify_go", forced_indeterminate)
     streams = recorded_streams(monkeypatch)
     code, report = run_json(capsys, ["verify", "--input", str(path), "--samples", "10"])
     assert code == 0
     assert streams == [(42, i) for i in range(10)]
+    assert report["go"]["verdict"] == "indeterminate"
+    assert report["go_resolved_by"] == "oracle"
+    assert report["go_oracle_fallback"]["verdict"] is True
     assert report["go_oracle"] == report["go_oracle_fallback"]
     assert report["go_oracle_assessment"] == "confirmed"
+    assert (report["go_final"], report["agreement"]) == ("yes", True)
+
+
+def test_classify_leaves_an_indeterminate_verdict_to_verify(tmp_path, monkeypatch, capsys):
+    # classify runs the two classifiers alone: with no table to read and no
+    # backend to build, an indeterminate GO verdict is reported as it stands
+    metric, _, _ = go_family(np.array([1.0, 2.0, 3.0]), rho=1.0, lam=0.0)
+    path = tmp_path / "family.json"
+    write_metric(metric, str(path))
+
+    def no_backend():
+        raise AssertionError("classify built the oracle's backend")
+
+    monkeypatch.setattr(oracle, "classify_go", forced_indeterminate)
+    monkeypatch.setattr(oracle, "default_backend", no_backend)
+    monkeypatch.setenv("LOT_STRUCTURE_CONSTANTS", str(tmp_path / "missing.json"))
+    code, report = run_json(capsys, ["classify", "--input", str(path)])
+    assert code == 0
+    assert report["go"]["verdict"] == "indeterminate"
+    assert (report["go_final"], report["agreement"]) == ("indeterminate", None)
+    assert not {"go_oracle_fallback", "go_resolved_by"} & set(report)
+    assert report["natred"]["naturally_reductive"] is True
+
+    # classify takes neither of the oracle's flags
+    for flag, value in (("--samples", "10"), ("--seed", "1")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["classify", "--input", str(path), flag, value])
+        err = capsys.readouterr().err
+        assert exc.value.code == 1
+        assert err.startswith("usage: lot classify ")
+        assert f"lot classify: error: unrecognized arguments: {flag} {value}\n" in err
 
 
 def test_verify_runs_the_bracket_check_when_the_classifier_is_indeterminate(
@@ -1276,7 +1298,6 @@ DENSE_FORM = {"m": 4, "repr": "form", "a": [[2.0, 0.3, 0.1], [0.3, 1.5, 0.2], [0
         (["decompose", "--split-tol", "nan"], "--split-tol must be finite and positive"),
         (["verify", "--tol", "nan"], "--tol must be finite and positive"),
         (["verify", "--seed", "-1"], "--seed must be at least 0"),
-        (["classify", "--seed", "-1"], "--seed must be at least 0"),
         # a seed is two 64-bit key words, and GO round 2 draws with seed + 2 * 7919
         (["verify", "--seed", str(2**128)], "seed must be below 2**128 - 15838, "),
         (["generate", "--z", "1,2,3", "--rho", "nan"], "rho must be finite, got nan"),

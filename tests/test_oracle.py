@@ -17,6 +17,7 @@ from ledger_obata.classify import (
     classify_go,
     classify_natred,
     go_family,
+    natred_report,
 )
 from ledger_obata.coeff import AdaptedSystem
 from ledger_obata.errors import ParameterError
@@ -25,6 +26,7 @@ from ledger_obata.metrics import (
     MetricT,
     T_to_form,
     eigendecompose,
+    form_to_T,
     metric_from_system,
     power_of_two_scale,
     standard_metric,
@@ -36,13 +38,17 @@ from ledger_obata.oracle import (
     assess_geodesic_orbit,
     brackets_property_check,
     certificate_shift,
+    classify_report,
     go_oracle,
     go_sample_residual,
     natred_certificate_check,
+    verify_report,
 )
+from ledger_obata.serialize import dumps_numeric
 
 from conftest import (
-    dense_nonreductive_metric, random_nodes, sample_stream, skewed_so3, so_n_entries,
+    dense_nonreductive_metric, laplacian_metric, random_nodes, sample_stream, skewed_so3,
+    so_n_entries,
 )
 
 
@@ -551,6 +557,34 @@ def test_natred_certificate_check_replays_sample_by_sample(backend, form, certif
         assert 0 < len(report.failures) < samples
 
 
+@pytest.mark.parametrize("scale", [1.0, 3.0, 1e-310, 1e-318, 1e-320, 1e300])
+def test_reports_classify_once_and_give_the_weights_of_the_form_itself(scale):
+    # both reports run classify_natred once, on the form divided by its
+    # power-of-two scale, and multiply the weights back: bit for bit what
+    # classify_natred gives on the form itself, subnormal weights included
+    metrics = [
+        MetricT(np.array([[1.5, -1.5], [-1.5, 1.5]])),
+        form_to_T(MetricForm(np.array([[1.0, 0.3], [0.3, 2.0]]))),
+        laplacian_metric(4, [(1, 4, 2.0), (2, 4, 1.0), (3, 4, 0.5)]),
+        laplacian_metric(4, [(1, 2, 2.0), (1, 3, 1.0), (1, 4, 0.5)]),
+        invariant_form_metric([1.0, 1.0, 1.0, 2.0, -9.0]),
+        dense_nonreductive_metric(np.random.default_rng(5), 5),
+    ]
+    cases = []
+    for metric in metrics:
+        # scaled as a form, like a "repr": "form" input: T would lose its zero row sums
+        metric = form_to_T(MetricForm(scale * T_to_form(metric).a))
+        want = dumps_numeric(natred_report(classify_natred(T_to_form(metric))))
+        assert dumps_numeric(classify_report(metric)["natred"]) == want
+        assert dumps_numeric(verify_report(metric, samples=8)["natred"]) == want
+        cases.append(classify_natred(T_to_form(metric)).case.value)
+    # far below the smallest normal double the rounded form may change case
+    assert scale < 1e-310 or cases == [
+        "invariant_form", "invariant_form", "diagonal", "ideal", "invariant_form",
+        "not_naturally_reductive",
+    ]
+
+
 def test_bracket_properties_on_go_and_dense_metrics(backend):
     metric, _, _ = go_family(np.array([0.7, 1.4, 2.2, 3.0]), rho=1.0, lam=0.1)
     report = brackets_property_check(metric, backend, samples=30, seed=6)
@@ -744,6 +778,69 @@ def test_identity_i_ignores_a_weight_swap_only_between_one_dimensional_clusters(
         assert gap <= 1e-12
     else:
         assert gap > 1e-3
+
+
+def simple_spectrum_metrics(m):
+    """Two dense metrics and two GO family metrics at m, each with m - 1 simple eigenvalues."""
+    rng = np.random.default_rng([m, 29])
+    metrics = [dense_nonreductive_metric(rng, m) for _ in range(2)]
+    metrics += [go_family(random_nodes(rng, m), rho=1.0, lam=lam)[0] for lam in (0.0, 0.2)]
+    for metric in metrics:
+        assert all(len(cluster) == 1 for cluster in eigendecompose(metric).clusters)
+    return metrics
+
+
+@pytest.mark.parametrize("table", ["so3", "so5"])
+def test_bracket_identities_have_closed_forms_on_one_dimensional_clusters(monkeypatch, table):
+    # between one-dimensional clusters i and j, with x = b^i (x) X and
+    # y = b^j (x) Y, identity (i) leaves |[X, Y]|_K times the distance of
+    # b^i <> b^j from span(b^i, b^j); identity (ii) forces [X, Y] = 0 inside
+    # a one-dimensional cluster, so nothing leaks
+    sc = so3() if table == "so3" else from_entries(*so_n_entries(5))
+    pair_residuals, leak_residuals = oracle._pair_residuals, oracle._leak_residuals
+    pairs, leaks = [], []
+
+    def recorded_pairs(sc, x, y, alpha, beta):
+        out = pair_residuals(sc, x, y, alpha, beta)
+        pairs.append((x, y, out))
+        return out
+
+    def recorded_leaks(sc, vectors, x, raw, mask):
+        out = leak_residuals(sc, vectors, x, raw, mask)
+        leaks.append(out)
+        return out
+
+    monkeypatch.setattr(oracle, "_pair_residuals", recorded_pairs)
+    monkeypatch.setattr(oracle, "_leak_residuals", recorded_leaks)
+    checked = 0
+    for m in range(3, 7):
+        for metric in simple_spectrum_metrics(m):
+            pairs.clear()
+            brackets_property_check(metric, sc, samples=64, seed=11)
+            vectors = eigendecompose(metric).system.vectors
+
+            def factor(z):
+                # z = b^i (x) Z for one eigenvector b^i and a unit Z in the algebra
+                rows = vectors @ z
+                i = int(np.argmax(np.linalg.norm(rows, axis=1)))
+                assert np.max(np.abs(z - np.outer(vectors[i], rows[i]))) <= 1e-14
+                return i, rows[i]
+
+            for x, y, residuals in pairs:
+                for xs, ys, residual in zip(x, y, residuals):
+                    (i, big_x), (j, big_y) = factor(xs), factor(ys)
+                    bracket = np.einsum("a,b,abc->c", big_x, big_y, sc.unit.c)
+                    norm = math.sqrt(bracket @ sc.unit.gram @ bracket)
+                    diamond = vectors[i] * vectors[j]
+                    rest = diamond - (diamond @ vectors[[i, j]].T) @ vectors[[i, j]]
+                    closed = norm * float(np.linalg.norm(rest))
+                    if max(residual, closed) > 1e-10:
+                        assert abs(residual - closed) <= 1e-12 * closed, (m, i, j)
+                    else:
+                        assert max(residual, closed) < 1e-12, (m, i, j)
+                    checked += 1
+    assert checked == 4 * 4 * 64
+    assert max(float(leak.max()) for leak in leaks) <= 1e-12
 
 
 def rotated(metric, i, j, angle=0.3):

@@ -87,6 +87,7 @@ def test_ci_workflow_runs_the_installed_lot_outside_the_checkout():
         "echo '" + json.dumps({"m": 5, "repr": "form", "a": INVARIANT_M5}) + "' > invariant5.json",
         "lot verify --input invariant5.json --samples 515 --format json",
         "lot classify --input g.json --format json",
+        "LOT_STRUCTURE_CONSTANTS=missing.json lot classify --input g.json --format json",
         "lot decompose --input g.json --format json",
         "lot trees --m 5 --format json",
         "lot generate --z 1,100,10000,1000000 --output wide.json --format json",
@@ -119,8 +120,10 @@ def test_ci_workflow_lot_steps_run_with_warnings_as_errors(tmp_path):
             text, path = written.groups()
             (tmp_path / path).write_text(text + "\n")
             continue
-        argv = [sys.executable, "-m", "ledger_obata.cli", *line.split()[1:]]
-        proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
+        table, command = re.fullmatch(r"(?:LOT_STRUCTURE_CONSTANTS=(\S+) )?lot (.*)", line).groups()
+        argv = [sys.executable, "-m", "ledger_obata.cli", *command.split()]
+        line_env = env if table is None else {**env, ENV_TABLE: table}
+        proc = subprocess.run(argv, cwd=tmp_path, env=line_env, capture_output=True, text=True)
         assert (proc.returncode, proc.stderr) == (0, ""), line
         reports.append(json.loads(proc.stdout))
     assert reports[0]["go_verdict"] == "yes"
@@ -130,10 +133,13 @@ def test_ci_workflow_lot_steps_run_with_warnings_as_errors(tmp_path):
             assert report[key]["samples"] == samples
     # the bracket check masks eigenvalue clusters of two sizes
     assert reports[3]["go"]["clusters"] == [[0, 1], [2], [3]]
+    # classify reads no table: naming a missing table file changes nothing
+    assert not (tmp_path / "missing.json").exists()
+    assert reports[5] == reports[4]
     # 6^3 - 1 pairs: one per edge-labelled tree on five edges that is not a star
-    assert (reports[6]["m"], reports[6]["count"]) == (5, 215)
+    assert (reports[7]["m"], reports[7]["count"]) == (5, 215)
     # weights spread over six decades: both classifiers must see the invariant form
-    wide = reports[8]
+    wide = reports[9]
     assert (wide["natred"]["case"], wide["go_final"]) == ("invariant_form", "yes")
     assert wide["agreement"] is True and wide["ok"] is True
 
