@@ -1,9 +1,10 @@
 """Independent numeric verification over a concrete backend algebra.
 
 The geodesic-orbit property, the naturally-reductive certificates and the
-bracket identities behind the classifier are all checked here by brute
-force: draw random tangent elements, reduce each claim to a small linear
-least-squares problem in the diagonal subalgebra, and record residuals.
+cross-cluster bracket identity behind the classifier are all checked here
+by brute force: draw random tangent elements, reduce each claim to a small
+linear least-squares problem in the diagonal subalgebra, and record
+residuals.
 The checks share no code with the classifier beyond the structure-constant
 backend, so agreement between the two is meaningful evidence.  Only
 ``verify_report`` at the end calls both; ``classify_report`` runs the classifiers.
@@ -29,9 +30,9 @@ a sample's draw and measures a whole chunk in numpy:
 - ``go_oracle`` draws (m, d), a tangent element to centre and normalise; a
   draw that centres to zero is replaced by the next draw of its stream;
 - ``natred_certificate_check`` draws (2, m, d), the elements x and y;
-- ``brackets_property_check`` draws (4, m-1, d), the coefficients over the
-  eigenvectors of x and y for a cluster pair, then of x and a raw second
-  element for one cluster, each part masked to zero off its cluster's rows.
+- ``brackets_property_check`` draws (2, m-1, d), the coefficients over the
+  eigenvectors of x and y for a cluster pair, each part masked to zero off
+  its cluster's rows.
 Checks that share ``(samples, seed)`` share one pass: each sample is
 drawn once, at the largest shape, and each check reads the prefix of the
 draw that its own shape takes.  ``lot verify`` runs GO round 0, the
@@ -39,10 +40,10 @@ certificate check and the bracket check in one such pass (``_assess``), so
 each of its sample streams is drawn once per run, whether the GO verdict is
 the classifier's or the oracle's; a check that ``verify_report`` leaves out
 moves no digit of the others.  For a GO invariant form at m = 5 (draws of
-15, 30 and 48 normals), drawing one 256-sample chunk takes 1.4 µs per
-sample against 3.1 µs for three separate draws, and the three checks at
-200 samples take 14.8 µs per sample in one pass against 17.2 µs in three
-(best of 5 x 200 and of 5 x 60 calls, same machine).
+15, 30 and 24 normals), drawing one 256-sample chunk takes 0.82 µs per
+sample against 2.2 µs for three separate draws, and the three checks at
+200 samples take 9.0 µs per sample in one pass against 11.2 µs in three
+(best of 200 and of 60 calls, same machine).
 
 In the GO oracle and the certificate check each slice of a chunk goes
 through the same operations, in the same order, as a lone sample, so
@@ -659,34 +660,23 @@ def _certificate_check(
 # -- bracket identities behind the classifier --------------------------------
 
 
-def _off_range(lhs: np.ndarray, rhs: np.ndarray, size) -> np.ndarray:
-    """rhs minus its least-squares fit by the columns of lhs, for each slice.
-
-    ``lhs`` is (S, M, N) and ``rhs`` (S, M).  Singular values up to
-    eps * size times the largest count as zero: with ``size`` the larger
-    dimension of the unpadded problem, one number or one per slice as
-    (S, 1), this is the cutoff of ``np.linalg.lstsq(..., rcond=None)``.
-    Rows that are zero in both ``lhs`` and ``rhs`` change neither the fit nor
-    the singular values, so ``_leak_residuals`` pads each slice's rows to a
-    common M and passes the unpadded sizes.
-    """
-    u, svals, _ = np.linalg.svd(lhs, full_matrices=False)
-    keep = svals > np.finfo(float).eps * size * svals[:, :1]
-    coef = (rhs[:, None, :] @ u)[:, 0] * keep
-    fit = (u @ coef[..., None])[..., 0]
-    del u
-    return rhs - fit
-
-
 def _fit_residuals(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Minimal norm of rhs - lhs @ u over u, for each slice.
 
     ``lhs`` is (S, m, d, k), mapping the unknown u to row blocks, with
     k <= m*d, and ``rhs`` is (S, m, d).  To weight rows by the Gram matrix
     ``root @ root.T``, pass columns as ``root.T @ columns``, a target as ``target @ root``.
+    Singular values up to eps * m*d times the largest count as zero, the
+    cutoff of ``np.linalg.lstsq(..., rcond=None)``.
     """
     lhs = lhs.reshape(len(lhs), -1, lhs.shape[3])
-    return np.linalg.norm(_off_range(lhs, rhs.reshape(len(rhs), -1), lhs.shape[1]), axis=1)
+    rhs = rhs.reshape(len(rhs), -1)
+    u, svals, _ = np.linalg.svd(lhs, full_matrices=False)
+    keep = svals > np.finfo(float).eps * lhs.shape[1] * svals[:, :1]
+    coef = (rhs[:, None, :] @ u)[:, 0] * keep
+    fit = (u @ coef[..., None])[..., 0]
+    del u
+    return np.linalg.norm(rhs - fit, axis=1)
 
 
 def _pair_residuals(sc, x, y, alpha, beta):
@@ -718,38 +708,6 @@ def _shared_lhs(sc, root: np.ndarray, x, y, alpha, beta) -> np.ndarray:
     return root.T @ np.negative(shared, out=shared)
 
 
-def _leak_residuals(sc, vectors, x, raw, mask):
-    """Identity (ii) of the bracket check on a stack x (S, m, d).
-
-    ``raw`` (S, m-1, d) holds coefficients over the eigenvectors
-    ``vectors`` of a second element, zero off the rows that ``mask``
-    (S, m-1) marks as x's cluster.  It is projected onto the elements whose
-    paired brackets with x sum to zero, and the complement part of their
-    bracket is measured off the cluster.
-    """
-    d = sc.dim
-    # column (b) of the transposed constraint holds component b of the
-    # paired brackets sum_l [x_l, y_l] as a function of y's coefficients:
-    # block a is ad((vectors @ x)[a]) transposed
-    constraint = ad_rows(sc, vectors @ x).swapaxes(-1, -2)
-    constraint *= mask[..., None, None]
-    constraint = constraint.reshape(len(x), -1, d)
-    # removing the min-norm lstsq correction leaves the part of raw that
-    # meets the constraint; lstsq's cutoff is taken on the unpadded (d, k*d)
-    sizes = d * mask.sum(axis=1)[:, None]
-    kept = _off_range(constraint, raw.reshape(len(x), -1), sizes).reshape(raw.shape)
-    del constraint
-    y = vectors.T @ kept
-    del kept
-    norm = np.linalg.norm(y, axis=(1, 2))
-    live = norm > 1e-10
-    y /= np.where(live, norm, 1.0)[:, None, None]
-    rest = product_bracket(sc, x, y)
-    rest -= rest.mean(axis=1, keepdims=True)
-    leak = rest - vectors.T @ ((vectors @ rest) * mask[..., None])
-    return np.where(live, killing_norms(sc, leak), 0.0)
-
-
 def brackets_property_check(
     metric: MetricT,
     backend: StructureConstants | None = None,
@@ -758,45 +716,56 @@ def brackets_property_check(
     tol: float = 1e-8,
     cluster_tol: float = 1e-8,
 ) -> OracleReport:
-    """Sample the bracket identities that geodesic-orbit metrics satisfy.
+    """Sample the bracket identity (i) that geodesic-orbit metrics satisfy.
 
-    Per sample: (i) for elements of two different eigenvalue clusters a
-    common diagonal correction solves the weighted bracket identity;
-    (ii) two same-cluster elements with vanishing paired brackets have
-    their bracket's complement part inside the cluster.  Both are necessary
-    conditions for GO, checked on the classifier's eigen data; passing them
-    does not show GO.  Rotating the two simple eigenvectors of the invariant
-    form with weights (1, 1, 1, 2, 3) by 0.3 rad gives a metric that
-    ``classify_go`` and the GO oracle call not GO, and the check passes it.
-    So ``verify_report`` reads this verdict only when the final GO verdict is yes.
+    Per sample, for elements of two different eigenvalue clusters, a common
+    diagonal correction must solve the weighted bracket identity: a
+    necessary condition for GO, checked on the classifier's eigen data.
+    Passing it does not show GO: rotating the two simple eigenvectors of the
+    invariant form with weights (1, 1, 1, 2, 3) by 0.3 rad gives a metric
+    that ``classify_go`` and the GO oracle call not GO, and the check passes
+    it.  So ``verify_report`` reads this verdict only when the final GO
+    verdict is yes.  A metric with one eigenvalue cluster has no pair to
+    test: every residual is 0, and ``notes`` says so.
 
-    On one-dimensional clusters both identities have closed forms, over any
-    table (a test pins them per sample).  Identity (ii) vanishes: for
-    x = b^i (x) X the constraint forces [X, Y] = 0, so every copy's bracket
-    b_l^2 [X, Y] is zero.  Identity (i) between x = b^i (x) X and
-    y = b^j (x) Y, both of unit norm, leaves |[X, Y]|_K times the distance
+    Identity (ii), that two same-cluster elements with vanishing paired
+    brackets have their bracket inside the cluster, is the self-saturation
+    test of ``classify_go``, and is not sampled.  Take an orthonormal basis
+    u_1..u_k of a cluster's eigenspace V, x = sum_i u_i (x) X_i and
+    y = sum_j u_j (x) Y_j.  The copy-wise bracket is
+    sum_{i != j} (u_i <> u_j) (x) [X_i, Y_j] + sum_i (u_i <> u_i) (x) [X_i, Y_i].
+    Self-saturation puts u_i <> u_j (i != j) and u_i <> u_i - u_1 <> u_1
+    in V, so the bracket is (u_1 <> u_1) (x) sum_i [X_i, Y_i] plus an
+    element of V (x) f, and the constraint sum_l [x_l, y_l] =
+    sum_i [X_i, Y_i] = 0 removes the first term: nothing leaks.  On eigen
+    data that passed ``is_self_saturated`` at ``tol`` the leak is at most a
+    constant times that test's residual, and on a V that is not
+    self-saturated it measures the failure that makes ``classify_go`` say
+    no.  ``lot verify`` runs this check only after ``classify_go`` found
+    every eigenspace self-saturated; on other metrics it no longer tests
+    identity (ii).
+
+    Between one-dimensional clusters identity (i) has a closed form, over
+    any table (a test pins it per sample).  For x = b^i (x) X and
+    y = b^j (x) Y, both of unit norm, it leaves |[X, Y]|_K times the distance
     of b^i <> b^j from span(b^i, b^j), ``is_super_adapted``'s residual for
     the pair: u = lambda Y + mu X fits the part in the span exactly, whatever
     the weights, and the rest is orthogonal to every column.  So identity (i)
-    tests the weights only where a cluster has dimension two or more.
-
-    A mutation probe found that the check misses changed weights.  It
-    mutated the GO metrics among the benchmark's ``verify`` inputs of seeds
-    1-10 over so(3) (110 metrics), and those of seeds 1-3 with m <= 5 over
-    so(5) (27 metrics).  Swapping the weights of two equal-size clusters,
-    or scaling the last cluster's weight by 1.01, never failed the check,
-    under either table; the GO oracle refutes such metrics.  Rotating two
-    eigenvectors of different clusters does fail it at m >= 4 (a test pins
+    tests the weights only where a cluster has dimension two or more.  A
+    mutation probe of the GO metrics among the benchmark's ``verify`` inputs
+    (110 over so(3), 27 over so(5)) found that swapping the weights of two
+    equal-size clusters, or scaling the last cluster's weight by 1.01, never
+    failed the check, though the GO oracle refutes such metrics.  Rotating
+    two eigenvectors of different clusters fails it at m >= 4 (a test pins
     this under both tables).
 
-    Runs batched like the other two oracles.  Each sample draws (4, m-1, d),
-    the coefficients of its four parts over the eigenvectors; each part is
-    masked to zero off its cluster's rows and lifted through the full
-    eigenbasis, so every sample of a chunk stacks into one (S, m, d) array
-    whatever its cluster sizes.  The brackets, the least-squares steps
-    (batched SVD with ``lstsq``'s default cutoff) and the leak norm then run
-    once per chunk, as matmuls around the SVD.  Residuals agree with a
-    one-sample-at-a-time loop over ``np.linalg.lstsq`` to rounding level.
+    Sample i draws (2, m-1, d), the coefficients of x and y over the
+    eigenvectors for the cluster pair i % P, each masked to zero off its
+    cluster's rows and lifted through the full eigenbasis, so a chunk stacks
+    into one (S, m, d) array whatever its cluster sizes.  The brackets and
+    the least-squares step (batched SVD with ``lstsq``'s default cutoff) run
+    once per chunk, and agree with a one-sample-at-a-time loop over
+    ``np.linalg.lstsq`` to rounding level.
     """
     sc = backend if backend is not None else default_backend()
     check = _bracket_check(eigendecompose(metric, cluster_tol), sc, tol)
@@ -820,20 +789,17 @@ def _bracket_check(eigen: EigenData, sc: StructureConstants, tol: float) -> _Che
         return lifted
 
     def measure(chunk: range, draws: np.ndarray) -> np.ndarray:
+        if not len(pairs):
+            return np.zeros(len(chunk))
         # each part, (S, n, d), is zero off the rows of its cluster
-        index = np.arange(chunk.start, chunk.stop)
-        own = members[index % count]
-        x, raw = draws[:, 2] * own[..., None], draws[:, 3] * own[..., None]
-        worst = _leak_residuals(sc, vectors, lift(x), raw, own)
-        if len(pairs):
-            pair = index % len(pairs)
-            alpha, beta = pair_gammas[pair].T
-            first, second = members[pairs[pair].T]
-            x, y = lift(draws[:, 0] * first[..., None]), lift(draws[:, 1] * second[..., None])
-            worst = np.maximum(worst, _pair_residuals(sc, x, y, alpha, beta))
-        return worst
+        pair = np.arange(chunk.start, chunk.stop) % len(pairs)
+        alpha, beta = pair_gammas[pair].T
+        first, second = members[pairs[pair].T]
+        x, y = lift(draws[:, 0] * first[..., None]), lift(draws[:, 1] * second[..., None])
+        return _pair_residuals(sc, x, y, alpha, beta)
 
-    return _Check("bracket_properties", tol, (4, len(vectors), sc.dim), measure)
+    notes = "" if len(pairs) else "one eigenvalue cluster: no cluster pair to test"
+    return _Check("bracket_properties", tol, (2, len(vectors), sc.dim), measure, notes=notes)
 
 
 # -- the reports of `lot classify` and `lot verify` ---------------------------
@@ -891,7 +857,9 @@ def verify_report(
     The report has ``natred_certificate`` only when the claim is naturally
     reductive, and ``bracket_properties`` only when the GO classifier says
     yes or indeterminate: a classifier no makes the final verdict no, and the
-    bracket verdict is read only when it is yes.
+    bracket verdict is read only when it is yes.  Either way ``classify_go``
+    has found every eigenspace self-saturated, so the bracket check samples
+    identity (i) alone (see ``brackets_property_check``).
     """
     sc = default_backend()
     report, unit, nr, go = _classified(metric, tol, cluster_tol)

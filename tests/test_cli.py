@@ -425,8 +425,8 @@ PINNED_VERIFY = {
                                7.025630077706069e-17, 4.336808689942018e-19,
                                8.348356728138384e-18),
         "bracket_properties": (200, 42, 0, [], True,
-                               2.1452614532484988e-14, 1.009033475407516e-16,
-                               4.1119136932992136e-16),
+                               1.0253844668657711e-15, 6.863890349860764e-17,
+                               3.380619557019396e-16),
     }),
     "dense-m5": (DENSE_M5, "refuted", {
         "go_oracle": (200, 42, 200, [0, 1, 2, 3, 4], False,

@@ -66,6 +66,9 @@ INVARIANT_M5 = [
     [-0.125, -0.125, 0.875, -0.25], [-0.25, -0.25, -0.25, 1.5],
 ]
 
+# I - J/4, the standard metric on four copies: one eigenvalue cluster
+STANDARD_M4 = [[0.75 if i == j else -0.25 for j in range(4)] for i in range(4)]
+
 
 def test_ci_workflow_runs_the_installed_lot_outside_the_checkout():
     yaml = pytest.importorskip("yaml")
@@ -92,6 +95,8 @@ def test_ci_workflow_runs_the_installed_lot_outside_the_checkout():
         "lot trees --m 5 --format json",
         "lot generate --z 1,100,10000,1000000 --output wide.json --format json",
         "lot verify --input wide.json --format json",
+        "echo '" + json.dumps({"m": 4, "repr": "T", "T": STANDARD_M4}) + "' > standard4.json",
+        "lot verify --input standard4.json --format json",
     ]
 
 
@@ -131,7 +136,7 @@ def test_ci_workflow_lot_steps_run_with_warnings_as_errors(tmp_path):
         assert report["ok"] is True
         for key in ("go_oracle", "natred_certificate", "bracket_properties"):
             assert report[key]["samples"] == samples
-    # the bracket check masks eigenvalue clusters of two sizes
+    # the bracket check masks cluster pairs of two sizes
     assert reports[3]["go"]["clusters"] == [[0, 1], [2], [3]]
     # classify reads no table: naming a missing table file changes nothing
     assert not (tmp_path / "missing.json").exists()
@@ -142,6 +147,12 @@ def test_ci_workflow_lot_steps_run_with_warnings_as_errors(tmp_path):
     wide = reports[9]
     assert (wide["natred"]["case"], wide["go_final"]) == ("invariant_form", "yes")
     assert wide["agreement"] is True and wide["ok"] is True
+    # one eigenvalue cluster: the bracket check has no pair to test, and says so
+    standard = reports[10]
+    assert standard["go"]["clusters"] == [[0, 1, 2]] and standard["ok"] is True
+    brackets = standard["bracket_properties"]
+    assert [brackets[key] for key in ("max_residual", "residual_min", "residual_median")] == [0.0] * 3
+    assert brackets["notes"] == "one eigenvalue cluster: no cluster pair to test"
 
 
 def requirement_names(requirements):
