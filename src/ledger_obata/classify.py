@@ -264,10 +264,6 @@ class GoResult:
     reason: str = ""
     eigen: EigenData | None = None
 
-    @property
-    def is_go(self) -> bool:
-        return self.verdict is GoVerdict.YES
-
 
 def classify_go(
     metric: MetricT, tol: float = 1e-8, cluster_tol: float = 1e-8

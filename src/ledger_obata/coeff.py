@@ -24,21 +24,6 @@ ZERO_RTOL = 1e-9
 ADAPTED_TOL = 1e-8
 
 
-def diamond(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise product of coefficient vectors."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return a * b
-
-
-def project_zero_sum(a: np.ndarray) -> np.ndarray:
-    """Remove the mean: orthogonal projection onto the zero-sum hyperplane."""
-    a = np.asarray(a, dtype=float)
-    return a - a.mean(axis=-1, keepdims=True)
-
-
 @dataclass(frozen=True)
 class AdaptedSystem:
     """Orthonormal zero-sum vectors b^i paired with positive weights gamma_i.

@@ -907,7 +907,7 @@ def verify_report(
          f"naturally-reductive certificate from {source} fails verification"),
         # a final "yes" comes from a classifier "yes" or "indeterminate", so
         # the bracket check ran
-        (yes and not brackets.verdict, "bracket identities fail although classifier says GO"),
+        (yes and not brackets.verdict, "bracket identity (i) fails although classifier says GO"),
     )
     report["disagreements"] = [text for failed, text in table if failed]
     report["ok"] = not report["disagreements"]

@@ -13,14 +13,11 @@ m + s - 1 for s irreducible factors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .classify import NatRedResult, classify_natred, natred_report
-from .coeff import _orthonormal_basis, diamond_tensor, project_zero_sum
-from .liealg import StructureConstants, ad_rows, default_backend
-from .metrics import EigenData, MetricT, T_to_form, eigendecompose
+from .metrics import MetricT, T_to_form
 from .trees import Partition, PartitionPair, _canon
 
 SPLIT_RTOL = 1e-9
@@ -38,18 +35,14 @@ def _part_ids(partition: Partition, m: int) -> np.ndarray:
 class SplitOutcome:
     """Result of testing one partition pair against a metric.
 
-    On success ``summand_first`` and ``summand_second`` carry the two
-    coupling matrices whose sum recovers the metric (each supported on one
-    partition's parts, diagonals fixed for zero row sums), and ``first``,
-    ``second`` hold the compressed factor metrics.
+    On success ``first`` and ``second`` hold the compressed factor metrics;
+    otherwise ``violation`` names the first blocked coupling.
     """
 
     ok: bool
     pair: PartitionPair
     first: MetricT | None = None
     second: MetricT | None = None
-    summand_first: np.ndarray | None = None
-    summand_second: np.ndarray | None = None
     violation: tuple[int, int] | None = None
     violation_value: float = 0.0
 
@@ -76,12 +69,6 @@ def _coupled(t: np.ndarray, tol_split: float) -> np.ndarray:
     return coupled
 
 
-def _summand(t: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    out = np.where(keep, t, 0.0)
-    np.fill_diagonal(out, -out.sum(axis=1))
-    return out
-
-
 def check_split(
     metric: MetricT, pair: PartitionPair, tol_split: float = SPLIT_RTOL
 ) -> SplitOutcome:
@@ -89,10 +76,8 @@ def check_split(
 
     ``tol_split`` is relative to the largest matrix entry: couplings below
     it count as absent.  Success requires every surviving coupling to join
-    two copies sharing a part of one of the partitions; the two summands
-    then reassemble the metric exactly up to dropped couplings.  The
-    reported violation is the first blocked pair (i, j), i < j, in
-    row-major order.
+    two copies sharing a part of one of the partitions.  The reported
+    violation is the first blocked pair (i, j), i < j, in row-major order.
     """
     t = metric.matrix
     m = metric.m
@@ -113,8 +98,6 @@ def check_split(
         pair,
         first=factor_metric(metric, pair.first),
         second=factor_metric(metric, pair.second),
-        summand_first=_summand(t, coupled & same1),
-        summand_second=_summand(t, coupled & same2),
     )
 
 
@@ -266,73 +249,6 @@ def go_manifold(
 ) -> bool:
     """True when every irreducible factor is naturally reductive."""
     return decompose(metric, tol_split).is_go_manifold(tol)
-
-
-# -- connection operators and invariance of a splitting ----------------------
-
-
-def holonomy_generators(
-    metric: MetricT,
-    backend: StructureConstants | None = None,
-    cluster_tol: float = 1e-8,
-) -> tuple[list[np.ndarray], EigenData]:
-    """Connection operators (doubled) over a concrete backend algebra.
-
-    Operators act on coefficient space indexed by (i, q) -> i * d + q where
-    i runs over the eigen directions b^1..b^(m-1) and q over the backend
-    basis.  Isotropy directions contribute 2 ad_q blocks; the direction
-    b^k tensor E_p sends b^i tensor E_q to
-    sum_j ((gamma_i + gamma_j - gamma_k) / gamma_j)
-    ((b^k <> b^i) . b^j) b^j tensor [E_p, E_q].
-    """
-    sc = backend if backend is not None else default_backend()
-    eigen = eigendecompose(metric, cluster_tol)
-    vectors = eigen.system.vectors
-    gammas = eigen.system.gammas
-    ads = ad_rows(sc, np.eye(sc.dim))  # ad E_p at [p]
-    ops = [2.0 * np.kron(np.eye(len(vectors)), ad) for ad in ads]
-    coupling = diamond_tensor(vectors)  # (b^k <> b^i) . b^j at [k, i, j]
-    for k in range(len(vectors)):
-        weight = (gammas[None, :] + gammas[:, None] - gammas[k]) / gammas[None, :]
-        ops.extend(np.kron((coupling[k] * weight).T, ad) for ad in ads)
-    return ops, eigen
-
-
-def splitting_subspaces(
-    pair: PartitionPair, m: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tangent subspaces of the two factors inside the zero-sum space.
-
-    The factor built from one partition is tangent along vectors constant
-    on each part of that partition, projected to zero mean.  Returns
-    orthonormal row bases, dims m1 - 1 and m2 - 1.
-    """
-
-    def span(partition: Partition) -> np.ndarray:
-        indicators = _part_ids(partition, m) == np.arange(len(partition))[:, None]
-        return _orthonormal_basis(project_zero_sum(indicators))
-
-    return span(pair.first), span(pair.second)
-
-
-def invariance_residual(
-    ops: Sequence[np.ndarray],
-    subspace_rows: np.ndarray,
-    eigen: EigenData,
-    dim_backend: int,
-) -> float:
-    """Largest leakage of the operators out of the given tangent subspace.
-
-    ``subspace_rows`` is an orthonormal basis in the zero-sum space; it is
-    rewritten in the eigen coordinates and tensored with the backend space.
-    """
-    coeff = subspace_rows @ eigen.system.vectors.T
-    proj = np.kron(coeff.T @ coeff, np.eye(dim_backend))
-    comp = np.eye(proj.shape[0]) - proj
-    worst = 0.0
-    for op in ops:
-        worst = max(worst, float(np.max(np.abs(comp @ op @ proj))))
-    return worst
 
 
 def decompose_report(

@@ -141,7 +141,3 @@ def read_json(path: str) -> Any:
         raise InputError(f"{path} is not UTF-8 text: {exc}")
     except RecursionError:
         raise InputError(f"{path} nests JSON too deeply to read") from None
-
-
-def read_metric(path: str) -> MetricT:
-    return metric_from_dict(read_json(path))

@@ -9,9 +9,10 @@ import math
 import numpy as np
 import pytest
 
-from ledger_obata.liealg import StructureConstants, so3
-from ledger_obata.metrics import MetricForm, MetricT, form_to_T
-from ledger_obata.trees import PartitionPair
+from ledger_obata.coeff import _orthonormal_basis, diamond_tensor
+from ledger_obata.liealg import StructureConstants, ad_rows, default_backend, so3
+from ledger_obata.metrics import EigenData, MetricForm, MetricT, eigendecompose, form_to_T
+from ledger_obata.trees import Partition, PartitionPair
 
 
 # splitmix64 (Steele, Lea & Flood, OOPSLA 2014), on Python integers
@@ -153,6 +154,13 @@ def dense_nonreductive_metric(rng: np.random.Generator, m: int) -> MetricT:
     return MetricT(t)
 
 
+def invariant_form_from_weights(alphas):
+    """The invariant form with weights ``alphas``: diag(head) - head head^T / sum."""
+    alphas = np.asarray(alphas, dtype=float)
+    head = alphas[:-1]
+    return MetricForm(np.diag(head) - np.outer(head, head) / alphas.sum())
+
+
 def random_nodes(rng: np.random.Generator, m: int, min_gap: float = 0.05) -> np.ndarray:
     z = np.sort(rng.uniform(0.5, 4.0, size=m))
     while np.min(np.diff(z)) < min_gap:
@@ -188,6 +196,66 @@ def so_n_entries(n):
                 if value:
                     entries.append([a, b, k, value])
     return len(basis), entries
+
+
+# -- de Rham reference: connection operators and invariance of a splitting --
+
+
+def holonomy_generators(
+    metric: MetricT,
+    backend: StructureConstants | None = None,
+    cluster_tol: float = 1e-8,
+) -> tuple[list[np.ndarray], EigenData]:
+    """Connection operators (doubled) over a concrete backend algebra.
+
+    Operators act on coefficient space indexed by (i, q) -> i * d + q where
+    i runs over the eigen directions b^1..b^(m-1) and q over the backend
+    basis.  Isotropy directions contribute 2 ad_q blocks; the direction
+    b^k tensor E_p sends b^i tensor E_q to
+    sum_j ((gamma_i + gamma_j - gamma_k) / gamma_j)
+    ((b^k <> b^i) . b^j) b^j tensor [E_p, E_q].
+    """
+    sc = backend if backend is not None else default_backend()
+    eigen = eigendecompose(metric, cluster_tol)
+    vectors = eigen.system.vectors
+    gammas = eigen.system.gammas
+    ads = ad_rows(sc, np.eye(sc.dim))  # ad E_p at [p]
+    ops = [2.0 * np.kron(np.eye(len(vectors)), ad) for ad in ads]
+    coupling = diamond_tensor(vectors)  # (b^k <> b^i) . b^j at [k, i, j]
+    for k in range(len(vectors)):
+        weight = (gammas[None, :] + gammas[:, None] - gammas[k]) / gammas[None, :]
+        ops.extend(np.kron((coupling[k] * weight).T, ad) for ad in ads)
+    return ops, eigen
+
+
+def splitting_subspaces(pair: PartitionPair, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tangent subspaces of the two factors inside the zero-sum space.
+
+    The factor built from one partition is tangent along vectors constant
+    on each part of that partition, projected to zero mean.  Returns
+    orthonormal row bases, dims m1 - 1 and m2 - 1.
+    """
+
+    def span(partition: Partition) -> np.ndarray:
+        indicators = np.array([[label in part for label in range(1, m + 1)] for part in partition],
+                              dtype=float)
+        return _orthonormal_basis(indicators - indicators.mean(axis=1, keepdims=True))
+
+    return span(pair.first), span(pair.second)
+
+
+def invariance_residual(
+    ops, subspace_rows: np.ndarray, eigen: EigenData, dim_backend: int
+) -> float:
+    """Largest leakage of the operators out of the given tangent subspace.
+
+    ``subspace_rows`` is an orthonormal basis in the zero-sum space; it is
+    rewritten in the eigen coordinates and tensored with the backend space.
+    """
+    coeff = subspace_rows @ eigen.system.vectors.T
+    proj = np.kron(coeff.T @ coeff, np.eye(dim_backend))
+    comp = np.eye(proj.shape[0]) - proj
+    return max(float(np.max(np.abs(comp @ op @ proj))) for op in ops)
 
 
 @pytest.fixture(scope="session")

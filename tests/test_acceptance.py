@@ -32,20 +32,18 @@ from ledger_obata.oracle import (
     go_oracle,
     natred_certificate_check,
 )
-from ledger_obata.reduce import (
-    check_split,
-    decompose,
-    holonomy_generators,
-    invariance_residual,
-    splitting_subspaces,
-)
+from ledger_obata.reduce import check_split, decompose
 from ledger_obata.trees import enumerate_partition_pairs
 
 from conftest import (
     DOUBLE_STAR_PAIR,
     SEVEN_SPLIT_PAIR,
     double_star_product,
+    holonomy_generators,
+    invariance_residual,
+    invariant_form_from_weights,
     random_nodes,
+    splitting_subspaces,
     worked_seven_metric,
 )
 
@@ -63,12 +61,6 @@ def bounded_pd_form(rng, m):
     eigs = rng.uniform(0.5, 2.5, n)
     scale = rng.uniform(0.5, 2.0)
     return MetricForm(scale * (q * eigs) @ q.T)
-
-
-def invariant_form_from_weights(alphas):
-    alphas = np.asarray(alphas, dtype=float)
-    head = alphas[:-1]
-    return MetricForm(np.diag(head) - np.outer(head, head) / alphas.sum())
 
 
 def ideal_pattern_form(betas_head, tail, dropped):

@@ -30,13 +30,7 @@ from ledger_obata.metrics import (
 )
 from ledger_obata.oracle import classify_report
 
-from conftest import dense_nonreductive_metric, random_nodes
-
-
-def invariant_form_from_weights(alphas):
-    alphas = np.asarray(alphas, dtype=float)
-    head = alphas[:-1]
-    return MetricForm(np.diag(head) - np.outer(head, head) / alphas.sum())
+from conftest import dense_nonreductive_metric, invariant_form_from_weights, random_nodes
 
 
 def exact_invariant_form(weights):
@@ -265,7 +259,6 @@ def test_natred_from_dict_diagnostics():
 def test_classify_go_standard_metric_single_cluster():
     result = classify_go(standard_metric(5))
     assert result.verdict is GoVerdict.YES
-    assert result.is_go
     assert result.eigen.clusters == ((0, 1, 2, 3),)
     assert np.max(np.abs(result.certificate.constants)) < 1e-12
 
@@ -299,7 +292,6 @@ def test_classify_go_definitive_no_simple_clusters():
     metric = metric_from_system(AdaptedSystem(rows, np.array([1.0, 2.0, 3.0])))
     result = classify_go(metric)
     assert result.verdict is GoVerdict.NO
-    assert not result.is_go
     assert "span test failed" in result.reason
 
 

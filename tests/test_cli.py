@@ -25,7 +25,7 @@ from ledger_obata.classify import (
 from ledger_obata.errors import InputError, ParameterError
 from ledger_obata.liealg import so3
 from ledger_obata.metrics import T_to_form, eigendecompose, standard_metric
-from ledger_obata.serialize import metric_to_dict, read_metric, write_metric
+from ledger_obata.serialize import metric_from_dict, metric_to_dict, read_json, write_metric
 from ledger_obata.trees import PartitionPair
 
 from conftest import SEVEN_SPLIT_PAIR, dense_nonreductive_metric, laplacian_metric, skewed_so3
@@ -285,7 +285,7 @@ def test_generate_then_classify_round_trip(tmp_path, capsys):
     exact = np.array([(11.0 - np.sqrt(13.0)) / 6.0, (11.0 + np.sqrt(13.0)) / 6.0])
     assert np.allclose(roots, exact, atol=1e-10)
 
-    metric = read_metric(str(out))
+    metric = metric_from_dict(read_json(str(out)))
     eigen = eigendecompose(metric)
     assert np.allclose(eigen.system.gammas, np.array(report["gammas"]), atol=1e-12)
 
@@ -591,6 +591,25 @@ def test_verify_reports_a_not_nr_verdict_at_m3(tmp_path, capsys, monkeypatch):
     assert (code, report["ok"]) == (2, False)
     message = "natred case not_naturally_reductive at m = 3, where every metric is naturally"
     assert f"{message} reductive" in report["disagreements"]
+
+
+def test_verify_reports_a_failed_bracket_check_on_a_go_metric(tmp_path, capsys, monkeypatch):
+    # at tol = 0 the rounding-level residuals of identity (i) fail the bracket
+    # check on a GO metric with two clusters, which no other check sees
+    bracket_check = oracle._bracket_check
+
+    def exact_bracket_check(eigen, sc, tol):
+        return bracket_check(eigen, sc, 0.0)
+
+    monkeypatch.setattr(oracle, "_bracket_check", exact_bracket_check)
+    metric, _, _ = go_family(np.array([1.0, 2.0, 3.0]), 1.0, 0.0)
+    path = tmp_path / "go3.json"
+    write_metric(metric, str(path))
+    code, report = run_json(capsys, ["verify", "--input", str(path), "--samples", "10"])
+    assert (code, report["ok"]) == (2, False)
+    assert (report["go_final"], report["go_oracle_assessment"]) == ("yes", "confirmed")
+    assert report["bracket_properties"]["verdict"] is False
+    assert report["disagreements"] == ["bracket identity (i) fails although classifier says GO"]
 
 
 def test_verify_tol_moves_the_checks_but_not_the_go_thresholds(tmp_path, capsys):
@@ -954,7 +973,7 @@ def test_certificate_whose_form_overflows_exits_1(tmp_path, capsys, monkeypatch)
         raise AssertionError("drew samples")
 
     monkeypatch.setattr(oracle, "_normals", no_draws)
-    form, claimed = T_to_form(read_metric(str(path))), natred_from_dict(certificate)
+    form, claimed = T_to_form(metric_from_dict(read_json(str(path)))), natred_from_dict(certificate)
     with pytest.raises(InputError, match="certificate does not fit m = 3: "):
         oracle.natred_certificate_check(form, claimed, samples=5)
 

@@ -7,11 +7,9 @@ from ledger_obata.coeff import (
     AdaptedSystem,
     canonical_sign,
     cluster_indices,
-    diamond,
     is_adapted,
     is_self_saturated,
     is_super_adapted,
-    project_zero_sum,
     self_saturated_basis,
     subalgebra_partition,
 )
@@ -38,27 +36,6 @@ def hadamard_rows():
             [1.0, -1.0, -1.0, 1.0],
         ]
     ) / 2.0
-
-
-def test_diamond_entrywise():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        a = rng.normal(size=6)
-        b = rng.normal(size=6)
-        assert np.array_equal(diamond(a, b), a * b)
-
-
-def test_diamond_shape_mismatch_raises():
-    with pytest.raises(ValueError):
-        diamond(np.ones(3), np.ones(4))
-
-
-def test_project_zero_sum_removes_mean():
-    rng = np.random.default_rng(11)
-    a = rng.normal(size=(5, 7))
-    p = project_zero_sum(a)
-    assert np.max(np.abs(p.sum(axis=-1))) < 1e-12
-    assert np.allclose(project_zero_sum(p), p)
 
 
 def test_adapted_system_validates_shapes():

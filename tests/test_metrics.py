@@ -25,7 +25,7 @@ from ledger_obata.serialize import (
     dumps_numeric,
     metric_from_dict,
     metric_to_dict,
-    read_metric,
+    read_json,
     write_metric,
 )
 
@@ -213,7 +213,7 @@ def test_serialize_round_trip_is_bit_exact(tmp_path):
         metric = random_metric(rng, m)
         path = tmp_path / f"metric_{i}.json"
         write_metric(metric, str(path))
-        back = read_metric(str(path))
+        back = metric_from_dict(read_json(str(path)))
         assert np.array_equal(back.matrix, metric.matrix)
 
 
@@ -265,11 +265,11 @@ def test_metric_from_dict_diagnostics():
 
 def test_read_metric_file_errors(tmp_path):
     with pytest.raises(InputError, match="cannot read"):
-        read_metric(str(tmp_path / "missing.json"))
+        read_json(str(tmp_path / "missing.json"))
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(InputError, match="valid JSON"):
-        read_metric(str(bad))
+        read_json(str(bad))
 
 
 def test_dumps_numeric_17_digits_parse_back():

