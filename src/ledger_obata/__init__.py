@@ -17,9 +17,6 @@ from .classify import (
     classify_go,
     classify_natred,
     go_family,
-    go_report,
-    natred_from_dict,
-    natred_report,
     solve_invariant_form,
     super_adapted_family,
 )
@@ -67,11 +64,9 @@ from .oracle import (
     assess_geodesic_orbit,
     brackets_property_check,
     certificate_shift,
-    classify_report,
     go_oracle,
     go_sample_residual,
     natred_certificate_check,
-    verify_report,
 )
 from .reduce import (
     Decomposition,
@@ -79,11 +74,15 @@ from .reduce import (
     SplitRecord,
     check_split,
     decompose,
-    decompose_report,
     factor_metric,
-    go_manifold,
-    is_reducible,
-    isometry_group_exponent,
+)
+from .report import (
+    classify_report,
+    decompose_report,
+    go_report,
+    natred_from_dict,
+    natred_report,
+    verify_report,
 )
 from .serialize import (
     dumps_numeric,
@@ -105,9 +104,6 @@ __all__ = [
     "classify_go",
     "classify_natred",
     "go_family",
-    "go_report",
-    "natred_from_dict",
-    "natred_report",
     "solve_invariant_form",
     "super_adapted_family",
     "AdaptedSystem",
@@ -145,21 +141,21 @@ __all__ = [
     "assess_geodesic_orbit",
     "brackets_property_check",
     "certificate_shift",
-    "classify_report",
     "go_oracle",
     "go_sample_residual",
     "natred_certificate_check",
-    "verify_report",
     "Decomposition",
     "SplitOutcome",
     "SplitRecord",
     "check_split",
     "decompose",
-    "decompose_report",
     "factor_metric",
-    "go_manifold",
-    "is_reducible",
-    "isometry_group_exponent",
+    "classify_report",
+    "decompose_report",
+    "go_report",
+    "natred_from_dict",
+    "natred_report",
+    "verify_report",
     "dumps_numeric",
     "metric_from_dict",
     "metric_to_dict",

@@ -35,7 +35,7 @@ from .coeff import (
     _cluster_labels,
     is_super_adapted,
 )
-from .errors import InputError, ParameterError
+from .errors import ParameterError
 from .metrics import (
     EigenData,
     MetricForm,
@@ -177,64 +177,6 @@ def classify_natred(form: MetricForm, tol: float = 1e-8) -> NatRedResult:
     return NatRedResult(case=NatRedCase.NOT_NR)
 
 
-def _integer(value) -> int:
-    # float() rejects what overflows a double; an int is then taken exactly,
-    # since above 2**53 its float is rounded
-    number = float(value)
-    if isinstance(value, bool) or not number.is_integer():
-        raise ValueError(f"{value!r} is not an integer")
-    return value if isinstance(value, int) else int(number)
-
-
-def _parsed(data: dict, key: str, parse):
-    """``parse(data[key])``, None when the key is absent or null."""
-    try:
-        return None if data.get(key) is None else parse(data[key])
-    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed {key!r}: {exc}")
-
-
-def natred_from_dict(data: dict) -> NatRedResult:
-    """Parse a naturally-reductive certificate back from its JSON form.
-
-    A malformed field is an InputError.  Coherence of the parameters with
-    a particular metric is not checked here; certificate verification does
-    that against the backend algebra.
-    """
-    if not isinstance(data, dict):
-        raise InputError("certificate must be a JSON object")
-    try:
-        case = NatRedCase(data["case"])
-    except (KeyError, ValueError, TypeError):
-        allowed = ", ".join(c.value for c in NatRedCase)
-        raise InputError(f"certificate needs a 'case' among: {allowed}")
-    return NatRedResult(
-        case=case,
-        normal=bool(data.get("normal", False)),
-        betas=_parsed(data, "betas", lambda b: {int(k): float(v) for k, v in b.items()}),
-        ideal_index=_parsed(data, "ideal_index", _integer),
-        alphas=_parsed(data, "alphas", lambda a: np.array(a, dtype=float)),
-        alpha_sum=_parsed(data, "alpha_sum", float),
-    )
-
-
-def natred_report(result: NatRedResult) -> dict:
-    """JSON-ready rendering of a naturally-reductive classification."""
-    out: dict = {
-        "case": result.case.value,
-        "naturally_reductive": result.is_naturally_reductive,
-        "normal": result.normal,
-    }
-    if result.betas is not None:
-        out["betas"] = {str(k): v for k, v in sorted(result.betas.items())}
-    if result.ideal_index is not None:
-        out["ideal_index"] = result.ideal_index
-    if result.alphas is not None:
-        out["alphas"] = result.alphas
-        out["alpha_sum"] = result.alpha_sum
-    return out
-
-
 # -- geodesic-orbit classification -------------------------------------------
 
 
@@ -325,23 +267,6 @@ def classify_go(
 
     cert = GoCertificate(eigen.system, constants)
     return GoResult(GoVerdict.YES, certificate=cert, eigen=eigen)
-
-
-def go_report(result: GoResult) -> dict:
-    """JSON-ready rendering of a geodesic-orbit classification."""
-    out: dict = {"verdict": result.verdict.value}
-    if result.reason:
-        out["reason"] = result.reason
-    if result.eigen is not None:
-        out["eigenvalues"] = result.eigen.system.gammas
-        out["clusters"] = [list(c) for c in result.eigen.clusters]
-    if result.certificate is not None:
-        out["certificate"] = {
-            "vectors": result.certificate.system.vectors,
-            "gammas": result.certificate.system.gammas,
-            "constants": result.certificate.constants,
-        }
-    return out
 
 
 # -- explicit super-adapted families ------------------------------------------

@@ -4,9 +4,9 @@ Subcommands: classify (naturally-reductive case and geodesic-orbit verdict
 for a metric file), decompose (irreducible factors and the isometry group),
 verify (run the numeric oracles and cross-check the classifiers), generate
 (write a geodesic-orbit family metric), trees (list admissible partition
-pairs).  The library builds the reports of classify, decompose and verify;
-those commands load the metric, call the library and print.  JSON output is
-the contract; text output renders the same report.
+pairs).  Every report is built in ``report``; each command parses its flags,
+loads its input, calls one builder there and prints.  JSON output is the
+contract; text output renders the same report.
 Exit codes: 0 success, 1 input error, 2 verification disagreement.
 """
 
@@ -18,11 +18,12 @@ import sys
 
 import numpy as np
 
-from .classify import classify_go, go_family
 from .errors import InputError, LedgerObataError
 from .metrics import MetricT
-from .oracle import classify_report, verify_report
-from .reduce import SPLIT_RTOL, decompose_report
+from .reduce import SPLIT_RTOL
+from .report import (
+    classify_report, decompose_report, generate_report, trees_report, verify_report,
+)
 from .serialize import (
     dumps_numeric,
     metric_from_dict,
@@ -30,7 +31,6 @@ from .serialize import (
     write_json,
     write_metric,
 )
-from .trees import enumerate_partition_pairs
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,19 +125,7 @@ def cmd_generate(args) -> int:
         nodes = np.array([float(v) for v in args.z.split(",")], dtype=float)
     except ValueError as exc:
         raise InputError(f"--z must be a comma-separated number list: {exc}")
-    metric, family, gammas = go_family(nodes, args.rho, args.lam)
-    go = classify_go(metric, args.tol, args.cluster_tol)
-    report = {
-        "m": int(nodes.size),
-        "z": nodes,
-        "rho": args.rho,
-        "lambda": args.lam,
-        "roots": family.roots,
-        "gammas": gammas,
-        "go_verdict": go.verdict.value,
-    }
-    if go.certificate is not None:
-        report["constants"] = go.certificate.constants
+    metric, report = generate_report(nodes, args.rho, args.lam, args.tol, args.cluster_tol)
     if args.output:
         write_metric(metric, args.output)
         report["written"] = args.output
@@ -148,20 +136,11 @@ def cmd_generate(args) -> int:
 def cmd_trees(args) -> int:
     if args.m is None:
         raise InputError("--m INT is required for trees")
-    pairs = enumerate_partition_pairs(args.m)
-    report = {
-        "m": args.m,
-        "count": len(pairs),
-        "pairs": [
-            {"first": [list(p) for p in pair.first],
-             "second": [list(p) for p in pair.second]}
-            for pair in pairs
-        ],
-    }
-    lines = [f"m = {args.m}: {len(pairs)} admissible partition pairs"]
-    for pair in pairs:
-        left = " | ".join("".join(str(x) for x in p) for p in pair.first)
-        right = " | ".join("".join(str(x) for x in p) for p in pair.second)
+    report = trees_report(args.m)
+    lines = [f"m = {args.m}: {report['count']} admissible partition pairs"]
+    for pair in report["pairs"]:
+        left = " | ".join("".join(str(x) for x in p) for p in pair["first"])
+        right = " | ".join("".join(str(x) for x in p) for p in pair["second"])
         lines.append(f"  {left}  //  {right}")
     _emit(args, report, "\n".join(lines))
     return 0

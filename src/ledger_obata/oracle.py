@@ -6,8 +6,8 @@ by brute force: draw random tangent elements, reduce each claim to a small
 linear least-squares problem in the diagonal subalgebra, and record
 residuals.
 The checks share no code with the classifier beyond the structure-constant
-backend, so agreement between the two is meaningful evidence.  Only
-``verify_report`` at the end calls both; ``classify_report`` runs the classifiers.
+backend, so agreement between the two is meaningful evidence.  This module
+calls no classifier; only ``report.verify_report`` calls both.
 
 Replay contract: sample i of a run with base seed ``seed`` draws from its
 own splitmix64 stream (Steele, Lea & Flood, OOPSLA 2014), a counter hash:
@@ -83,14 +83,11 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .classify import (
-    GoCertificate, GoVerdict, NatRedCase, NatRedResult, classify_go, classify_natred, go_report,
-    natred_from_dict, natred_report,
-)
+from .classify import GoCertificate, NatRedCase, NatRedResult
 from .coeff import _cluster_labels, _norms
 from .errors import InputError, ParameterError
 from .liealg import (
@@ -100,7 +97,7 @@ from .liealg import (
     killing_norms,
     product_bracket,
 )
-from .metrics import EigenData, MetricForm, MetricT, T_to_form, eigendecompose, power_of_two_scale
+from .metrics import EigenData, MetricForm, MetricT, eigendecompose, power_of_two_scale
 
 RIDGE = 1e-14
 # samples per chunk of an oracle pass: a default `lot verify` round (200
@@ -800,115 +797,3 @@ def _bracket_check(eigen: EigenData, sc: StructureConstants, tol: float) -> _Che
 
     notes = "" if len(pairs) else "one eigenvalue cluster: no cluster pair to test"
     return _Check("bracket_properties", tol, (2, len(vectors), sc.dim), measure, notes=notes)
-
-
-# -- the reports of `lot classify` and `lot verify` ---------------------------
-
-
-def _classified(metric: MetricT, tol: float, cluster_tol: float):
-    """The report's first sections, the form over its scale, the NR result on it and the GO result.
-
-    ``classify_natred`` divides by that scale anyway; the report multiplies its weights back.
-    """
-    # the form is T's leading block (``T_to_form``); it is validated once, divided
-    block = metric.matrix[:-1, :-1]
-    scale = power_of_two_scale(block)
-    unit = MetricForm(block / scale)
-    nr = classify_natred(unit, tol)
-    go = classify_go(metric, tol, cluster_tol)
-    report = {"m": metric.m, "natred": natred_report(_times(nr, scale)), "go": go_report(go)}
-    return report, unit, nr, go
-
-
-def _times(result: NatRedResult, scale: float) -> NatRedResult:
-    """``result`` with its weights times ``scale``, and ``normal`` read again: one may underflow."""
-    if result.alphas is None:
-        betas = result.betas and {k: float(w * scale) for k, w in result.betas.items()}
-        return replace(result, betas=betas)
-    alphas = result.alphas * scale
-    normal = bool(np.all(alphas > 0))
-    return replace(result, alphas=alphas, alpha_sum=result.alpha_sum * scale, normal=normal)
-
-
-def _concluded(report: dict, final: GoVerdict) -> dict:
-    """``report`` with the final GO verdict, and whether its NR verdict agrees with it."""
-    agree = report["natred"]["naturally_reductive"] == (final is GoVerdict.YES)
-    report["go_final"] = final.value
-    report["agreement"] = None if final is GoVerdict.INDETERMINATE else agree
-    return report
-
-
-def classify_report(metric: MetricT, tol: float = 1e-8, cluster_tol: float = 1e-8) -> dict:
-    """JSON-ready report of ``lot classify``: the classifiers alone; an indeterminate GO stays so."""
-    report, _, _, go = _classified(metric, tol, cluster_tol)
-    return _concluded(report, go.verdict)
-
-
-def verify_report(
-    metric: MetricT, certificate: dict | None = None, tol: float = 1e-8, cluster_tol: float = 1e-8,
-    samples: int = 200, seed: int = 42,
-) -> dict:
-    """JSON-ready report of ``lot verify``: the classification checked against the oracle.
-
-    ``certificate``, the JSON form of an NR certificate, is parsed after the
-    table is read and the metric classified; None checks the classifier's.
-    The GO assessment resolves an indeterminate GO verdict (``go_oracle_fallback``).
-    ``disagreements`` lists every claim that fails, and ``ok`` says none does.
-    The report has ``natred_certificate`` only when the claim is naturally
-    reductive, and ``bracket_properties`` only when the GO classifier says
-    yes or indeterminate: a classifier no makes the final verdict no, and the
-    bracket verdict is read only when it is yes.  Either way ``classify_go``
-    has found every eigenspace self-saturated, so the bracket check samples
-    identity (i) alone (see ``brackets_property_check``).
-    """
-    sc = default_backend()
-    report, unit, nr, go = _classified(metric, tol, cluster_tol)
-    # reported weights are rounded where subnormal: check the exact ones,
-    # found on the form divided by its scale
-    form, claim, source = unit, nr, "classifier"
-    if certificate is not None:
-        form, claim, source = T_to_form(metric), natred_from_dict(certificate), "input file"
-    # GO round 0 and these checks draw each sample once, in one pass
-    checks = []
-    if claim.is_naturally_reductive:
-        checks.append(_certificate_check(form, claim, sc, tol))
-    # the bracket check reads the classifier's eigen data
-    if go.verdict is not GoVerdict.NO:
-        checks.append(_bracket_check(go.eigen, sc, tol))
-    word, last, reports = _assess(metric, sc, samples, seed, checks)
-    final = go.verdict
-    if final is GoVerdict.INDETERMINATE:
-        final = {"confirmed": GoVerdict.YES, "refuted": GoVerdict.NO}.get(word, final)
-        report["go_resolved_by"] = "oracle"
-        report["go_oracle_fallback"] = last.to_dict()
-    _concluded(report, final)
-    report["go_oracle"] = last.to_dict()
-    report["go_oracle_assessment"] = word
-    reports = {checked.kind: checked for checked in reports}
-    certified = reports.get("naturally_reductive_certificate")
-    brackets = reports.get("bracket_properties")
-    if certified is not None:
-        report["natred_certificate"] = certified.to_dict()
-        report["natred_certificate_source"] = source
-    if brackets is not None:
-        report["bracket_properties"] = brackets.to_dict()
-
-    case, yes = report["natred"]["case"], final is GoVerdict.YES
-    # (failed, text) for each claim, in the order the report lists them
-    table = (
-        (report["agreement"] is False,
-         f"classifiers split: natred case {case}, go_final {final.value}"),
-        (metric.m == 3 and case == NatRedCase.NOT_NR.value,
-         f"natred case {case} at m = 3, where every metric is naturally reductive"),
-        (yes and word == "refuted", "classifier says geodesic orbit, oracle refutes"),
-        (final is GoVerdict.NO and word == "confirmed",
-         "classifier denies geodesic orbit, oracle confirms"),
-        (certified is not None and not certified.verdict,
-         f"naturally-reductive certificate from {source} fails verification"),
-        # a final "yes" comes from a classifier "yes" or "indeterminate", so
-        # the bracket check ran
-        (yes and not brackets.verdict, "bracket identity (i) fails although classifier says GO"),
-    )
-    report["disagreements"] = [text for failed, text in table if failed]
-    report["ok"] = not report["disagreements"]
-    return report

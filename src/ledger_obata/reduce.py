@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import NatRedResult, classify_natred, natred_report
-from .metrics import MetricT, T_to_form
+from .metrics import MetricT
 from .trees import Partition, PartitionPair, _canon
 
 SPLIT_RTOL = 1e-9
@@ -125,16 +124,8 @@ class Decomposition:
 
     @property
     def isometry_group_exponent(self) -> int:
-        """The connected isometry group is F^k for this k."""
+        """The connected isometry group is F^k for this k; m <= k <= 2(m-1)."""
         return sum(self.factor_sizes)
-
-    def factor_classifications(self, tol: float = 1e-8) -> tuple[NatRedResult, ...]:
-        return tuple(classify_natred(T_to_form(f), tol) for f in self.factors)
-
-    def is_go_manifold(self, tol: float = 1e-8) -> bool:
-        """Geodesic orbit with respect to the full isometry group holds
-        exactly when every irreducible factor is naturally reductive."""
-        return all(r.is_naturally_reductive for r in self.factor_classifications(tol))
 
 
 def _coupling_graph(metric: MetricT, tol_split: float) -> list[list[int]]:
@@ -233,50 +224,3 @@ def decompose(metric: MetricT, tol_split: float = SPLIT_RTOL) -> Decomposition:
         pending.append((outcome.second, path + ".2"))
         pending.append((outcome.first, path + ".1"))
     return Decomposition(tuple(factors), tuple(records))
-
-
-def is_reducible(metric: MetricT, tol_split: float = SPLIT_RTOL) -> bool:
-    return decompose(metric, tol_split).is_reducible
-
-
-def isometry_group_exponent(metric: MetricT, tol_split: float = SPLIT_RTOL) -> int:
-    """Exponent k with connected isometry group F^k; m <= k <= 2(m-1)."""
-    return decompose(metric, tol_split).isometry_group_exponent
-
-
-def go_manifold(
-    metric: MetricT, tol: float = 1e-8, tol_split: float = SPLIT_RTOL
-) -> bool:
-    """True when every irreducible factor is naturally reductive."""
-    return decompose(metric, tol_split).is_go_manifold(tol)
-
-
-def decompose_report(
-    metric: MetricT, tol: float = 1e-8, tol_split: float = SPLIT_RTOL
-) -> dict:
-    """JSON-ready summary of the decomposition and the group it certifies."""
-    decomp = decompose(metric, tol_split)
-    results = decomp.factor_classifications(tol)
-    factors = [
-        {"m": factor.m, "T": factor.matrix, "natred": natred_report(result)}
-        for factor, result in zip(decomp.factors, results)
-    ]
-    return {
-        "m": metric.m,
-        "reducible": decomp.is_reducible,
-        "factor_sizes": list(decomp.factor_sizes),
-        "factors": factors,
-        "isometry_group_k": decomp.isometry_group_exponent,
-        # is_go_manifold(tol) without classifying every factor again
-        "go_manifold": all(r.is_naturally_reductive for r in results),
-        "splits": [
-            {
-                "path": rec.path,
-                "m": rec.m,
-                "first": [list(p) for p in rec.pair.first],
-                "second": [list(p) for p in rec.pair.second],
-                "tree_edges": [list(e) for e in rec.pair.tree_edges()],
-            }
-            for rec in decomp.records
-        ],
-    }

@@ -13,10 +13,18 @@ from typing import Any
 
 import numpy as np
 
-from .classify import _integer
 from .coeff import AdaptedSystem, is_adapted
 from .errors import InputError
 from .metrics import MetricT, MetricForm, form_to_T, metric_from_system
+
+
+def _integer(value) -> int:
+    # float() rejects what overflows a double; an int is then taken exactly,
+    # since above 2**53 its float is rounded
+    number = float(value)
+    if isinstance(value, bool) or not number.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return value if isinstance(value, int) else int(number)
 
 
 def _format_float(x: float) -> str:

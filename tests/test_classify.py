@@ -13,9 +13,6 @@ from ledger_obata.classify import (
     classify_go,
     classify_natred,
     go_family,
-    go_report,
-    natred_from_dict,
-    natred_report,
     solve_invariant_form,
     super_adapted_family,
 )
@@ -28,7 +25,7 @@ from ledger_obata.metrics import (
     metric_from_system,
     standard_metric,
 )
-from ledger_obata.oracle import classify_report
+from ledger_obata.report import classify_report, go_report, natred_from_dict, natred_report
 
 from conftest import dense_nonreductive_metric, invariant_form_from_weights, random_nodes
 

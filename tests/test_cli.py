@@ -13,18 +13,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ledger_obata import cli, oracle
+from ledger_obata import cli, oracle, report as reports
 from ledger_obata.classify import (
     GoResult,
     GoVerdict,
     NatRedCase,
     NatRedResult,
     go_family,
-    natred_from_dict,
 )
 from ledger_obata.errors import InputError, ParameterError
 from ledger_obata.liealg import so3
 from ledger_obata.metrics import T_to_form, eigendecompose, standard_metric
+from ledger_obata.report import natred_from_dict
 from ledger_obata.serialize import metric_from_dict, metric_to_dict, read_json, write_metric
 from ledger_obata.trees import PartitionPair
 
@@ -584,7 +584,7 @@ def test_verify_reports_a_not_nr_verdict_at_m3(tmp_path, capsys, monkeypatch):
     def not_nr(form, tol=1e-8):
         return NatRedResult(NatRedCase.NOT_NR, normal=False)
 
-    monkeypatch.setattr(oracle, "classify_natred", not_nr)
+    monkeypatch.setattr(reports, "classify_natred", not_nr)
     path = tmp_path / "standard3.json"
     write_metric(standard_metric(3), str(path))
     code, report = run_json(capsys, ["verify", "--input", str(path), "--samples", "10"])
@@ -596,12 +596,12 @@ def test_verify_reports_a_not_nr_verdict_at_m3(tmp_path, capsys, monkeypatch):
 def test_verify_reports_a_failed_bracket_check_on_a_go_metric(tmp_path, capsys, monkeypatch):
     # at tol = 0 the rounding-level residuals of identity (i) fail the bracket
     # check on a GO metric with two clusters, which no other check sees
-    bracket_check = oracle._bracket_check
+    bracket_check = reports._bracket_check
 
     def exact_bracket_check(eigen, sc, tol):
         return bracket_check(eigen, sc, 0.0)
 
-    monkeypatch.setattr(oracle, "_bracket_check", exact_bracket_check)
+    monkeypatch.setattr(reports, "_bracket_check", exact_bracket_check)
     metric, _, _ = go_family(np.array([1.0, 2.0, 3.0]), 1.0, 0.0)
     path = tmp_path / "go3.json"
     write_metric(metric, str(path))
@@ -685,7 +685,7 @@ def test_indeterminate_falls_back_to_oracle(tmp_path, monkeypatch, capsys):
 
     # verify's one GO assessment is the fallback: round 0 confirms, and its
     # pass draws each stream once for the other checks too
-    monkeypatch.setattr(oracle, "classify_go", forced_indeterminate)
+    monkeypatch.setattr(reports, "classify_go", forced_indeterminate)
     streams = recorded_streams(monkeypatch)
     code, report = run_json(capsys, ["verify", "--input", str(path), "--samples", "10"])
     assert code == 0
@@ -708,8 +708,8 @@ def test_classify_leaves_an_indeterminate_verdict_to_verify(tmp_path, monkeypatc
     def no_backend():
         raise AssertionError("classify built the oracle's backend")
 
-    monkeypatch.setattr(oracle, "classify_go", forced_indeterminate)
-    monkeypatch.setattr(oracle, "default_backend", no_backend)
+    monkeypatch.setattr(reports, "classify_go", forced_indeterminate)
+    monkeypatch.setattr(reports, "default_backend", no_backend)
     monkeypatch.setenv("LOT_STRUCTURE_CONSTANTS", str(tmp_path / "missing.json"))
     code, report = run_json(capsys, ["classify", "--input", str(path)])
     assert code == 0
@@ -732,7 +732,7 @@ def test_verify_runs_the_bracket_check_when_the_classifier_is_indeterminate(
     tmp_path, capsys, monkeypatch
 ):
     # an indeterminate verdict is the oracle's to resolve, and may end yes
-    monkeypatch.setattr(oracle, "classify_go", forced_indeterminate)
+    monkeypatch.setattr(reports, "classify_go", forced_indeterminate)
     for name, form, go_final in (("invariant", INVARIANT_M4, "yes"), ("dense", DENSE_M5, "no")):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps({"m": len(form) + 1, "repr": "form", "a": form}))
@@ -1032,7 +1032,7 @@ def test_certificate_whose_samples_overflow_exits_1_in_the_shared_pass(
     t = [[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]]
     path.write_text(json.dumps({"m": 3, "repr": "T", "T": t, "natred_certificate": certificate}))
     if fallback:
-        monkeypatch.setattr(oracle, "classify_go", forced_indeterminate)
+        monkeypatch.setattr(reports, "classify_go", forced_indeterminate)
     argv = ["verify", "--input", str(path), "--samples", "131"]
     code = cli.main(argv + ["--format", "json"])
     out, err = capsys.readouterr()
@@ -1040,24 +1040,40 @@ def test_certificate_whose_samples_overflow_exits_1_in_the_shared_pass(
     assert err == "error: certificate does not fit m = 3: its samples overflow\n"
 
 
+def recorded_eigendecompositions(monkeypatch) -> list:
+    """Record the m of every ``eigendecompose`` call, whichever module of the package
+    or ``forced_indeterminate`` makes it."""
+    original = eigendecompose
+    calls = []
+
+    def recording(metric, *args, **kwargs):
+        calls.append(metric.m)
+        return original(metric, *args, **kwargs)
+
+    package = [module for name, module in sys.modules.items() if name.split(".")[0] == "ledger_obata"]
+    for module in [sys.modules[__name__], *package]:
+        if getattr(module, "eigendecompose", None) is original:
+            monkeypatch.setattr(module, "eigendecompose", recording)
+    return calls
+
+
 def test_verify_seeds_each_stream_once_and_reuses_the_eigen_data(tmp_path, capsys, monkeypatch):
     path = tmp_path / "invariant.json"
     path.write_text(json.dumps({"m": 4, "repr": "form", "a": INVARIANT_M4}))
-
-    def no_eigendecompose(*args, **kwargs):
-        raise AssertionError("the bracket check decomposed the metric again")
-
-    monkeypatch.setattr(oracle, "eigendecompose", no_eigendecompose)
     argv = ["verify", "--input", str(path), "--samples", "131"]
     # the classifier decides, or leaves the verdict to the oracle's fallback:
     # either way verify runs one GO assessment
     for indeterminate in (False, True):
         with monkeypatch.context() as patch:
             if indeterminate:
-                patch.setattr(oracle, "classify_go", forced_indeterminate)
+                patch.setattr(reports, "classify_go", forced_indeterminate)
+            decompositions = recorded_eigendecompositions(patch)
             streams = recorded_streams(patch)
             code, report = run_json(capsys, argv)
         assert (code, report["go_oracle_assessment"]) == (0, "confirmed")
+        # the GO classifier (or its stand-in) decomposes the metric, and the
+        # bracket check reads its eigen data instead of decomposing again
+        assert decompositions == [4]
         assert {"natred_certificate", "bracket_properties"} <= set(report)
         assert ("go_resolved_by" in report) is indeterminate
         # GO round 0, the certificate check and the bracket check share each draw

@@ -19,7 +19,6 @@ from ledger_obata.classify import (
     classify_go,
     classify_natred,
     go_family,
-    natred_report,
 )
 from ledger_obata.coeff import AdaptedSystem
 from ledger_obata.errors import ParameterError
@@ -42,12 +41,11 @@ from ledger_obata.oracle import (
     assess_geodesic_orbit,
     brackets_property_check,
     certificate_shift,
-    classify_report,
     go_oracle,
     go_sample_residual,
     natred_certificate_check,
-    verify_report,
 )
+from ledger_obata.report import classify_report, natred_report, verify_report
 from ledger_obata.serialize import dumps_numeric
 
 from conftest import (

@@ -1,5 +1,6 @@
 """Tests for the package's public namespace."""
 
+import ast
 import json
 import os
 import re
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import ledger_obata
+from ledger_obata import classify, oracle, reduce, report, serialize
 from ledger_obata.liealg import ENV_TABLE, from_entries, load_structure_constants, so3
 
 from conftest import so_n_entries
@@ -36,7 +38,38 @@ def test_star_import_binds_exactly_all():
     exec("from ledger_obata import *", namespace)
     namespace.pop("__builtins__")
     assert set(namespace) == set(ledger_obata.__all__)
-    assert {"decompose", "is_reducible", "MetricT"} <= set(namespace)
+    assert {"decompose", "decompose_report", "MetricT"} <= set(namespace)
+
+
+def test_every_report_is_built_in_the_report_module():
+    # the JSON shape of each report is set in one module
+    for name in ("natred_report", "natred_from_dict", "go_report", "decompose_report",
+                 "classify_report", "verify_report"):
+        builder = getattr(report, name)
+        assert builder.__module__ == "ledger_obata.report", name
+        assert getattr(ledger_obata, name) is builder and name in ledger_obata.__all__, name
+    for module in (classify, reduce, oracle):
+        builders = [name for name, value in vars(module).items()
+                    if name.endswith("_report") and isinstance(value, types.FunctionType)]
+        assert builders == [], module.__name__
+    # the decomposition and the metric format stand without the classifier
+    assert package_imports(reduce) == {"metrics", "trees"}
+    assert package_imports(serialize) == {"coeff", "errors", "metrics"}
+
+
+def package_imports(module) -> set[str]:
+    """The modules of the package that the source of ``module`` imports, by short name."""
+    imported = []
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif not isinstance(node, ast.ImportFrom):
+            continue
+        elif node.module is None:  # from . import name
+            imported += [f"ledger_obata.{alias.name}" for alias in node.names]
+        else:  # from .name import ..., or from an absolute name
+            imported.append(f"ledger_obata.{node.module}" if node.level else node.module)
+    return {name.split(".")[1] for name in imported if name.startswith("ledger_obata.")}
 
 
 def test_ci_workflow_runs_both_suites_on_two_pythons():

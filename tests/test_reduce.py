@@ -14,12 +14,9 @@ from ledger_obata.reduce import (
     _part_ids,
     check_split,
     decompose,
-    decompose_report,
     factor_metric,
-    go_manifold,
-    is_reducible,
-    isometry_group_exponent,
 )
+from ledger_obata.report import decompose_report
 from ledger_obata.serialize import dumps_numeric
 from ledger_obata.liealg import so3
 from ledger_obata.trees import enumerate_partition_pairs
@@ -93,9 +90,9 @@ def test_decompose_worked_seven_example():
     assert sorted(decomp.factor_sizes) == [2, 2, 3, 3]
     assert decomp.is_reducible
     assert decomp.isometry_group_exponent == 10
-    assert decomp.is_go_manifold()
-    for result in decomp.factor_classifications():
-        assert result.is_naturally_reductive
+    assert decompose_report(metric)["go_manifold"] is True
+    for factor in decomp.factors:
+        assert classify_natred(T_to_form(factor)).is_naturally_reductive
     # k = m + s - 1 with s irreducible factors
     assert decomp.isometry_group_exponent == 7 + len(decomp.factors) - 1
 
@@ -241,8 +238,8 @@ def test_decompose_matches_pair_scan():
         _assert_same_factors(decomp.factors, backward)
         k = sum(f.m for f in forward)
         assert decomp.isometry_group_exponent == k == metric.m + len(forward) - 1
-        assert decomp.is_reducible == (len(forward) > 1) == is_reducible(metric)
-        assert decomp.is_go_manifold() == all(
+        assert decomp.is_reducible == (len(forward) > 1)
+        assert decompose_report(metric)["go_manifold"] == all(
             classify_natred(T_to_form(f)).is_naturally_reductive for f in forward
         )
         for rec in decomp.records:
@@ -297,19 +294,18 @@ def test_decompose_dense_m30_is_irreducible():
     decomp = decompose(metric)
     assert decomp.factor_sizes == (30,)
     assert decomp.records == ()
-    assert not is_reducible(metric)
-    assert isometry_group_exponent(metric) == 30
+    assert not decomp.is_reducible
+    assert decomp.isometry_group_exponent == 30
 
 
 def test_diagonal_metric_splits_into_edges():
     metric = form_to_T(random_pd_form(np.random.default_rng(3), 2))
-    assert not is_reducible(metric)
+    assert not decompose(metric).is_reducible
 
     diag = laplacian_metric(4, [(1, 4, 2.0), (2, 4, 1.0), (3, 4, 0.5)])
     decomp = decompose(diag)
     assert sorted(decomp.factor_sizes) == [2, 2, 2]
     assert decomp.isometry_group_exponent == 6
-    assert isometry_group_exponent(diag) == 6
 
 
 def test_exponent_bounds_and_irreducible_case():
@@ -322,10 +318,9 @@ def test_exponent_bounds_and_irreducible_case():
         assert decomp.isometry_group_exponent == m
         if m >= 4:
             # a dense generic block is not naturally reductive once m > 3
-            assert not decomp.is_go_manifold()
-            assert not go_manifold(dense)
+            assert decompose_report(dense)["go_manifold"] is False
     for m in (3, 4, 5, 6):
-        k = isometry_group_exponent(standard_metric(m))
+        k = decompose(standard_metric(m)).isometry_group_exponent
         assert m <= k <= 2 * (m - 1)
 
 
@@ -340,7 +335,7 @@ def test_double_star_split_recovers_inner_block():
     decomp = decompose(metric)
     assert sorted(decomp.factor_sizes) == [2, 2, 5]
     assert decomp.isometry_group_exponent == 9
-    assert not decomp.is_go_manifold()
+    assert decompose_report(metric)["go_manifold"] is False
 
 
 def test_factor_metric_compression():

@@ -18,7 +18,7 @@ from ledger_obata.classify import (  # noqa: E402
     go_family,
 )
 from ledger_obata.metrics import MetricT, T_to_form  # noqa: E402
-from ledger_obata.reduce import decompose_report  # noqa: E402
+from ledger_obata.report import decompose_report  # noqa: E402
 
 from conftest import dense_nonreductive_metric  # noqa: E402
 
